@@ -8,6 +8,14 @@ folded into their predecessor at parse time.
 
 Graphs are immutable after construction (nothing here mutates a parsed
 graph in place); concurrent readers are safe.
+
+The execution paths read weights through float64 views (``conv_params``,
+``fc_weights``, ``layer_affine``). Each graph casts a layer's view once, on
+first use, and holds it for its own lifetime, so a graph that has run a pass
+also holds a float64 copy of every weight (about 270 MB for VGG-16/CIFAR).
+The views are read-only. Weight arrays must not be mutated in place after a
+pass, since the views would no longer match them; build a new graph with
+``with_weights`` instead, which starts with no views.
 """
 
 import json
@@ -106,6 +114,7 @@ class ModelGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {l.id: l for l in self.layers})
+        object.__setattr__(self, "_views", {})   # (view kind, layer id) -> view
 
     def layer(self, layer_id):
         return self._by_id[layer_id]
@@ -451,31 +460,59 @@ def init_random(graph, seed):
 
 # ---------------------------------------------------------------------------
 # typed views used by the execution paths
+#
+# Each view is built once per graph, on first use, and kept in the graph's
+# private cache; every later pass gets the same objects. Their arrays are
+# float64 copies of the stored weights with writing disabled, so a view can
+# never alias a caller's array. Two threads that miss at the same time both
+# build identical views and keep whichever setdefault stored first.
+
+
+def _view(graph, kind, layer, build):
+    key = (kind, layer.id)
+    try:
+        return graph._views[key]
+    except KeyError:
+        return graph._views.setdefault(key, build())
+
+
+def _float64(array):
+    out = np.array(array, dtype=np.float64)     # always a copy
+    out.flags.writeable = False
+    return out
 
 
 def conv_params(graph, layer):
-    w = np.asarray(graph.weights[layer.id]["weight"], dtype=np.float64)
-    return ConvParams(weights=w, stride=layer.stride, padding=layer.padding)
+    return _view(graph, "conv", layer, lambda: ConvParams(
+        weights=_float64(graph.weights[layer.id]["weight"]),
+        stride=layer.stride, padding=layer.padding))
 
 
 def fc_weights(graph, layer):
-    return np.asarray(graph.weights[layer.id]["weight"], dtype=np.float64)
+    return _view(graph, "fc", layer, lambda: _float64(graph.weights[layer.id]["weight"]))
 
 
 def layer_affine(graph, layer):
     """BnAffine for a matmul layer, or None when it has neither bias nor BN."""
+    return _view(graph, "affine", layer, lambda: _build_affine(graph, layer))
+
+
+def _build_affine(graph, layer):
     arrays = graph.weights[layer.id]
     if not layer.has_bias and not layer.has_bn:
         return None
     c = layer.out_channels
-    bias = np.asarray(arrays["bias"], dtype=np.float64) if layer.has_bias else np.zeros(c)
+    bias = _float64(arrays["bias"]) if layer.has_bias else _float64(np.zeros(c))
     if layer.has_bn:
         return BnAffine(
-            gamma=np.asarray(arrays["gamma"], dtype=np.float64),
-            beta=np.asarray(arrays["beta"], dtype=np.float64),
-            mu=np.asarray(arrays["mu"], dtype=np.float64),
-            sigma_sq=np.asarray(arrays["sigma_sq"], dtype=np.float64),
+            gamma=_float64(arrays["gamma"]),
+            beta=_float64(arrays["beta"]),
+            mu=_float64(arrays["mu"]),
+            sigma_sq=_float64(arrays["sigma_sq"]),
             bias=bias,
             epsilon=layer.epsilon,
         )
-    return BnAffine.bias_only(bias, epsilon=layer.epsilon)
+    affine = BnAffine.bias_only(bias, epsilon=layer.epsilon)
+    for array in (affine.gamma, affine.beta, affine.mu, affine.sigma_sq):
+        array.flags.writeable = False
+    return affine

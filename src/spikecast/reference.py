@@ -89,7 +89,8 @@ def classification_map(logits):
     return ClassificationMap(probs=probs, argmax=logits.argmax(axis=1), undefined=undefined)
 
 
-def _matmul(graph, layer, x, l_scale=1.0):
+def _matmul(graph, layer, x):
+    """Single-shot conv/fc layer with its bias and batch-norm applied."""
     if layer.kind == "conv":
         out = kernels.conv2d(x, conv_params(graph, layer))
     else:
@@ -98,19 +99,31 @@ def _matmul(graph, layer, x, l_scale=1.0):
         out = kernels.fully_connected(x, fc_weights(graph, layer))
     affine = layer_affine(graph, layer)
     if affine is not None:
-        out = kernels.fused_bn_affine(out, affine, l_scale)
+        out = kernels.fused_bn_affine(out, affine)
     return out
+
+
+def input_batch(graph, x):
+    """The input as a float64 (N, C, H, W) batch; one (C, H, W) image gets N = 1.
+
+    Both forward passes start here. Raises ValueError, naming the input
+    layer, for an empty batch or a sample shape other than the model's.
+    """
+    layer = graph.input_layer
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 3:
+        x = x[None]
+    if tuple(x.shape[1:]) != layer.shape:
+        raise ValueError(f"input layer '{layer.id}': input shape {tuple(x.shape[1:])} "
+                         f"does not match model input {layer.shape}")
+    if x.shape[0] == 0:
+        raise ValueError(f"input layer '{layer.id}': empty batch")
+    return x
 
 
 def ann_forward(graph, x):
     """Run the real-valued reference pass, capturing a full trace."""
-    x = np.asarray(x, dtype=np.float64)
-    input_layer = graph.input_layer
-    if x.ndim == 3:
-        x = x[None]
-    if tuple(x.shape[1:]) != input_layer.shape:
-        raise ValueError(f"input shape {tuple(x.shape[1:])} does not match "
-                         f"model input {input_layer.shape}")
+    x = input_batch(graph, x)
     outputs, pre, hists = {}, {}, {}
     for layer in graph.layers:
         if layer.kind == "input":
@@ -125,9 +138,12 @@ def ann_forward(graph, x):
             out = outputs[layer.preds[0]] + outputs[layer.preds[1]]
         else:  # qcfs_act
             z = outputs[layer.preds[0]]
-            out = qcfs(z, layer.qcfs)
+            cfg = layer.qcfs
+            levels = qcfs_levels(z, cfg)
+            out = levels * (cfg.theta / cfg.L)
             pre[layer.id] = z
-            hists[layer.id] = level_counts(out, layer.qcfs)
+            hists[layer.id] = np.bincount(levels.ravel(), minlength=cfg.L + 1)
+            del levels      # int64, as large as the output: free it before the next layer
         outputs[layer.id] = out
     logits = outputs[graph.output_layer.id].reshape(x.shape[0], -1)
     return LayerTrace(outputs=outputs, pre_activations=pre, histograms=hists, logits=logits)

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import kernels
 from .graph import conv_params, fc_weights, layer_affine
-from .reference import ann_forward, qcfs_levels
+from .reference import _matmul, ann_forward, input_batch, qcfs_levels
 
 
 class ConversionError(ValueError):
@@ -312,9 +312,7 @@ def snn_forward(model, x, trace=None, keep_counters=False):
     IfStats. Pass an SnnTrace to capture per-layer sums and spike trains.
     """
     graph = model.graph
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        x = x[None]
+    x = input_batch(graph, x)
     values, stats = {}, {}
     for layer in graph.layers:
         if layer.kind == "input":
@@ -322,7 +320,7 @@ def snn_forward(model, x, trace=None, keep_counters=False):
         elif layer.is_matmul:
             src = values[layer.preds[0]]
             if model.t_map[layer.id] is None:
-                out = _single_matmul(graph, layer, src, model.scaled_affines[layer.id])
+                out = _matmul(graph, layer, src)
             else:
                 params = (conv_params(graph, layer) if layer.kind == "conv"
                           else fc_weights(graph, layer))
@@ -366,23 +364,6 @@ def snn_forward(model, x, trace=None, keep_counters=False):
         logits = _dense(final).mean(axis=0)
     logits = logits.reshape(x.shape[0], -1)
     return logits, stats
-
-
-def _single_matmul(graph, layer, x, affine):
-    if layer.kind == "conv":
-        out = kernels.conv2d(x, conv_params(graph, layer))
-    else:
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
-        out = kernels.fully_connected(x, fc_weights(graph, layer))
-    if affine is not None:
-        out = kernels.fused_bn_affine(out, affine, 1.0)
-    return out
-
-
-def spike_rate_by_layer(stats):
-    """Measured per-activation-layer spike rates, keyed by layer id."""
-    return {lid: st.spike_rate for lid, st in stats.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from spikecast.graph import (GraphError, QcfsConfig, init_random, load_weights,
-                             parse_manifest, save_weights, serialize_manifest)
+from spikecast.graph import (GraphError, QcfsConfig, conv_params, fc_weights,
+                             init_random, layer_affine, load_weights, parse_manifest,
+                             save_weights, serialize_manifest)
+from spikecast.reference import ann_forward
+from spikecast.runtime import convert, snn_forward
 from spikecast.zoo import vgg16_manifest
 
 
@@ -133,7 +136,6 @@ class TestWeights:
             load_weights(toy_graph, tmp_path)
 
     def test_zero_weights_forward_to_zero(self, toy_graph):
-        from spikecast.reference import ann_forward
         zeros = {lid: {k: np.zeros_like(v) for k, v in arrs.items()}
                  for lid, arrs in toy_graph.weights.items()}
         trace = ann_forward(toy_graph.with_weights(zeros), np.ones((1, 2, 8, 8)))
@@ -160,3 +162,66 @@ class TestInitRandom:
         g = init_random(parse_manifest(json.dumps(doc)), 99)
         w = g.weights["c1"]["weight"]          # fan_in = 1 * 3 * 3 = 9
         assert np.all(np.abs(w) <= 1.0 / 3.0)
+
+
+def _view_arrays(graph):
+    """Every array of every float64 view of the graph, built on demand."""
+    out = []
+    for layer in graph.matmul_layers():
+        out.append(conv_params(graph, layer).weights if layer.kind == "conv"
+                   else fc_weights(graph, layer))
+        affine = layer_affine(graph, layer)
+        if affine is not None:
+            out += [affine.gamma, affine.beta, affine.mu, affine.sigma_sq, affine.bias]
+    return out
+
+
+class TestWeightViews:
+    def test_built_once_per_graph(self, toy_graph):
+        for layer in toy_graph.matmul_layers():
+            view = conv_params if layer.kind == "conv" else fc_weights
+            assert view(toy_graph, layer) is view(toy_graph, layer)
+            assert layer_affine(toy_graph, layer) is layer_affine(toy_graph, layer)
+
+    def test_views_are_read_only(self, toy_graph):
+        arrays = _view_arrays(toy_graph)
+        assert arrays and all(a.dtype == np.float64 for a in arrays)
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+    def test_caller_float64_weights_stay_writeable(self, toy_graph):
+        weights = {lid: {k: v.astype(np.float64) for k, v in arrs.items()}
+                   for lid, arrs in toy_graph.weights.items()}
+        g = toy_graph.with_weights(weights)
+        ann_forward(g, np.ones((1, 2, 8, 8)))
+        views = _view_arrays(g)
+        for arrs in weights.values():
+            for a in arrs.values():
+                assert a.flags.writeable
+                assert not any(np.shares_memory(a, v) for v in views)
+
+    def test_with_weights_starts_with_fresh_views(self, toy_graph):
+        x = np.random.default_rng(4).uniform(0, 1, size=(2, 2, 8, 8))
+        before = ann_forward(toy_graph, x).logits
+        head = toy_graph.layer("head")
+        weights = dict(toy_graph.weights)
+        weights["head"] = dict(weights["head"], weight=-weights["head"]["weight"])
+        g = toy_graph.with_weights(weights)
+        assert fc_weights(g, head) is not fc_weights(toy_graph, head)
+        np.testing.assert_array_equal(fc_weights(g, head), weights["head"]["weight"])
+        assert not np.array_equal(ann_forward(g, x).logits, before)
+
+    def test_warm_views_give_identical_bytes(self, toy_graph):
+        x = np.random.default_rng(5).uniform(0, 1, size=(3, 2, 8, 8))
+        model = convert(toy_graph)
+        first, again = ann_forward(toy_graph, x), ann_forward(toy_graph, x)
+        cold = toy_graph.with_weights(toy_graph.weights)
+        for trace in (again, ann_forward(cold, x)):
+            assert trace.logits.tobytes() == first.logits.tobytes()
+            for lid, out in first.outputs.items():
+                assert trace.outputs[lid].tobytes() == out.tobytes()
+        logits, _ = snn_forward(model, x)
+        assert snn_forward(model, x)[0].tobytes() == logits.tobytes()
+        assert snn_forward(convert(cold), x)[0].tobytes() == logits.tobytes()

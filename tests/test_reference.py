@@ -104,6 +104,10 @@ class TestAnnForward:
         with pytest.raises(ValueError, match="does not match"):
             ann_forward(toy_graph, np.zeros((1, 3, 8, 8)))
 
+    def test_empty_batch_names_input_layer(self, toy_graph):
+        with pytest.raises(ValueError, match="input layer 'in': empty batch"):
+            ann_forward(toy_graph, np.zeros((0, 2, 8, 8)))
+
 
 class TestClassificationMap:
     def test_symmetric(self):

@@ -247,6 +247,14 @@ class TestSnnForward:
         _, stats = snn_forward(model, np.ones((2, 2, 8, 8)))
         assert all(st.spike_rate == 0.0 for st in stats.values())
 
+    def test_input_shape_mismatch_names_input_layer(self, toy_graph):
+        with pytest.raises(ValueError, match="input layer 'in': input shape"):
+            snn_forward(convert(toy_graph), np.zeros((1, 3, 8, 8)))
+
+    def test_empty_batch_names_input_layer(self, toy_graph):
+        with pytest.raises(ValueError, match="input layer 'in': empty batch"):
+            snn_forward(convert(toy_graph), np.zeros((0, 2, 8, 8)))
+
     def test_spike_train_membership_bitwise(self, toy_graph):
         x = np.random.default_rng(11).uniform(0, 1, size=(2, 2, 8, 8))
         trace = SnnTrace()

@@ -15,7 +15,7 @@ from .graph import (GraphError, ModelGraph, QcfsConfig, init_random,
                     load_weights, parse_manifest, save_weights,
                     serialize_manifest)
 from .kernels import (BnAffine, ConvParams, KernelError, avg_pool2d, conv2d,
-                      fully_connected, fused_bn_affine, heaviside)
+                      fully_connected, fused_bn_affine)
 from .reference import (ClassificationMap, LayerTrace, ann_forward,
                         classification_map, qcfs)
 from .runtime import (ConversionError, EquivalenceReport, IfLayer, IfStats,

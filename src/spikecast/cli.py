@@ -284,8 +284,6 @@ def _measured_rates(graph, model, dims, inputs):
             source_if[layer.id] = layer.id
         elif layer.kind == "input":
             source_if[layer.id] = None
-        elif layer.kind == "residual_add":
-            source_if[layer.id] = source_if[layer.preds[0]]
         else:
             source_if[layer.id] = source_if[layer.preds[0]]
     mean_rate = (float(np.mean([st.spike_rate for st in stats.values()]))

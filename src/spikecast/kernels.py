@@ -2,20 +2,28 @@
 
 Minimal deterministic numpy kernels used by both the real-valued reference
 path and the unrolled spiking path: cross-correlation convolution,
-fully-connected product, fused batch-norm affine, average pooling and
-threshold (Heaviside) activation.
+fully-connected product, fused batch-norm affine, and average and max
+pooling.
 
-All kernels are pure functions over immutable inputs; they allocate fresh
-output arrays and never mutate their arguments, so they are safe to call
-concurrently across batch elements or layers.
+All kernels are pure functions: they never mutate their arguments and
+return freshly allocated arrays, so they are safe to call concurrently
+across batch elements or layers. The only shared state is conv2d's cache
+of patch-gather indices, which holds read-only arrays keyed by geometry.
 
-Accumulation order: convolutions are lowered to a single matrix product
-over patches flattened in (channel, kernel-row, kernel-col) order, so the
-reduction order is fixed by the BLAS dot kernel and is identical on every
-call with the same shapes.
+Accumulation order: a convolution is lowered to one matrix product
+``cols @ flat_w.T``. ``cols`` is a C-contiguous (N*H_o*W_o, C*K_h*K_w)
+matrix of patches flattened in (channel, kernel-row, kernel-col) order, and
+``flat_w.T`` is the transposed view of the C-contiguous weights. The
+reduction order is then fixed by the BLAS kernel and is identical on every
+call with the same shapes. The operand layout is part of that contract:
+the mathematically equal ``flat_w @ cols_t`` on a C-contiguous transpose,
+or the same product on an F-ordered ``cols``, runs a different BLAS kernel
+whose rounding differs (seen with C_out <= 3), so outputs would no longer
+be bitwise equal to earlier versions.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,6 +145,26 @@ def conv_output_hw(h, w, kernel, stride, padding):
     return num_h // s_h + 1, num_w // s_w + 1
 
 
+@lru_cache(maxsize=64)
+def _patch_index(c, h_p, w_p, kernel, stride, out_hw):
+    """Flat offsets into one padded (C, H_p, W_p) image, one row per patch.
+
+    Taking these offsets from the flattened image yields the patch matrix
+    row by row: rows run over (oh, ow), columns over (c, i, j). The array
+    is read-only because every caller with the same geometry shares it; it
+    holds as many entries as one image's patch matrix.
+    """
+    k_h, k_w = kernel
+    s_h, s_w = stride
+    h_o, w_o = out_hw
+    tap = (np.arange(c)[:, None, None] * (h_p * w_p)
+           + np.arange(k_h)[:, None] * w_p + np.arange(k_w)).ravel()
+    start = (np.arange(h_o)[:, None] * (s_h * w_p) + np.arange(w_o) * s_w).ravel()
+    index = (start[:, None] + tap[None, :]).ravel()
+    index.flags.writeable = False
+    return index
+
+
 def conv2d(x, params):
     """2-D cross-correlation of an (N, C, H, W) batch with ConvParams."""
     _check(x.ndim == 4, f"conv input must be 4-D, got shape {x.shape}")
@@ -144,15 +172,18 @@ def conv2d(x, params):
     _check(c == params.in_channels,
            f"conv channel mismatch: input has {c}, weights expect {params.in_channels}")
     k_h, k_w = params.kernel
-    s_h, s_w = params.stride
     p_h, p_w = params.padding
     h_o, w_o = conv_output_hw(h, w, params.kernel, params.stride, params.padding)
 
+    h_p, w_p = h + 2 * p_h, w + 2 * p_w
     if p_h or p_w:
-        x = np.pad(x, ((0, 0), (0, 0), (p_h, p_h), (p_w, p_w)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k_h, k_w), axis=(2, 3))
-    windows = windows[:, :, ::s_h, ::s_w]            # (N, C, H_o, W_o, K_h, K_w)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_o * w_o, c * k_h * k_w)
+        xp = np.zeros((n, c, h_p, w_p), dtype=x.dtype)
+        xp[:, :, p_h:p_h + h, p_w:p_w + w] = x
+    else:
+        xp = x
+    index = _patch_index(c, h_p, w_p, params.kernel, tuple(params.stride), (h_o, w_o))
+    cols = np.take(xp.reshape(n, c * h_p * w_p), index, axis=1)
+    cols = cols.reshape(n * h_o * w_o, c * k_h * k_w)
     flat_w = params.weights.reshape(params.out_channels, c * k_h * k_w)
     out = cols @ flat_w.T
     out = out.reshape(n, h_o, w_o, params.out_channels).transpose(0, 3, 1, 2)
@@ -186,7 +217,14 @@ def fused_bn_affine(y, affine, l_scale=1.0):
     shape = (1, channels) + (1,) * (y.ndim - 2)
     denom = np.sqrt(affine.sigma_sq + affine.epsilon).reshape(shape)
     shift = (l_scale * (affine.bias - affine.mu)).reshape(shape)
-    out = affine.gamma.reshape(shape) * (y + shift) / denom + (l_scale * affine.beta).reshape(shape)
+    gamma = affine.gamma.reshape(shape)
+    beta = (l_scale * affine.beta).reshape(shape)
+    # gamma * (y + shift) / denom + beta, evaluated in that order in one
+    # buffer that already has the dtype the whole expression would promote to
+    out = (y + shift).astype(np.result_type(y, shift, gamma, denom, beta), copy=False)
+    np.multiply(gamma, out, out=out)
+    np.divide(out, denom, out=out)
+    np.add(out, beta, out=out)
     _check_finite(out, "affine output")
     return out
 
@@ -219,8 +257,3 @@ def max_pool2d(x, window):
            f"pool window {k} does not divide input {h}x{w}")
     return x.reshape(n, c, h // k, k, w // k, k).max(axis=(3, 5))
 
-
-def heaviside(x, theta_star):
-    """Elementwise 1.0 where x >= theta_star else 0.0 (inclusive at threshold)."""
-    _check(theta_star > 0, "threshold must be positive")
-    return (x >= theta_star).astype(np.float64)

@@ -100,10 +100,6 @@ class IfStats:
     def spike_rate(self):
         return self.emitted_spikes / self.elements
 
-    @property
-    def inhibitory_spikes(self):
-        return self.stage2_inhibitory
-
 
 @dataclass(frozen=True)
 class SpikingModel:

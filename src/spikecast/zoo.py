@@ -2,8 +2,6 @@
 
 import json
 
-from .graph import parse_manifest
-
 
 def toy_manifest(classes=4, l_first=4, l_second=2, theta=1.0):
     """conv -> act -> pool -> conv -> act -> fc, handy for demos and tests."""
@@ -94,7 +92,3 @@ def residual_block_manifest(classes=3, l_main=4, theta=1.0):
         ],
     }
     return json.dumps(doc)
-
-
-def build(manifest_text):
-    return parse_manifest(manifest_text)

@@ -33,6 +33,29 @@ def naive_conv2d(x, weights, stride=(1, 1), padding=(0, 0)):
     return out
 
 
+def sliding_window_conv2d(x, params):
+    """The earlier conv lowering, kept as a bitwise oracle for kernels.conv2d.
+
+    It builds the same C-contiguous patch matrix through a strided window
+    view and a 6-D transpose, then runs the same ``cols @ flat_w.T``.
+    """
+    n, c, h, w = x.shape
+    k_h, k_w = params.kernel
+    s_h, s_w = params.stride
+    p_h, p_w = params.padding
+    h_o = (h + 2 * p_h - k_h) // s_h + 1
+    w_o = (w + 2 * p_w - k_w) // s_w + 1
+    if p_h or p_w:
+        x = np.pad(x, ((0, 0), (0, 0), (p_h, p_h), (p_w, p_w)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k_h, k_w), axis=(2, 3))
+    windows = windows[:, :, ::s_h, ::s_w]            # (N, C, H_o, W_o, K_h, K_w)
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_o * w_o, c * k_h * k_w)
+    flat_w = params.weights.reshape(params.out_channels, c * k_h * k_w)
+    out = cols @ flat_w.T
+    return np.ascontiguousarray(
+        out.reshape(n, h_o, w_o, params.out_channels).transpose(0, 3, 1, 2))
+
+
 def random_manifest(rng, allow_residual=True):
     """Random 2-5 matmul model: channels <= 16, spatial <= 16, L in {1,2,4,8}."""
     if allow_residual and rng.random() < 0.25:

@@ -1,11 +1,35 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from spikecast import kernels
 from spikecast.kernels import (BnAffine, ConvParams, KernelError, avg_pool2d,
                                conv2d, fully_connected, fused_bn_affine,
-                               heaviside, max_pool2d)
+                               max_pool2d)
 
-from conftest import naive_conv2d
+from conftest import naive_conv2d, sliding_window_conv2d
+
+
+def random_conv_case(rng, c_out=None, n=None):
+    """Random tiling geometry: anisotropic kernel, stride and padding."""
+    while True:
+        k_h, k_w = (int(v) for v in rng.integers(1, 5, size=2))
+        s_h, s_w = (int(v) for v in rng.integers(1, 4, size=2))
+        p_h, p_w = (int(v) for v in rng.integers(0, 3, size=2))
+        h_o, w_o = (int(v) for v in rng.integers(1, 7, size=2))
+        h = (h_o - 1) * s_h + k_h - 2 * p_h
+        w = (w_o - 1) * s_w + k_w - 2 * p_w
+        if h >= 1 and w >= 1:
+            break
+    c_in = int(rng.integers(1, 17))
+    c_out = int(rng.integers(1, 17)) if c_out is None else c_out
+    n = int(rng.integers(1, 5)) if n is None else n
+    x = rng.uniform(-1, 1, size=(n, c_in, h, w))
+    params = ConvParams(weights=rng.uniform(-1, 1, size=(c_out, c_in, k_h, k_w)),
+                        stride=(s_h, s_w), padding=(p_h, p_w))
+    return x, params
 
 
 class TestConv2d:
@@ -39,6 +63,69 @@ class TestConv2d:
             p = ConvParams(weights=w, stride=(s, s), padding=(pad, pad))
             want = naive_conv2d(x, w, (s, s), (pad, pad))
             np.testing.assert_allclose(conv2d(x, p), want, atol=1e-12)
+
+    def test_bitwise_equal_to_sliding_window_lowering(self):
+        rng = np.random.default_rng(17)
+        cases = [random_conv_case(rng) for _ in range(60)]
+        cases += [random_conv_case(rng, c_out=c_out, n=n)
+                  for c_out in (1, 2, 3) for n in (1, 5) for _ in range(8)]
+        # C_out <= 3 is where BLAS rounding depends on operand layout
+        x = rng.uniform(-1, 1, size=(5, 13, 4, 4))
+        cases.append((x, ConvParams(weights=rng.uniform(-1, 1, size=(3, 13, 3, 3)))))
+        # 1x1 outputs, with and without padding
+        x = rng.uniform(-1, 1, size=(2, 4, 3, 5))
+        cases.append((x, ConvParams(weights=rng.uniform(-1, 1, size=(2, 4, 3, 5)))))
+        x = rng.uniform(-1, 1, size=(1, 3, 1, 2))
+        cases.append((x, ConvParams(weights=rng.uniform(-1, 1, size=(1, 3, 3, 4)),
+                                    padding=(1, 1))))
+        for x, p in cases:
+            got = conv2d(x, p)
+            want = sliding_window_conv2d(x, p)
+            assert got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    def test_patch_index_cache(self):
+        rng = np.random.default_rng(19)
+        x, p = random_conv_case(rng, n=2)
+        first = conv2d(x, p)
+        _, c, h, w = x.shape
+        args = (c, h + 2 * p.padding[0], w + 2 * p.padding[1], p.kernel, p.stride,
+                first.shape[2:])
+        index = kernels._patch_index(*args)
+        assert kernels._patch_index(*args) is index
+        assert not index.flags.writeable
+        # new values on the cached geometry: a fresh, correct result
+        y = rng.uniform(-1, 1, size=x.shape)
+        second = conv2d(y, p)
+        assert second.tobytes() == sliding_window_conv2d(y, p).tobytes()
+        assert first.tobytes() == sliding_window_conv2d(x, p).tobytes()
+        assert not np.shares_memory(first, second)
+
+    def test_concurrent_calls_on_cold_geometry(self):
+        rng = np.random.default_rng(23)
+        x, p = random_conv_case(rng, n=3)
+        want = sliding_window_conv2d(x, p).tobytes()
+        kernels._patch_index.cache_clear()
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def run(slot):
+            barrier.wait(timeout=10)
+            results[slot] = conv2d(x, p).tobytes()
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [want] * 4
 
     def test_channel_mismatch(self):
         p = ConvParams(weights=np.zeros((1, 3, 1, 1)))
@@ -90,6 +177,38 @@ class TestFusedBnAffine:
         out = fused_bn_affine(np.full((1, 1, 1, 1), 5.0), a, l_scale=0.25)
         assert out[0, 0, 0, 0] == pytest.approx(4.5, abs=1e-12)
 
+    def test_bytes_match_expression(self):
+        rng = np.random.default_rng(29)
+        for shape in ((3, 5), (2, 5, 4, 3)):
+            a = BnAffine(gamma=rng.uniform(-1.5, 1.5, 5), beta=rng.uniform(-1, 1, 5),
+                         mu=rng.uniform(-1, 1, 5), sigma_sq=rng.uniform(0.2, 2.0, 5),
+                         bias=rng.uniform(-1, 1, 5))
+            y = rng.uniform(-2, 2, size=shape)
+            y_before = y.copy()
+            for l_scale in (1.0, 0.25, 1.0 / 3.0):
+                bshape = (1, 5) + (1,) * (y.ndim - 2)
+                denom = np.sqrt(a.sigma_sq + a.epsilon).reshape(bshape)
+                shift = (l_scale * (a.bias - a.mu)).reshape(bshape)
+                want = (a.gamma.reshape(bshape) * (y + shift) / denom
+                        + (l_scale * a.beta).reshape(bshape))
+                assert fused_bn_affine(y, a, l_scale).tobytes() == want.tobytes()
+            assert y.tobytes() == y_before.tobytes()
+
+    def test_mixed_dtypes_promote_like_expression(self):
+        # float32 input and shift with a float64 gamma: the sum rounds in
+        # float32 and the rest runs in float64, as in the plain expression
+        rng = np.random.default_rng(31)
+        f32 = lambda v: v.astype(np.float32)
+        a = BnAffine(gamma=rng.uniform(0.5, 1.5, 3), beta=f32(rng.uniform(-1, 1, 3)),
+                     mu=f32(rng.uniform(-1, 1, 3)), sigma_sq=f32(rng.uniform(0.2, 2.0, 3)),
+                     bias=f32(rng.uniform(-1, 1, 3)))
+        y = f32(rng.uniform(-2, 2, size=(4, 3)))
+        shift = (0.5 * (a.bias - a.mu))[None]
+        want = a.gamma * (y + shift) / np.sqrt(a.sigma_sq + a.epsilon) + 0.5 * a.beta
+        got = fused_bn_affine(y, a, 0.5)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
     def test_bad_epsilon(self):
         with pytest.raises(KernelError, match="epsilon"):
             BnAffine(gamma=np.ones(1), beta=np.zeros(1), mu=np.zeros(1),
@@ -134,22 +253,6 @@ class TestPooling:
     def test_max_pool(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
         assert max_pool2d(x, 2)[0, 0, 0, 0] == 4.0
-
-
-class TestHeaviside:
-    def test_threshold_inclusive(self):
-        assert heaviside(np.array([0.25]), 0.25)[0] == 1.0
-
-    def test_zero_below_threshold(self):
-        assert heaviside(np.array([0.0]), 0.25)[0] == 0.0
-
-    def test_negative_below_threshold(self):
-        assert heaviside(np.array([-0.1]), 0.25)[0] == 0.0
-
-    def test_binary_output(self):
-        x = np.random.default_rng(5).normal(size=1000)
-        out = heaviside(x, 0.3)
-        assert set(np.unique(out)) <= {0.0, 1.0}
 
 
 class TestLinearity:

@@ -7,10 +7,12 @@ pooling.
 
 All kernels are pure functions: they never mutate their arguments and
 return freshly allocated arrays, so they are safe to call concurrently
-across batch elements or layers. The only shared state is conv2d's cache
-of patch-gather indices, which holds read-only arrays keyed by geometry.
+across batch elements or layers. The one exception is the out argument of
+fused_bn_affine, which callers point at a matmul output they own. The only
+shared state is conv2d's cache of patch-gather indices, which holds
+read-only arrays keyed by geometry.
 
-Accumulation order: a convolution is lowered to one matrix product
+Accumulation order: a convolution is lowered to the matrix product
 ``cols @ flat_w.T``. ``cols`` is a C-contiguous (N*H_o*W_o, C*K_h*K_w)
 matrix of patches flattened in (channel, kernel-row, kernel-col) order, and
 ``flat_w.T`` is the transposed view of the C-contiguous weights. The
@@ -20,6 +22,22 @@ the mathematically equal ``flat_w @ cols_t`` on a C-contiguous transpose,
 or the same product on an F-ordered ``cols``, runs a different BLAS kernel
 whose rounding differs (seen with C_out <= 3), so outputs would no longer
 be bitwise equal to earlier versions.
+
+Blocks: when the whole patch matrix would exceed ``_PATCH_BLOCK_BYTES``,
+conv2d splits the batch into the fewest balanced blocks of whole images
+that fit, and runs the same product once per block through one reused
+patch buffer. A row's result does not depend on how many other rows share
+its product as long as BLAS picks the same kernel, so blocking leaves every
+byte unchanged. Blocks must stay large for that: OpenBLAS (0.3.31)
+runs small products through kernels that round differently. Splitting
+small random conv batches into one-image products changed bits in 123 of
+400 geometries, all below M*N*K = 1e5 per image, by up to 1.4e-14. A
+batch that fits the budget stays one block, and a split batch's balanced
+blocks each hold more than a third of the budget (over 1.4 M patch
+entries, so M*N*K > 1.4e6); at that size 160 random splits with
+C_out >= 2 matched the unsplit product byte for byte. C_out = 1 is never
+split: that product runs as a matrix-vector kernel whose rounding depends
+on where a row sits, and splitting it changed bits in 77 of 80 cases.
 """
 
 from dataclasses import dataclass
@@ -32,9 +50,11 @@ class KernelError(ValueError):
     """Raised when a kernel receives structurally invalid inputs."""
 
 
-def _check(cond, msg):
+def _check(cond, msg, *args):
+    # msg is formatted with args only on failure: kernels run once per layer
+    # per pass, and formatting shapes and dtypes costs microseconds
     if not cond:
-        raise KernelError(msg)
+        raise KernelError(msg.format(*args) if args else msg)
 
 
 def _check_finite(arr, what):
@@ -138,10 +158,10 @@ def conv_output_hw(h, w, kernel, stride, padding):
     p_h, p_w = padding
     num_h = h + 2 * p_h - k_h
     num_w = w + 2 * p_w - k_w
-    _check(num_h >= 0 and num_w >= 0, f"kernel {kernel} larger than padded input {h}x{w}")
+    _check(num_h >= 0 and num_w >= 0, "kernel {} larger than padded input {}x{}", kernel, h, w)
     _check(num_h % s_h == 0 and num_w % s_w == 0,
-           f"conv geometry does not tile: input {h}x{w}, kernel {kernel}, "
-           f"stride {stride}, padding {padding}")
+           "conv geometry does not tile: input {}x{}, kernel {}, stride {}, padding {}",
+           h, w, kernel, stride, padding)
     return num_h // s_h + 1, num_w // s_w + 1
 
 
@@ -165,55 +185,90 @@ def _patch_index(c, h_p, w_p, kernel, stride, out_hw):
     return index
 
 
-def conv2d(x, params):
-    """2-D cross-correlation of an (N, C, H, W) batch with ConvParams."""
-    _check(x.ndim == 4, f"conv input must be 4-D, got shape {x.shape}")
+# Most patch-matrix bytes conv2d holds at once; see "Blocks" above.
+_PATCH_BLOCK_BYTES = 32 << 20
+
+
+def conv2d(x, params, scale=None):
+    """2-D cross-correlation of an (N, C, H, W) batch with ConvParams.
+
+    With scale given, x is a bool spike tensor and the input convolved is
+    x * scale; the float64 input is only ever built one block at a time.
+    """
+    _check(x.ndim == 4, "conv input must be 4-D, got shape {}", x.shape)
+    _check(scale is None or x.dtype == np.bool_,
+           "a scaled conv input must be a bool spike tensor, got {}", x.dtype)
     n, c, h, w = x.shape
     _check(c == params.in_channels,
-           f"conv channel mismatch: input has {c}, weights expect {params.in_channels}")
+           "conv channel mismatch: input has {}, weights expect {}", c, params.in_channels)
     k_h, k_w = params.kernel
     p_h, p_w = params.padding
     h_o, w_o = conv_output_hw(h, w, params.kernel, params.stride, params.padding)
-
     h_p, w_p = h + 2 * p_h, w + 2 * p_w
-    if p_h or p_w:
-        xp = np.zeros((n, c, h_p, w_p), dtype=x.dtype)
-        xp[:, :, p_h:p_h + h, p_w:p_w + w] = x
-    else:
-        xp = x
+    c_out, taps = params.out_channels, c * k_h * k_w
     index = _patch_index(c, h_p, w_p, params.kernel, tuple(params.stride), (h_o, w_o))
-    cols = np.take(xp.reshape(n, c * h_p * w_p), index, axis=1)
-    cols = cols.reshape(n * h_o * w_o, c * k_h * k_w)
-    flat_w = params.weights.reshape(params.out_channels, c * k_h * k_w)
-    out = cols @ flat_w.T
-    out = out.reshape(n, h_o, w_o, params.out_channels).transpose(0, 3, 1, 2)
-    out = np.ascontiguousarray(out)
+    flat_w = params.weights.reshape(c_out, taps)
+
+    dtype = x.dtype if scale is None else np.dtype(np.float64)
+    if c_out == 1:      # a matrix-vector product: never split, see "Blocks" above
+        blocks = 1
+    else:
+        blocks = max(1, min(n, -(-n * index.size * dtype.itemsize // _PATCH_BLOCK_BYTES)))
+    edges = [n * b // blocks for b in range(blocks + 1)]
+    size = -(-n // blocks)
+    cols = np.empty((size, index.size), dtype=dtype)
+    # the border of the padded buffer is zeroed once; blocks only overwrite its interior
+    xp = np.zeros((size, c, h_p, w_p), dtype=dtype) if p_h or p_w or scale is not None else None
+    out = None
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        m = hi - lo
+        if xp is None:
+            src = x[lo:hi]
+        else:
+            src = xp[:m]
+            interior = src[:, :, p_h:p_h + h, p_w:p_w + w]
+            if scale is None:
+                interior[...] = x[lo:hi]
+            else:
+                np.multiply(x[lo:hi], scale, out=interior)
+        # the index is in range by construction; "clip" lets take write
+        # straight into cols, where "raise" would buffer a copy
+        np.take(src.reshape(m, c * h_p * w_p), index, axis=1, out=cols[:m], mode="clip")
+        part = cols[:m].reshape(m * h_o * w_o, taps) @ flat_w.T
+        if out is None:
+            # allocated only now: take copies the read-only index (as large
+            # as one image's patches) while it runs, and out need not coexist
+            out = np.empty((n, c_out, h_o, w_o), dtype=part.dtype)
+        out[lo:hi] = part.reshape(m, h_o, w_o, c_out).transpose(0, 3, 1, 2)
     _check_finite(out, "conv output")
     return out
 
 
 def fully_connected(x, weights):
     """Batched y = W @ x for x of shape (N, C_in) and weights (C_out, C_in)."""
-    _check(x.ndim == 2, f"fully-connected input must be 2-D, got shape {x.shape}")
+    _check(x.ndim == 2, "fully-connected input must be 2-D, got shape {}", x.shape)
     _check(weights.ndim == 2, "fully-connected weights must be 2-D (C_out, C_in)")
     _check(x.shape[1] == weights.shape[1],
-           f"fully-connected width mismatch: input {x.shape[1]}, weights expect {weights.shape[1]}")
+           "fully-connected width mismatch: input {}, weights expect {}",
+           x.shape[1], weights.shape[1])
     out = x @ weights.T
     _check_finite(out, "fully-connected output")
     return out
 
 
-def fused_bn_affine(y, affine, l_scale=1.0):
+def fused_bn_affine(y, affine, l_scale=1.0, out=None):
     """Apply a BnAffine per output channel.
 
     l_scale divides the additive constants (bias, mu, beta): pass 1 for a
     single-shot pass and 1/L when the layer is unrolled over L timesteps,
-    so that the L unrolled outputs sum to the single-shot output.
+    so that the L unrolled outputs sum to the single-shot output. out, if
+    given, receives the result and may be y itself; it must have y's shape
+    and the dtype the expression promotes to.
     """
-    _check(y.ndim in (2, 4), f"affine input must be 2-D or 4-D, got shape {y.shape}")
+    _check(y.ndim in (2, 4), "affine input must be 2-D or 4-D, got shape {}", y.shape)
     channels = y.shape[1]
     _check(affine.gamma.shape[0] == channels,
-           f"affine expects {affine.gamma.shape[0]} channels, input has {channels}")
+           "affine expects {} channels, input has {}", affine.gamma.shape[0], channels)
     shape = (1, channels) + (1,) * (y.ndim - 2)
     denom = np.sqrt(affine.sigma_sq + affine.epsilon).reshape(shape)
     shift = (l_scale * (affine.bias - affine.mu)).reshape(shape)
@@ -221,7 +276,14 @@ def fused_bn_affine(y, affine, l_scale=1.0):
     beta = (l_scale * affine.beta).reshape(shape)
     # gamma * (y + shift) / denom + beta, evaluated in that order in one
     # buffer that already has the dtype the whole expression would promote to
-    out = (y + shift).astype(np.result_type(y, shift, gamma, denom, beta), copy=False)
+    dtype = np.result_type(y, shift, gamma, denom, beta)
+    if out is None:
+        out = (y + shift).astype(dtype, copy=False)
+    else:
+        _check(out.shape == y.shape and out.dtype == dtype,
+               "affine out must be {} of shape {}, got {} of shape {}",
+               dtype, y.shape, out.dtype, out.shape)
+        np.add(y, shift, out=out)
     np.multiply(gamma, out, out=out)
     np.divide(out, denom, out=out)
     np.add(out, beta, out=out)
@@ -231,14 +293,14 @@ def fused_bn_affine(y, affine, l_scale=1.0):
 
 def avg_pool2d(x, window, stride=None):
     """Non-overlapping k x k mean pooling; H and W must tile exactly."""
-    _check(x.ndim == 4, f"pool input must be 4-D, got shape {x.shape}")
+    _check(x.ndim == 4, "pool input must be 4-D, got shape {}", x.shape)
     k = window[0] if isinstance(window, (tuple, list)) else int(window)
     if stride is not None:
         s = stride[0] if isinstance(stride, (tuple, list)) else int(stride)
         _check(s == k, "avg-pool stride must equal its window")
     n, c, h, w = x.shape
     _check(h % k == 0 and w % k == 0,
-           f"pool window {k} does not divide input {h}x{w}")
+           "pool window {} does not divide input {}x{}", k, h, w)
     out = x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
     _check_finite(out, "pool output")
     return out
@@ -250,10 +312,10 @@ def max_pool2d(x, window):
     Only valid on the real-valued reference path; max does not commute
     with the timestep sum, so converted spiking models reject it.
     """
-    _check(x.ndim == 4, f"pool input must be 4-D, got shape {x.shape}")
+    _check(x.ndim == 4, "pool input must be 4-D, got shape {}", x.shape)
     k = window[0] if isinstance(window, (tuple, list)) else int(window)
     n, c, h, w = x.shape
     _check(h % k == 0 and w % k == 0,
-           f"pool window {k} does not divide input {h}x{w}")
+           "pool window {} does not divide input {}x{}", k, h, w)
     return x.reshape(n, c, h // k, k, w // k, k).max(axis=(3, 5))
 

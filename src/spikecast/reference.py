@@ -99,7 +99,7 @@ def _matmul(graph, layer, x):
         out = kernels.fully_connected(x, fc_weights(graph, layer))
     affine = layer_affine(graph, layer)
     if affine is not None:
-        out = kernels.fused_bn_affine(out, affine)
+        out = kernels.fused_bn_affine(out, affine, out=out)
     return out
 
 

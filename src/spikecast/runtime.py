@@ -34,7 +34,11 @@ preceding matmul runs once at full precision, the staircase activation is
 applied, and the resulting level index directly becomes the spike count.
 
 Spike trains are stored as a bit tensor plus the shared theta_star scalar,
-so the "every element is 0 or theta_star" guarantee is structural.
+so the "every element is 0 or theta_star" guarantee is structural. A conv
+layer reads those bits directly: kernels.conv2d scales them into its patch
+buffer one block at a time, so no float64 copy of a whole train is built.
+The forward pass drops each layer's value as soon as its last consumer has
+run, so only a few layers' values are alive at once.
 
 Converted models are immutable; the forward pass keeps all mutable neuron
 state local to the call, so batches and models can be run concurrently.
@@ -201,24 +205,31 @@ def if_generic_layer(stack, plan, keep_counter=False):
     mem = np.full(shape, th / 2.0)
     count = np.zeros(shape, dtype=np.int64)
 
+    # mem and count are updated in place, only where a neuron fires or
+    # inhibits. A -0.0 membrane left alone stays -0.0 where adding th * 0.0
+    # would give +0.0; no comparison below can see the sign of a zero.
+    fire = np.empty(shape, dtype=bool)
+    inhib = np.empty(shape, dtype=bool)
     stage1_spikes = 0
     for t in range(plan.l_in):
         mem += stack[t]
-        fire = mem >= th
+        np.greater_equal(mem, th, out=fire)
         count += fire
-        mem -= th * fire
-        stage1_spikes += int(fire.sum())
+        np.subtract(mem, th, out=mem, where=fire)
+        stage1_spikes += int(np.count_nonzero(fire))
 
     stage2_steps = max(plan.l_in, plan.l_out) - 1
     excitatory = inhibitory = 0
     for _ in range(stage2_steps):
-        fire = mem >= th
-        inhib = (~fire) & (mem < 0.0)
+        # th > 0, so a firing membrane is never negative: fire and inhib are disjoint
+        np.greater_equal(mem, th, out=fire)
+        np.less(mem, 0.0, out=inhib)
         count += fire
         count -= inhib
-        mem += th * (inhib.astype(np.float64) - fire.astype(np.float64))
-        excitatory += int(fire.sum())
-        inhibitory += int(inhib.sum())
+        np.add(mem, th, out=mem, where=inhib)
+        np.subtract(mem, th, out=mem, where=fire)
+        excitatory += int(np.count_nonzero(fire))
+        inhibitory += int(np.count_nonzero(inhib))
 
     emit = np.clip(count, 0, plan.l_out)
     ticks = np.arange(1, plan.l_out + 1).reshape((plan.l_out,) + (1,) * count.ndim)
@@ -247,20 +258,25 @@ def unrolled_matmul(stack, params, affine=None, l_scale=None):
     params is either ConvParams or a 2-D fully-connected weight matrix.
     The additive affine constants are scaled by l_scale (default 1/T), so
     the timestep outputs sum to the single-shot matmul of the summed stack.
+    A spike train feeds conv as bits and theta_star, never as a dense copy.
     """
-    stack = _dense(stack)
+    conv = isinstance(params, kernels.ConvParams)
+    if conv and isinstance(stack, SpikeTrain):
+        stack, scale = stack.bits, stack.theta_star
+    else:
+        stack, scale = _dense(stack), None
     t = stack.shape[0]
     if l_scale is None:
         l_scale = 1.0 / t
     folded = stack.reshape((t * stack.shape[1],) + stack.shape[2:])
-    if isinstance(params, kernels.ConvParams):
-        out = kernels.conv2d(folded, params)
+    if conv:
+        out = kernels.conv2d(folded, params, scale=scale)
     else:
         if folded.ndim > 2:
             folded = folded.reshape(folded.shape[0], -1)
         out = kernels.fully_connected(folded, params)
     if affine is not None:
-        out = kernels.fused_bn_affine(out, affine, l_scale)
+        out = kernels.fused_bn_affine(out, affine, l_scale, out=out)
     return out.reshape((t, stack.shape[1]) + out.shape[1:])
 
 
@@ -300,6 +316,15 @@ class SnnTrace:
     trains: dict = field(default_factory=dict)
 
 
+def _train_sum(train):
+    """The train's timestep sum, added one step at a time as numpy's axis-0
+    sum of the dense train would, without building that train."""
+    total = np.zeros(train.bits.shape[1:])
+    for step in train.bits:
+        np.add(total, train.theta_star, out=total, where=step)
+    return total
+
+
 def snn_forward(model, x, trace=None, keep_counters=False):
     """Run the converted model. Returns (logits, stats).
 
@@ -309,49 +334,53 @@ def snn_forward(model, x, trace=None, keep_counters=False):
     """
     graph = model.graph
     x = input_batch(graph, x)
+    last_use = {p: i for i, layer in enumerate(graph.layers) for p in layer.preds}
     values, stats = {}, {}
-    for layer in graph.layers:
+    for i, layer in enumerate(graph.layers):
+        srcs = [values[p] for p in layer.preds]
+        for p in layer.preds:
+            if last_use[p] == i:      # free each value once its last consumer runs
+                del values[p]
         if layer.kind == "input":
             out = x
         elif layer.is_matmul:
-            src = values[layer.preds[0]]
             if model.t_map[layer.id] is None:
-                out = _matmul(graph, layer, src)
+                out = _matmul(graph, layer, srcs[0])
             else:
                 params = (conv_params(graph, layer) if layer.kind == "conv"
                           else fc_weights(graph, layer))
-                out = unrolled_matmul(src, params, model.scaled_affines[layer.id], l_scale=1.0)
+                out = unrolled_matmul(srcs[0], params, model.scaled_affines[layer.id],
+                                      l_scale=1.0)
         elif layer.kind == "avg_pool":
-            src = values[layer.preds[0]]
             if model.t_map[layer.id] is None:
-                out = kernels.avg_pool2d(src, layer.window)
+                out = kernels.avg_pool2d(srcs[0], layer.window)
             else:
-                out = unrolled_avg_pool(src, layer.window)
+                out = unrolled_avg_pool(srcs[0], layer.window)
         elif layer.kind == "residual_add":
-            a, b = (values[p] for p in layer.preds)
             if model.t_map[layer.id] is None:
-                out = a + b
+                out = srcs[0] + srcs[1]
             else:
-                out = unrolled_residual_add(a, b)
+                out = unrolled_residual_add(*srcs)
         elif layer.kind == "qcfs_act":
             plan = model.if_plans[layer.id]
-            src = values[layer.preds[0]]
             if plan.input_mode:
-                out = if_input_layer(src, layer.qcfs)
+                out = if_input_layer(srcs[0], layer.qcfs)
             else:
-                out, st = if_generic_layer(_dense(src), plan, keep_counter=keep_counters)
+                out, st = if_generic_layer(_dense(srcs[0]), plan, keep_counter=keep_counters)
                 stats[layer.id] = st
         else:
             raise ConversionError(f"layer '{layer.id}': kind '{layer.kind}' not executable")
+        del srcs
         values[layer.id] = out
         if trace is not None:
             if isinstance(out, SpikeTrain):
-                trace.sums[layer.id] = out.dense().sum(axis=0)
+                trace.sums[layer.id] = _train_sum(out)
                 trace.trains[layer.id] = out
             elif model.t_map[layer.id] is not None:
                 trace.sums[layer.id] = out.sum(axis=0)
             else:
                 trace.sums[layer.id] = out
+        del out
 
     final = values[graph.output_layer.id]
     if model.t_map[graph.output_layer.id] is None:
@@ -434,5 +463,5 @@ def check_equivalence(graph, inputs, model=None):
         argmax_agreement=agreement,
         max_logit_dev=max_logit_dev,
         inhibitory_spikes=inhibitory,
-        instances=int(np.asarray(inputs).shape[0]) if np.asarray(inputs).ndim == 4 else 1,
+        instances=int(trace.logits.shape[0]),
     )

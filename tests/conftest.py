@@ -1,6 +1,7 @@
 """Shared builders: small manifests, random model generation, naive oracles."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,19 @@ from spikecast.zoo import residual_block_manifest, toy_manifest
 @pytest.fixture
 def toy_graph():
     return init_random(parse_manifest(toy_manifest()), 42)
+
+
+def traced_peak_bytes(call):
+    """Peak bytes that tracemalloc sees allocated during call(), above the
+    bytes already held when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def naive_conv2d(x, weights, stride=(1, 1), padding=(0, 0)):

@@ -9,7 +9,7 @@ from spikecast.kernels import (BnAffine, ConvParams, KernelError, avg_pool2d,
                                conv2d, fully_connected, fused_bn_affine,
                                max_pool2d)
 
-from conftest import naive_conv2d, sliding_window_conv2d
+from conftest import naive_conv2d, sliding_window_conv2d, traced_peak_bytes
 
 
 def random_conv_case(rng, c_out=None, n=None):
@@ -30,6 +30,39 @@ def random_conv_case(rng, c_out=None, n=None):
     params = ConvParams(weights=rng.uniform(-1, 1, size=(c_out, c_in, k_h, k_w)),
                         stride=(s_h, s_w), padding=(p_h, p_w))
     return x, params
+
+
+def bitwise_cases():
+    """111 geometries pinned byte for byte against the sliding-window lowering."""
+    rng = np.random.default_rng(17)
+    cases = [random_conv_case(rng) for _ in range(60)]
+    cases += [random_conv_case(rng, c_out=c_out, n=n)
+              for c_out in (1, 2, 3) for n in (1, 5) for _ in range(8)]
+    # C_out <= 3 is where BLAS rounding depends on operand layout
+    x = rng.uniform(-1, 1, size=(5, 13, 4, 4))
+    cases.append((x, ConvParams(weights=rng.uniform(-1, 1, size=(3, 13, 3, 3)))))
+    # 1x1 outputs, with and without padding
+    x = rng.uniform(-1, 1, size=(2, 4, 3, 5))
+    cases.append((x, ConvParams(weights=rng.uniform(-1, 1, size=(2, 4, 3, 5)))))
+    x = rng.uniform(-1, 1, size=(1, 3, 1, 2))
+    cases.append((x, ConvParams(weights=rng.uniform(-1, 1, size=(1, 3, 3, 4)),
+                                padding=(1, 1))))
+    return cases
+
+
+def multi_block_case(pad, c_out=8):
+    """A batch of 15x15 outputs whose patch matrix spans three uneven blocks
+    (an odd row count per image, so blocks start at unaligned rows)."""
+    rng = np.random.default_rng(37 + pad)
+    hw = 17 - 2 * pad
+    x = rng.uniform(-1, 1, size=(133, 32, hw, hw))
+    return x, ConvParams(weights=rng.uniform(-1, 1, size=(c_out, 32, 3, 3)),
+                         padding=(pad, pad))
+
+
+def patch_bytes_per_image(x, p):
+    h_o, w_o = kernels.conv_output_hw(x.shape[2], x.shape[3], p.kernel, p.stride, p.padding)
+    return h_o * w_o * p.weights[0].size * 8
 
 
 class TestConv2d:
@@ -65,25 +98,51 @@ class TestConv2d:
             np.testing.assert_allclose(conv2d(x, p), want, atol=1e-12)
 
     def test_bitwise_equal_to_sliding_window_lowering(self):
-        rng = np.random.default_rng(17)
-        cases = [random_conv_case(rng) for _ in range(60)]
-        cases += [random_conv_case(rng, c_out=c_out, n=n)
-                  for c_out in (1, 2, 3) for n in (1, 5) for _ in range(8)]
-        # C_out <= 3 is where BLAS rounding depends on operand layout
-        x = rng.uniform(-1, 1, size=(5, 13, 4, 4))
-        cases.append((x, ConvParams(weights=rng.uniform(-1, 1, size=(3, 13, 3, 3)))))
-        # 1x1 outputs, with and without padding
-        x = rng.uniform(-1, 1, size=(2, 4, 3, 5))
-        cases.append((x, ConvParams(weights=rng.uniform(-1, 1, size=(2, 4, 3, 5)))))
-        x = rng.uniform(-1, 1, size=(1, 3, 1, 2))
-        cases.append((x, ConvParams(weights=rng.uniform(-1, 1, size=(1, 3, 3, 4)),
-                                    padding=(1, 1))))
-        for x, p in cases:
+        for x, p in bitwise_cases():
             got = conv2d(x, p)
             want = sliding_window_conv2d(x, p)
             assert got.shape == want.shape
             assert got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
+
+    def test_scaled_bits_match_dense_input(self):
+        theta = 0.37
+        for x, p in bitwise_cases():
+            bits = x > 0.0
+            want = sliding_window_conv2d(bits * theta, p).tobytes()
+            assert conv2d(bits, p, scale=theta).tobytes() == want
+            assert conv2d(bits * theta, p).tobytes() == want
+
+    def test_scaled_input_must_be_bits(self):
+        p = ConvParams(weights=np.ones((1, 1, 1, 1)))
+        with pytest.raises(KernelError, match="bool spike tensor"):
+            conv2d(np.ones((1, 1, 2, 2)), p, scale=0.5)
+
+    @pytest.mark.parametrize("pad, c_out", [(0, 8), (1, 8), (1, 2), (1, 1)])
+    def test_multi_block_bitwise_equal(self, pad, c_out):
+        x, p = multi_block_case(pad, c_out)
+        assert x.shape[0] * patch_bytes_per_image(x, p) > 2 * kernels._PATCH_BLOCK_BYTES
+        assert conv2d(x, p).tobytes() == sliding_window_conv2d(x, p).tobytes()
+        bits = x > 0.0
+        want = sliding_window_conv2d(bits * 0.25, p).tobytes()
+        assert conv2d(bits, p, scale=0.25).tobytes() == want
+
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_peak_memory_holds_one_block(self, pad):
+        x, p = multi_block_case(pad)
+        bits = x > 0.0
+        out = conv2d(bits, p, scale=0.25)          # warms the index cache
+        n, c, h, w = x.shape
+        per_image = patch_bytes_per_image(x, p)
+        images = -(-n // -(-n * per_image // kernels._PATCH_BLOCK_BYTES))
+        bound = (out.nbytes
+                 + images * per_image                              # patch block
+                 + images * c * (h + 2 * pad) * (w + 2 * pad) * 8  # padded block
+                 + images * out[0].nbytes                          # block product
+                 + (1 << 20))
+        for call in (lambda: conv2d(bits, p, scale=0.25), lambda: conv2d(x, p)):
+            assert traced_peak_bytes(call) < bound
+        assert bound < n * per_image / 2
 
     def test_patch_index_cache(self):
         rng = np.random.default_rng(19)
@@ -192,6 +251,9 @@ class TestFusedBnAffine:
                 want = (a.gamma.reshape(bshape) * (y + shift) / denom
                         + (l_scale * a.beta).reshape(bshape))
                 assert fused_bn_affine(y, a, l_scale).tobytes() == want.tobytes()
+                z = y.copy()
+                assert fused_bn_affine(z, a, l_scale, out=z) is z
+                assert z.tobytes() == want.tobytes()
             assert y.tobytes() == y_before.tobytes()
 
     def test_mixed_dtypes_promote_like_expression(self):
@@ -208,6 +270,10 @@ class TestFusedBnAffine:
         got = fused_bn_affine(y, a, 0.5)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()
+        out = np.empty(y.shape)
+        assert fused_bn_affine(y, a, 0.5, out=out).tobytes() == want.tobytes()
+        with pytest.raises(KernelError, match="affine out"):
+            fused_bn_affine(y, a, 0.5, out=y)
 
     def test_bad_epsilon(self):
         with pytest.raises(KernelError, match="epsilon"):

@@ -12,7 +12,7 @@ from spikecast.runtime import (ConversionError, IfLayer, SnnTrace, SpikeTrain,
                                unrolled_residual_add)
 from spikecast.zoo import residual_block_manifest, toy_manifest
 
-from conftest import negative_weight_graph, random_graph
+from conftest import negative_weight_graph, random_graph, traced_peak_bytes
 
 
 def chain_manifest(l_first, l_second):
@@ -30,6 +30,21 @@ def chain_manifest(l_first, l_second):
         ],
     }
     return json.dumps(doc)
+
+
+def conv_stack_manifest(depth, steps):
+    """depth 3x3 convs of 16 channels on 16x16 inputs, each followed by an
+    activation with L = steps, then a 10-class head."""
+    layers = [{"id": "in", "kind": "input", "pred": [], "shape": [3, 16, 16]}]
+    prev = "in"
+    for i in range(depth):
+        layers += [{"id": f"c{i}", "kind": "conv", "pred": [prev], "out_channels": 16,
+                    "kernel": 3, "padding": 1, "bias": True, "batch_norm": True},
+                   {"id": f"a{i}", "kind": "qcfs_act", "pred": [f"c{i}"], "L": steps,
+                    "theta": 1.0}]
+        prev = f"a{i}"
+    layers.append({"id": "f", "kind": "fc", "pred": [prev], "out_features": 10})
+    return json.dumps({"name": "conv-stack", "classes": 10, "layers": layers})
 
 
 class TestConvert:
@@ -153,6 +168,41 @@ class TestGenericIfLayer:
             np.testing.assert_array_equal(train.spike_counts(),
                                           np.clip(st.counter, 0, l_out))
 
+    def test_bitwise_equal_to_allocating_update(self):
+        # the in-place membrane update against the formulation that builds
+        # th * fire and float masks each step; levels sit on exact edges too
+        rng = np.random.default_rng(44)
+        for _ in range(100):
+            l_in = int(rng.choice([1, 2, 4, 8]))
+            l_out = int(rng.choice([1, 2, 4, 8]))
+            th = float(rng.choice([0.25, 0.5, rng.uniform(0.1, 0.9)]))
+            stack = rng.uniform(-1, 1, size=(l_in, 3, 7))
+            stack[:, 0] = rng.integers(-4, 5, size=(l_in, 7)) * (th / 2)
+            plan = IfLayer("t", theta_star=th, l_in=l_in, l_out=l_out)
+            train, st = if_generic_layer(stack, plan, keep_counter=True)
+
+            mem = np.full(stack.shape[1:], th / 2.0)
+            count = np.zeros(stack.shape[1:], dtype=np.int64)
+            spikes = [0, 0, 0]
+            for t in range(l_in):
+                mem += stack[t]
+                fire = mem >= th
+                count += fire
+                mem -= th * fire
+                spikes[0] += int(fire.sum())
+            for _ in range(max(l_in, l_out) - 1):
+                fire = mem >= th
+                inhib = (~fire) & (mem < 0.0)
+                count += fire
+                count -= inhib
+                mem += th * (inhib.astype(np.float64) - fire.astype(np.float64))
+                spikes[1] += int(fire.sum())
+                spikes[2] += int(inhib.sum())
+            assert st.counter.tobytes() == count.tobytes()
+            assert [st.stage1_spikes, st.stage2_excitatory, st.stage2_inhibitory] == spikes
+            ticks = np.arange(1, l_out + 1).reshape(l_out, 1, 1)
+            assert np.array_equal(train.bits, ticks <= np.clip(count, 0, l_out))
+
     def test_matches_activation_of_summed_input(self):
         # the train total equals the staircase activation of the summed stack
         rng = np.random.default_rng(43)
@@ -265,6 +315,27 @@ class TestSnnForward:
             assert np.all((vals == 0.0) | (vals == train.theta_star))
 
 
+    def test_trace_sums_of_trains_match_dense_sum(self, toy_graph):
+        x = np.random.default_rng(15).uniform(0, 1, size=(3, 2, 8, 8))
+        trace = SnnTrace()
+        snn_forward(convert(toy_graph), x, trace=trace)
+        for lid, train in trace.trains.items():
+            assert trace.sums[lid].tobytes() == train.dense().sum(axis=0).tobytes()
+
+    def test_peak_well_below_all_intermediates(self):
+        # at most a few values are alive at once: the peak is one layer's
+        # working set, not the sum of every layer's output
+        graph = init_random(parse_manifest(conv_stack_manifest(depth=32, steps=4)), 16)
+        model = convert(graph)
+        x = np.random.default_rng(16).uniform(0, 1, size=(2, 3, 16, 16))
+        trace = SnnTrace()
+        snn_forward(model, x, trace=trace)          # also warms weight views and indices
+        held = sum(trace.trains[layer.id].bits.nbytes if layer.id in trace.trains
+                   else trace.sums[layer.id].nbytes * (model.t_map[layer.id] or 1)
+                   for layer in graph.layers)
+        assert traced_peak_bytes(lambda: snn_forward(model, x)) < held / 2
+
+
 class TestCheckEquivalence:
     def test_random_models_agree(self):
         rng = np.random.default_rng(12)
@@ -290,6 +361,11 @@ class TestCheckEquivalence:
         assert rep.inhibitory_spikes > 0
         assert rep.argmax_agreement == 1.0
         assert rep.max_rel_dev <= 1e-4
+
+    def test_instances_counts_batch_rows(self, toy_graph):
+        images = list(np.random.default_rng(17).uniform(0, 1, size=(3, 2, 8, 8)))
+        assert check_equivalence(toy_graph, images).instances == 3
+        assert check_equivalence(toy_graph, images[0]).instances == 1
 
     def test_report_dict_schema(self, toy_graph):
         x = np.random.default_rng(14).uniform(0, 1, size=(2, 2, 8, 8))

@@ -10,7 +10,8 @@ return freshly allocated arrays, so they are safe to call concurrently
 across batch elements or layers. The one exception is the out argument of
 fused_bn_affine, which callers point at a matmul output they own. The only
 shared state is conv2d's cache of patch-gather indices, which holds
-read-only arrays keyed by geometry.
+read-only arrays keyed by geometry (take reads the writeable grid each one
+is a flat view of, because it copies a read-only index; nothing writes it).
 
 Accumulation order: a convolution is lowered to the matrix product
 ``cols @ flat_w.T``. ``cols`` is a C-contiguous (N*H_o*W_o, C*K_h*K_w)
@@ -38,6 +39,24 @@ entries, so M*N*K > 1.4e6); at that size 160 random splits with
 C_out >= 2 matched the unsplit product byte for byte. C_out = 1 is never
 split: that product runs as a matrix-vector kernel whose rounding depends
 on where a row sits, and splitting it changed bits in 77 of 80 cases.
+
+Epilogues run in the buffer that holds their data. conv2d applies a
+batch-norm affine per block: the first add reads the block's product
+through its NCHW transposed view and writes the output block, so the
+transpose costs no copy of its own, and the multiply, divide and add
+follow in place. These are the IEEE operations of fused_bn_affine in the
+same order, and tests/test_kernels.py pins the bytes against conv followed
+by fused_bn_affine.
+
+Pooling order: avg_pool2d adds a 2 x 2 window from four strided slices in
+the order numpy's mean over the 6-D window view uses, (x00 + x01) +
+(x10 + x11), then divides by 4. The one exception is an output with one
+column: numpy then adds the window as one run, ((x00 + x01) + x10) + x11.
+The rule holds for inputs whose strides fall from the first axis to the
+last (C-contiguous tensors and slices of them); other layouts keep numpy's
+mean. TestPooling.test_slice_sums_match_mean pins it byte for byte over
+1200 random geometries, and test_one_column_order_is_pinned holds a
+window the two orders round apart.
 """
 
 from dataclasses import dataclass
@@ -189,11 +208,13 @@ def _patch_index(c, h_p, w_p, kernel, stride, out_hw):
 _PATCH_BLOCK_BYTES = 32 << 20
 
 
-def conv2d(x, params, scale=None):
+def conv2d(x, params, scale=None, affine=None, l_scale=1.0):
     """2-D cross-correlation of an (N, C, H, W) batch with ConvParams.
 
     With scale given, x is a bool spike tensor and the input convolved is
     x * scale; the float64 input is only ever built one block at a time.
+    With affine given, the result is fused_bn_affine(conv, affine, l_scale),
+    applied one block at a time in the output buffer.
     """
     _check(x.ndim == 4, "conv input must be 4-D, got shape {}", x.shape)
     _check(scale is None or x.dtype == np.bool_,
@@ -206,7 +227,11 @@ def conv2d(x, params, scale=None):
     h_o, w_o = conv_output_hw(h, w, params.kernel, params.stride, params.padding)
     h_p, w_p = h + 2 * p_h, w + 2 * p_w
     c_out, taps = params.out_channels, c * k_h * k_w
+    terms = () if affine is None else _affine_terms(affine, l_scale, 4, c_out)
     index = _patch_index(c, h_p, w_p, params.kernel, tuple(params.stride), (h_o, w_o))
+    # take copies a read-only index on every call, so it gets the writeable
+    # (patch, tap) grid the cached index is a flat view of; take never writes it
+    grid = index.base
     flat_w = params.weights.reshape(c_out, taps)
 
     dtype = x.dtype if scale is None else np.dtype(np.float64)
@@ -233,14 +258,20 @@ def conv2d(x, params, scale=None):
                 np.multiply(x[lo:hi], scale, out=interior)
         # the index is in range by construction; "clip" lets take write
         # straight into cols, where "raise" would buffer a copy
-        np.take(src.reshape(m, c * h_p * w_p), index, axis=1, out=cols[:m], mode="clip")
+        np.take(src.reshape(m, c * h_p * w_p), grid, axis=1,
+                out=cols[:m].reshape(m, h_o * w_o, taps), mode="clip")
         part = cols[:m].reshape(m * h_o * w_o, taps) @ flat_w.T
         if out is None:
-            # allocated only now: take copies the read-only index (as large
-            # as one image's patches) while it runs, and out need not coexist
-            out = np.empty((n, c_out, h_o, w_o), dtype=part.dtype)
-        out[lo:hi] = part.reshape(m, h_o, w_o, c_out).transpose(0, 3, 1, 2)
-    _check_finite(out, "conv output")
+            out = np.empty((n, c_out, h_o, w_o), dtype=np.result_type(part, *terms))
+        # the product's NCHW transposed view is read straight into the output
+        # block, by a copy or by the affine's first op
+        block, part = out[lo:hi], part.reshape(m, h_o, w_o, c_out).transpose(0, 3, 1, 2)
+        if affine is None:
+            block[...] = part
+        else:
+            _affine_into(part, terms, block)
+        del part        # freed before the next block's product is allocated
+        _check_finite(block, "conv output")
     return out
 
 
@@ -256,6 +287,29 @@ def fully_connected(x, weights):
     return out
 
 
+def _affine_terms(affine, l_scale, ndim, channels):
+    """shift, gamma, denom and beta of gamma * (y + shift) / denom + beta,
+    shaped to broadcast over an (N, channels, ...) tensor with ndim axes."""
+    _check(affine.gamma.shape[0] == channels,
+           "affine expects {} channels, input has {}", affine.gamma.shape[0], channels)
+    shape = (1, channels) + (1,) * (ndim - 2)
+    shift = (l_scale * (affine.bias - affine.mu)).reshape(shape)
+    gamma = affine.gamma.reshape(shape)
+    denom = np.sqrt(affine.sigma_sq + affine.epsilon).reshape(shape)
+    beta = (l_scale * affine.beta).reshape(shape)
+    return shift, gamma, denom, beta
+
+
+def _affine_into(y, terms, out):
+    # gamma * (y + shift) / denom + beta, evaluated in that order in out;
+    # out must already have the dtype the whole expression promotes to
+    shift, gamma, denom, beta = terms
+    np.add(y, shift, out=out)
+    np.multiply(gamma, out, out=out)
+    np.divide(out, denom, out=out)
+    np.add(out, beta, out=out)
+
+
 def fused_bn_affine(y, affine, l_scale=1.0, out=None):
     """Apply a BnAffine per output channel.
 
@@ -266,34 +320,51 @@ def fused_bn_affine(y, affine, l_scale=1.0, out=None):
     and the dtype the expression promotes to.
     """
     _check(y.ndim in (2, 4), "affine input must be 2-D or 4-D, got shape {}", y.shape)
-    channels = y.shape[1]
-    _check(affine.gamma.shape[0] == channels,
-           "affine expects {} channels, input has {}", affine.gamma.shape[0], channels)
-    shape = (1, channels) + (1,) * (y.ndim - 2)
-    denom = np.sqrt(affine.sigma_sq + affine.epsilon).reshape(shape)
-    shift = (l_scale * (affine.bias - affine.mu)).reshape(shape)
-    gamma = affine.gamma.reshape(shape)
-    beta = (l_scale * affine.beta).reshape(shape)
-    # gamma * (y + shift) / denom + beta, evaluated in that order in one
-    # buffer that already has the dtype the whole expression would promote to
-    dtype = np.result_type(y, shift, gamma, denom, beta)
+    terms = _affine_terms(affine, l_scale, y.ndim, y.shape[1])
+    dtype = np.result_type(y, *terms)
     if out is None:
-        out = (y + shift).astype(dtype, copy=False)
+        out = np.empty(y.shape, dtype=dtype)
     else:
         _check(out.shape == y.shape and out.dtype == dtype,
                "affine out must be {} of shape {}, got {} of shape {}",
                dtype, y.shape, out.dtype, out.shape)
-        np.add(y, shift, out=out)
-    np.multiply(gamma, out, out=out)
-    np.divide(out, denom, out=out)
-    np.add(out, beta, out=out)
+    _affine_into(y, terms, out)
     _check_finite(out, "affine output")
     return out
 
 
-def avg_pool2d(x, window, stride=None):
-    """Non-overlapping k x k mean pooling; H and W must tile exactly."""
+def _window_sums(x00, x01, x10, x11, one_column):
+    """Sums of 2x2 windows from their four corner views, added in the order
+    numpy's mean over the window axes uses.
+
+    numpy reduces a window row by row, (x00 + x01) + (x10 + x11), except
+    when the output has one column, where it adds the four in sequence;
+    see "Pooling order" above.
+    """
+    out = np.add(x00, x01)
+    if one_column:
+        out += x10
+        out += x11
+        return out
+    pair = np.empty(out.shape[1:], dtype=out.dtype)  # one image: bounds the temporary
+    for i in range(out.shape[0]):
+        np.add(x10[i], x11[i], out=pair)
+        out[i] += pair
+    return out
+
+
+def avg_pool2d(x, window, stride=None, scale=None):
+    """Non-overlapping k x k mean pooling; H and W must tile exactly.
+
+    With scale given, x is a bool spike tensor and the input pooled is
+    x * scale. A 2 x 2 window reads it as spike counts: a window's float
+    sum depends only on how many of its elements are scale, so each output
+    is looked up in the five sums of 0 to 4 spikes. The result is byte
+    for byte numpy's mean of the same float input.
+    """
     _check(x.ndim == 4, "pool input must be 4-D, got shape {}", x.shape)
+    _check(scale is None or x.dtype == np.bool_,
+           "a scaled pool input must be a bool spike tensor, got {}", x.dtype)
     k = window[0] if isinstance(window, (tuple, list)) else int(window)
     if stride is not None:
         s = stride[0] if isinstance(stride, (tuple, list)) else int(stride)
@@ -301,9 +372,29 @@ def avg_pool2d(x, window, stride=None):
     n, c, h, w = x.shape
     _check(h % k == 0 and w % k == 0,
            "pool window {} does not divide input {}x{}", k, h, w)
-    out = x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
-    _check_finite(out, "pool output")
-    return out
+    # numpy's mean adds the windows of other layouts in other orders
+    strides_fall = all(a >= b for a, b in zip(x.strides, x.strides[1:])) and x.strides[3] > 0
+    if k != 2 or not strides_fall or (scale is None and x.dtype != np.float64):
+        if scale is not None:
+            x = x * scale
+        out = x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+        _check_finite(out, "pool output")
+        return out
+    corners = (x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2], x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2])
+    if scale is None:
+        out = _window_sums(*corners, one_column=w == 2)
+        np.divide(out, 4, out=out)
+        _check_finite(out, "pool output")
+        return out
+    count = np.add(corners[0], corners[1], dtype=np.uint8)
+    np.add(count, corners[2], out=count)
+    np.add(count, corners[3], out=count)
+    # window j of a one-image ladder of five windows holds j spikes, so its
+    # sums, added as above, are the pooled value of every count
+    ladder = (np.arange(5)[:, None] > np.arange(4)) * scale
+    table = _window_sums(*ladder.T[:, None], one_column=w == 2)[0] / 4
+    _check_finite(table, "pool output")
+    return table[count]
 
 
 def max_pool2d(x, window):

@@ -8,6 +8,11 @@ whose outputs live exactly on the level grid {0, 1, ..., L} * theta / L.
 A boundary input landing exactly on a level edge, z = (k - 1/2) * theta/L,
 maps to level k (the floor argument hits the integer k exactly).
 
+The staircase is built in one float64 buffer: z * L, / theta, + 1/2,
+floor and clip run in place, in that order. ann_forward takes the level
+histogram from an integer cast of that buffer and then scales the same
+buffer by theta / L to get the activation output.
+
 The forward pass records every layer output plus, per activation layer,
 the pre-activation tensor and a histogram of the emitted levels; those
 histograms feed the layer-sensitivity metric.
@@ -21,17 +26,26 @@ from . import kernels
 from .graph import conv_params, fc_weights, layer_affine
 
 
+def _level_buffer(z, cfg):
+    """clip(floor(z * L / theta + 1/2), 0, L) as float64, built in one buffer."""
+    levels = np.multiply(z, cfg.L, out=np.empty(np.shape(z)), dtype=np.float64)
+    np.divide(levels, cfg.theta, out=levels)
+    np.add(levels, 0.5, out=levels)
+    np.floor(levels, out=levels)
+    np.clip(levels, 0.0, float(cfg.L), out=levels)
+    return levels
+
+
 def qcfs(z, cfg):
     """Elementwise quantized clip-floor activation."""
-    z = np.asarray(z, dtype=np.float64)
-    levels = np.clip(np.floor(z * cfg.L / cfg.theta + 0.5), 0.0, float(cfg.L))
-    return levels * (cfg.theta / cfg.L)
+    out = _level_buffer(z, cfg)
+    np.multiply(out, cfg.theta / cfg.L, out=out)
+    return out
 
 
 def qcfs_levels(z, cfg):
     """Integer level index per element (0..L); same rounding as qcfs."""
-    z = np.asarray(z, dtype=np.float64)
-    return np.clip(np.floor(z * cfg.L / cfg.theta + 0.5), 0.0, float(cfg.L)).astype(np.int64)
+    return _level_buffer(z, cfg).astype(np.int64)
 
 
 def level_counts(values, cfg, atol=1e-9):
@@ -91,13 +105,12 @@ def classification_map(logits):
 
 def _matmul(graph, layer, x):
     """Single-shot conv/fc layer with its bias and batch-norm applied."""
-    if layer.kind == "conv":
-        out = kernels.conv2d(x, conv_params(graph, layer))
-    else:
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
-        out = kernels.fully_connected(x, fc_weights(graph, layer))
     affine = layer_affine(graph, layer)
+    if layer.kind == "conv":
+        return kernels.conv2d(x, conv_params(graph, layer), affine=affine)
+    if x.ndim > 2:
+        x = x.reshape(x.shape[0], -1)
+    out = kernels.fully_connected(x, fc_weights(graph, layer))
     if affine is not None:
         out = kernels.fused_bn_affine(out, affine, out=out)
     return out
@@ -139,11 +152,10 @@ def ann_forward(graph, x):
         else:  # qcfs_act
             z = outputs[layer.preds[0]]
             cfg = layer.qcfs
-            levels = qcfs_levels(z, cfg)
-            out = levels * (cfg.theta / cfg.L)
+            out = _level_buffer(z, cfg)
             pre[layer.id] = z
-            hists[layer.id] = np.bincount(levels.ravel(), minlength=cfg.L + 1)
-            del levels      # int64, as large as the output: free it before the next layer
+            hists[layer.id] = np.bincount(out.astype(np.intp).ravel(), minlength=cfg.L + 1)
+            np.multiply(out, cfg.theta / cfg.L, out=out)
         outputs[layer.id] = out
     logits = outputs[graph.output_layer.id].reshape(x.shape[0], -1)
     return LayerTrace(outputs=outputs, pre_activations=pre, histograms=hists, logits=logits)

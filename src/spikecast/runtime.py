@@ -34,9 +34,23 @@ preceding matmul runs once at full precision, the staircase activation is
 applied, and the resulting level index directly becomes the spike count.
 
 Spike trains are stored as a bit tensor plus the shared theta_star scalar,
-so the "every element is 0 or theta_star" guarantee is structural. A conv
-layer reads those bits directly: kernels.conv2d scales them into its patch
-buffer one block at a time, so no float64 copy of a whole train is built.
+so the "every element is 0 or theta_star" guarantee is structural. Every
+consumer but a fully connected layer reads those bits or their counts, and
+builds no float64 copy of a whole train:
+
+  conv          kernels.conv2d scales the bits into its patch buffer one
+                block at a time.
+  average pool  a 2 x 2 window's float sum depends only on its spike
+                count, so kernels.avg_pool2d looks each window up by count.
+  residual add  two trains sum to 0, theta_a, theta_b or theta_a + theta_b,
+                looked up by a + 2 b.
+  trace sums    a neuron with c spikes sums to theta_star added c times,
+                looked up in a cumulative table by its count.
+
+Each lookup table holds the very float sums the dense path adds, so the
+results are byte for byte those of the dense train. Stage 2 of the
+integrate-and-fire layer runs on the neurons whose membrane can still move
+(below 0 or at threshold and above), gathered once.
 The forward pass drops each layer's value as soon as its last consumer has
 run, so only a few layers' values are alive at once.
 
@@ -188,6 +202,27 @@ def if_input_layer(x, cfg):
     return SpikeTrain(bits=bits, theta_star=cfg.theta / cfg.L)
 
 
+def _settle(mem, count, th, steps):
+    """Stage 2 on 1-D membranes and counters, in place; returns the
+    (excitatory, inhibitory) spike totals."""
+    fire = np.empty(mem.shape, dtype=bool)
+    inhib = np.empty(mem.shape, dtype=bool)
+    excitatory = inhibitory = 0
+    for _ in range(steps):
+        # th > 0, so a firing membrane is never negative: fire and inhib are
+        # disjoint. The masked add leaves a -0.0 membrane -0.0, where adding
+        # th * 0.0 would give +0.0; no comparison can see the sign of a zero.
+        np.greater_equal(mem, th, out=fire)
+        np.less(mem, 0.0, out=inhib)
+        count += fire
+        count -= inhib
+        np.add(mem, th, out=mem, where=inhib)
+        np.subtract(mem, th, out=mem, where=fire)
+        excitatory += int(np.count_nonzero(fire))
+        inhibitory += int(np.count_nonzero(inhib))
+    return excitatory, inhibitory
+
+
 def if_generic_layer(stack, plan, keep_counter=False):
     """Run the three-stage integrate-and-fire layer on an unrolled stack.
 
@@ -205,31 +240,29 @@ def if_generic_layer(stack, plan, keep_counter=False):
     mem = np.full(shape, th / 2.0)
     count = np.zeros(shape, dtype=np.int64)
 
-    # mem and count are updated in place, only where a neuron fires or
-    # inhibits. A -0.0 membrane left alone stays -0.0 where adding th * 0.0
-    # would give +0.0; no comparison below can see the sign of a zero.
+    # mem and count are updated in place. Stage 1 subtracts th * fire from
+    # every membrane, which is exact where nothing fires (x - 0.0 is x, a
+    # -0.0 included) and runs much faster than a subtract masked by fire.
     fire = np.empty(shape, dtype=bool)
-    inhib = np.empty(shape, dtype=bool)
+    drop = np.empty(shape)
     stage1_spikes = 0
     for t in range(plan.l_in):
         mem += stack[t]
         np.greater_equal(mem, th, out=fire)
         count += fire
-        np.subtract(mem, th, out=mem, where=fire)
+        np.multiply(fire, th, out=drop)
+        mem -= drop
         stage1_spikes += int(np.count_nonzero(fire))
 
     stage2_steps = max(plan.l_in, plan.l_out) - 1
     excitatory = inhibitory = 0
-    for _ in range(stage2_steps):
-        # th > 0, so a firing membrane is never negative: fire and inhib are disjoint
-        np.greater_equal(mem, th, out=fire)
-        np.less(mem, 0.0, out=inhib)
-        count += fire
-        count -= inhib
-        np.add(mem, th, out=mem, where=inhib)
-        np.subtract(mem, th, out=mem, where=fire)
-        excitatory += int(np.count_nonzero(fire))
-        inhibitory += int(np.count_nonzero(inhib))
+    if stage2_steps:
+        # a membrane in [0, th) neither fires nor inhibits, so it never moves:
+        # stage 2 runs on the other neurons only, gathered once
+        moving = np.flatnonzero((mem < 0.0) | (mem >= th))
+        moved = count.ravel()[moving]
+        excitatory, inhibitory = _settle(mem.ravel()[moving], moved, th, stage2_steps)
+        count.ravel()[moving] = moved
 
     emit = np.clip(count, 0, plan.l_out)
     ticks = np.arange(1, plan.l_out + 1).reshape((plan.l_out,) + (1,) * count.ndim)
@@ -270,23 +303,32 @@ def unrolled_matmul(stack, params, affine=None, l_scale=None):
         l_scale = 1.0 / t
     folded = stack.reshape((t * stack.shape[1],) + stack.shape[2:])
     if conv:
-        out = kernels.conv2d(folded, params, scale=scale)
+        out = kernels.conv2d(folded, params, scale=scale, affine=affine, l_scale=l_scale)
     else:
         if folded.ndim > 2:
             folded = folded.reshape(folded.shape[0], -1)
         out = kernels.fully_connected(folded, params)
-    if affine is not None:
-        out = kernels.fused_bn_affine(out, affine, l_scale, out=out)
+        if affine is not None:
+            out = kernels.fused_bn_affine(out, affine, l_scale, out=out)
     return out.reshape((t, stack.shape[1]) + out.shape[1:])
 
 
 def unrolled_residual_add(a, b):
-    """Elementwise per-timestep sum of two unrolled stacks."""
-    a, b = _dense(a), _dense(b)
-    if a.shape[0] != b.shape[0]:
+    """Elementwise per-timestep sum of two unrolled stacks.
+
+    Two spike trains are added from their bits: each sum is one of
+    0, theta_a, theta_b and theta_a + theta_b, looked up by a + 2 b.
+    """
+    t_a, t_b = (v.timesteps if isinstance(v, SpikeTrain) else len(v) for v in (a, b))
+    if t_a != t_b:
         raise ConversionError(
-            f"residual branches carry unequal timestep counts ({a.shape[0]} vs {b.shape[0]})")
-    return a + b
+            f"residual branches carry unequal timestep counts ({t_a} vs {t_b})")
+    if isinstance(a, SpikeTrain) and isinstance(b, SpikeTrain):
+        table = np.array([0.0, a.theta_star, b.theta_star, a.theta_star + b.theta_star])
+        index = np.multiply(b.bits, 2, dtype=np.uint8)
+        np.add(index, a.bits, out=index)
+        return table[index]
+    return _dense(a) + _dense(b)
 
 
 def unrolled_avg_pool(stack, window):
@@ -295,11 +337,14 @@ def unrolled_avg_pool(stack, window):
     Pooling a spike train yields fractional values, so the output is typed
     as a float stack rather than a SpikeTrain; that is fine because only
     matmul layers consume it and they just need the timestep sum preserved.
+    A spike train is pooled from its bits, never through a dense copy.
     """
-    stack = _dense(stack)
-    t, n = stack.shape[0], stack.shape[1]
-    folded = stack.reshape((t * n,) + stack.shape[2:])
-    out = kernels.avg_pool2d(folded, window)
+    if isinstance(stack, SpikeTrain):
+        data, scale = stack.bits, stack.theta_star
+    else:
+        data, scale = _dense(stack), None
+    t, n = data.shape[0], data.shape[1]
+    out = kernels.avg_pool2d(data.reshape((t * n,) + data.shape[2:]), window, scale=scale)
     return out.reshape((t, n) + out.shape[1:])
 
 
@@ -317,12 +362,13 @@ class SnnTrace:
 
 
 def _train_sum(train):
-    """The train's timestep sum, added one step at a time as numpy's axis-0
-    sum of the dense train would, without building that train."""
-    total = np.zeros(train.bits.shape[1:])
-    for step in train.bits:
-        np.add(total, train.theta_star, out=total, where=step)
-    return total
+    """The train's timestep sum as numpy's axis-0 sum of the dense train
+    gives it, read from spike counts: adding a zero step is exact, so a
+    neuron with c spikes sums to theta_star added c times in sequence."""
+    t = train.timesteps
+    table = np.zeros(t + 1)
+    np.cumsum(np.full(t, train.theta_star), out=table[1:])
+    return table[train.bits.sum(axis=0, dtype=np.min_scalar_type(t))]
 
 
 def snn_forward(model, x, trace=None, keep_counters=False):
@@ -447,8 +493,11 @@ def check_equivalence(graph, inputs, model=None):
         ann_out = np.asarray(trace.outputs[layer.id], dtype=np.float64)
         snn_sum = np.asarray(snn_trace.sums[layer.id], dtype=np.float64)
         ann_out = ann_out.reshape(snn_sum.shape)
-        dev = float(np.max(np.abs(snn_sum - ann_out))) if ann_out.size else 0.0
-        scale = float(np.max(np.abs(ann_out))) if ann_out.size else 0.0
+        dev = scale = 0.0
+        if ann_out.size:
+            diff = np.subtract(snn_sum, ann_out)
+            dev = float(np.abs(diff, out=diff).max())
+            scale = max(float(ann_out.max()), -float(ann_out.min()))
         rel = dev / scale if scale > 0 else dev
         per_layer.append(LayerDeviation(layer.id, dev, rel))
 

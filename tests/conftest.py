@@ -70,6 +70,60 @@ def sliding_window_conv2d(x, params):
         out.reshape(n, h_o, w_o, params.out_channels).transpose(0, 3, 1, 2))
 
 
+# ---------------------------------------------------------------------------
+# earlier epilogues, kept as bitwise oracles for the kernels that replaced them
+
+
+def mean_avg_pool2d(x, k=2):
+    """Pooling as numpy's mean over a 6-D window view."""
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+
+
+def expression_levels(z, cfg):
+    """The staircase level index as one expression, before the one-buffer form."""
+    return np.clip(np.floor(np.asarray(z, dtype=np.float64) * cfg.L / cfg.theta + 0.5),
+                   0.0, float(cfg.L))
+
+
+def step_train_sum(train):
+    """A train's timestep sum, theta_star added one step at a time."""
+    total = np.zeros(train.bits.shape[1:])
+    for step in train.bits:
+        np.add(total, train.theta_star, out=total, where=step)
+    return total
+
+
+def full_array_if(stack, plan):
+    """Stages 1 and 2 of the IF layer, run on every neuron in every step.
+
+    Returns the counter and [stage 1, stage 2 excitatory, stage 2 inhibitory]
+    spike totals.
+    """
+    th = plan.theta_star
+    mem = np.full(stack.shape[1:], th / 2.0)
+    count = np.zeros(stack.shape[1:], dtype=np.int64)
+    fire = np.empty(mem.shape, dtype=bool)
+    inhib = np.empty(mem.shape, dtype=bool)
+    spikes = [0, 0, 0]
+    for t in range(plan.l_in):
+        mem += stack[t]
+        np.greater_equal(mem, th, out=fire)
+        count += fire
+        np.subtract(mem, th, out=mem, where=fire)
+        spikes[0] += int(np.count_nonzero(fire))
+    for _ in range(max(plan.l_in, plan.l_out) - 1):
+        np.greater_equal(mem, th, out=fire)
+        np.less(mem, 0.0, out=inhib)
+        count += fire
+        count -= inhib
+        np.add(mem, th, out=mem, where=inhib)
+        np.subtract(mem, th, out=mem, where=fire)
+        spikes[1] += int(np.count_nonzero(fire))
+        spikes[2] += int(np.count_nonzero(inhib))
+    return count, spikes
+
+
 def random_manifest(rng, allow_residual=True):
     """Random 2-5 matmul model: channels <= 16, spatial <= 16, L in {1,2,4,8}."""
     if allow_residual and rng.random() < 0.25:

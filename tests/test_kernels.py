@@ -1,5 +1,6 @@
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from spikecast.kernels import (BnAffine, ConvParams, KernelError, avg_pool2d,
                                conv2d, fully_connected, fused_bn_affine,
                                max_pool2d)
 
-from conftest import naive_conv2d, sliding_window_conv2d, traced_peak_bytes
+from conftest import (mean_avg_pool2d, naive_conv2d, sliding_window_conv2d,
+                      traced_peak_bytes)
 
 
 def random_conv_case(rng, c_out=None, n=None):
@@ -58,6 +60,12 @@ def multi_block_case(pad, c_out=8):
     x = rng.uniform(-1, 1, size=(133, 32, hw, hw))
     return x, ConvParams(weights=rng.uniform(-1, 1, size=(c_out, 32, 3, 3)),
                          padding=(pad, pad))
+
+
+def random_affine(rng, channels):
+    return BnAffine(gamma=rng.uniform(-1.5, 1.5, channels), beta=rng.uniform(-1, 1, channels),
+                    mu=rng.uniform(-1, 1, channels), sigma_sq=rng.uniform(0.2, 2.0, channels),
+                    bias=rng.uniform(-1, 1, channels))
 
 
 def patch_bytes_per_image(x, p):
@@ -185,6 +193,44 @@ class TestConv2d:
         finally:
             sys.setswitchinterval(interval)
         assert results == [want] * 4
+
+    def test_affine_matches_conv_then_affine(self):
+        rng = np.random.default_rng(41)
+        cases = bitwise_cases() + [multi_block_case(1, c_out) for c_out in (8, 1)]
+        for x, p in cases:
+            bits = x > 0.0
+            a = random_affine(rng, p.out_channels)
+            plain, spiking = sliding_window_conv2d(x, p), sliding_window_conv2d(bits * 0.25, p)
+            for l_scale in (1.0, 1.0 / 3.0):
+                got = conv2d(x, p, affine=a, l_scale=l_scale)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == fused_bn_affine(plain, a, l_scale).tobytes()
+                got = conv2d(bits, p, scale=0.25, affine=a, l_scale=l_scale)
+                assert got.tobytes() == fused_bn_affine(spiking, a, l_scale).tobytes()
+
+    def test_affine_channel_mismatch(self):
+        p = ConvParams(weights=np.ones((2, 1, 1, 1)))
+        with pytest.raises(KernelError, match="affine expects 3 channels"):
+            conv2d(np.ones((1, 1, 2, 2)), p, affine=BnAffine.identity(3))
+
+    def test_non_finite_output_is_rejected(self):
+        p = ConvParams(weights=np.ones((2, 1, 1, 1)))
+        a = BnAffine(gamma=np.ones(2), beta=np.zeros(2), mu=np.zeros(2),
+                     sigma_sq=np.ones(2), bias=np.array([0.0, np.inf]))
+        with pytest.raises(KernelError, match="conv output contains non-finite"):
+            conv2d(np.ones((1, 1, 2, 2)), p, affine=a)
+
+    def test_take_reads_the_cached_index_without_copying(self):
+        # a copied index would be as large as the patch buffer itself
+        rng = np.random.default_rng(43)
+        x = rng.uniform(-1, 1, size=(1, 64, 32, 32))
+        p = ConvParams(weights=rng.uniform(-1, 1, size=(2, 64, 3, 3)), padding=(1, 1))
+        out = conv2d(x, p)                          # warms the index cache
+        index = kernels._patch_index(64, 34, 34, (3, 3), (1, 1), (32, 32))
+        patches = index.size * 8
+        bound = patches + 64 * 34 * 34 * 8 + 2 * out.nbytes + (1 << 20)
+        assert traced_peak_bytes(lambda: conv2d(x, p)) < bound
+        assert bound < patches + index.nbytes
 
     def test_channel_mismatch(self):
         p = ConvParams(weights=np.zeros((1, 3, 1, 1)))
@@ -315,6 +361,65 @@ class TestPooling:
     def test_stride_must_match_window(self):
         with pytest.raises(KernelError, match="stride"):
             avg_pool2d(np.zeros((1, 1, 4, 4)), 2, stride=1)
+
+    def test_slice_sums_match_mean(self):
+        # row-major inputs, contiguous or sliced, take the slice adds; other
+        # layouts keep numpy's mean; every one is byte-equal to the mean
+        rng = np.random.default_rng(47)
+        for i in range(1200):
+            n, c = (int(v) for v in rng.integers(1, 4, size=2))
+            h_o, w_o = (int(v) for v in rng.integers(1, 6, size=2))   # H = 2, W = 2 included
+            kind = i % 4
+            if kind == 0:
+                x = rng.normal(size=(n, c, 2 * h_o, 2 * w_o))
+            elif kind == 1:
+                x = rng.normal(size=(n, c + 1, 2 * h_o + 1, 2 * w_o + 3))[:, 1:, 1:, 1:-2]
+            elif kind == 2:
+                x = rng.normal(size=(n, c, 2 * h_o, 4 * w_o))[..., ::2]
+            else:
+                x = np.moveaxis(rng.normal(size=(n, 2 * h_o, 2 * w_o, c)), 3, 1)
+            x *= 10.0 ** int(rng.integers(-3, 4))
+            assert avg_pool2d(x, 2).tobytes() == mean_avg_pool2d(x).tobytes()
+
+    def test_one_column_order_is_pinned(self):
+        # one output column: numpy adds the window in sequence, which the
+        # row-pair order would round differently here
+        x = np.array([1.0, 2.0 ** -53, 2.0 ** -53, 2.0 ** -53]).reshape(1, 1, 2, 2)
+        assert avg_pool2d(x, 2).tobytes() == mean_avg_pool2d(x).tobytes()
+        assert ((x[0, 0, 0, 0] + x[0, 0, 0, 1]) + (x[0, 0, 1, 0] + x[0, 0, 1, 1])) / 4 \
+            != mean_avg_pool2d(x)[0, 0, 0, 0]
+        wide = np.concatenate([x, x], axis=3)
+        assert avg_pool2d(wide, 2).tobytes() == mean_avg_pool2d(wide).tobytes()
+
+    @pytest.mark.parametrize("theta", [0.1, 1.0 / 3.0, 0.7])
+    def test_bits_match_dense_pooling(self, theta):
+        assert Fraction((theta + theta) + theta) != 3 * Fraction(theta)
+        # 2 theta + theta rounds for each of these, so the 3-spike entry must be
+        # the rounded sum the dense pool adds; every third batch is channels-last
+        rng = np.random.default_rng(53)
+        for i in range(300):
+            n, c = (int(v) for v in rng.integers(1, 4, size=2))
+            h_o, w_o = (int(v) for v in rng.integers(1, 5, size=2))
+            bits = rng.random((n, c, 2 * h_o, 2 * w_o)) < rng.random()
+            if i % 3 == 0:
+                bits = np.moveaxis(np.ascontiguousarray(np.moveaxis(bits, 1, 3)), 3, 1)
+            want = mean_avg_pool2d(bits * theta).tobytes()
+            assert avg_pool2d(bits, 2, scale=theta).tobytes() == want
+            assert avg_pool2d(bits * theta, 2).tobytes() == want
+
+    def test_scaled_pool_input_must_be_bits(self):
+        with pytest.raises(KernelError, match="bool spike tensor"):
+            avg_pool2d(np.ones((1, 1, 2, 2)), 2, scale=0.5)
+
+    def test_pool_peaks_hold_no_input_copy(self):
+        rng = np.random.default_rng(59)
+        bits = rng.random((16, 32, 32, 32)) < 0.3
+        x = bits * 0.25
+        out_bytes = 16 * 32 * 16 * 16 * 8
+        # the output, a 1-byte count or finite mask per output, and one image
+        bound = out_bytes * 9 // 8 + 32 * 16 * 16 * 8 + (1 << 16)
+        assert traced_peak_bytes(lambda: avg_pool2d(bits, 2, scale=0.25)) < bound
+        assert traced_peak_bytes(lambda: avg_pool2d(x, 2)) < bound
 
     def test_max_pool(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)

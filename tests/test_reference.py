@@ -7,6 +7,8 @@ from spikecast.graph import QcfsConfig, parse_manifest
 from spikecast.reference import (ann_forward, classification_map, level_counts,
                                  qcfs, qcfs_levels)
 
+from conftest import expression_levels
+
 
 class TestQcfs:
     def test_sample_staircase_value(self):
@@ -32,6 +34,7 @@ class TestQcfs:
         cfg = QcfsConfig(L=4, theta=1.0)
         assert qcfs_levels(np.array([0.125]), cfg)[0] == 1
         assert qcfs_levels(np.array([0.375]), cfg)[0] == 2
+        assert qcfs_levels(0.375, cfg) == 2 and qcfs(0.375, cfg) == 0.5
 
     def test_idempotent(self):
         rng = np.random.default_rng(21)
@@ -58,6 +61,22 @@ class TestQcfs:
         out = qcfs(z, cfg)
         grid = np.arange(cfg.L + 1) * (cfg.theta / cfg.L)
         assert np.all(np.isin(out, grid))
+
+    def test_one_buffer_matches_expression(self):
+        # exact level edges (k - 1/2) theta / L, their float neighbours, the
+        # clip bounds and float32 input, against the single-expression form
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            cfg = QcfsConfig(L=int(rng.choice([1, 2, 3, 4, 8, 10])),
+                             theta=float(rng.choice([1.0, 0.1, 0.7, rng.uniform(0.2, 2.0)])))
+            edges = (np.arange(-1, cfg.L + 2) - 0.5) * (cfg.theta / cfg.L)
+            z = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                np.nextafter(edges, np.inf), rng.uniform(-1, 3, size=32),
+                                [0.0, -0.0, cfg.theta, 1e30, -1e30]])
+            for arr in (z, z[None, :, None], z.astype(np.float32)):
+                levels = expression_levels(arr, cfg)
+                assert qcfs_levels(arr, cfg).tobytes() == levels.astype(np.int64).tobytes()
+                assert qcfs(arr, cfg).tobytes() == (levels * (cfg.theta / cfg.L)).tobytes()
 
     def test_histogram_conserves_count(self):
         rng = np.random.default_rng(24)

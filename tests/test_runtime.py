@@ -7,12 +7,14 @@ from spikecast.graph import QcfsConfig, init_random, parse_manifest
 from spikecast.kernels import ConvParams
 from spikecast.reference import ann_forward, qcfs
 from spikecast.runtime import (ConversionError, IfLayer, SnnTrace, SpikeTrain,
-                               check_equivalence, convert, if_generic_layer,
-                               if_input_layer, snn_forward, unrolled_matmul,
+                               _train_sum, check_equivalence, convert,
+                               if_generic_layer, if_input_layer, snn_forward,
+                               unrolled_avg_pool, unrolled_matmul,
                                unrolled_residual_add)
 from spikecast.zoo import residual_block_manifest, toy_manifest
 
-from conftest import negative_weight_graph, random_graph, traced_peak_bytes
+from conftest import (full_array_if, mean_avg_pool2d, negative_weight_graph,
+                      random_graph, step_train_sum, traced_peak_bytes)
 
 
 def chain_manifest(l_first, l_second):
@@ -203,6 +205,25 @@ class TestGenericIfLayer:
             ticks = np.arange(1, l_out + 1).reshape(l_out, 1, 1)
             assert np.array_equal(train.bits, ticks <= np.clip(count, 0, l_out))
 
+    def test_moving_neurons_match_full_array_loop(self):
+        # stage 2 on the gathered moving neurons against the loop over every
+        # neuron; a third of the inputs sit on exact level edges
+        rng = np.random.default_rng(45)
+        for _ in range(200):
+            l_in = int(rng.choice([1, 2, 3, 4, 8]))
+            l_out = int(rng.choice([1, 2, 4, 8]))
+            th = float(rng.choice([0.25, 0.5, 1.0 / 3.0, rng.uniform(0.1, 0.9)]))
+            stack = rng.uniform(-1, 1, size=(l_in, 3, 2, 5)) * rng.choice([0.1, 1.0, 3.0])
+            stack[:, 0] = rng.integers(-4, 5, size=(l_in, 2, 5)) * (th / 2)
+            plan = IfLayer("t", theta_star=th, l_in=l_in, l_out=l_out)
+            train, st = if_generic_layer(stack, plan, keep_counter=True)
+            count, spikes = full_array_if(stack, plan)
+            assert st.counter.tobytes() == count.tobytes()
+            assert [st.stage1_spikes, st.stage2_excitatory, st.stage2_inhibitory] == spikes
+            assert st.emitted_spikes == int(np.clip(count, 0, l_out).sum())
+            ticks = np.arange(1, l_out + 1).reshape(l_out, 1, 1, 1)
+            assert np.array_equal(train.bits, ticks <= np.clip(count, 0, l_out))
+
     def test_matches_activation_of_summed_input(self):
         # the train total equals the staircase activation of the summed stack
         rng = np.random.default_rng(43)
@@ -273,6 +294,19 @@ class TestUnrolledResidualAdd:
     def test_timestep_mismatch(self):
         with pytest.raises(ConversionError, match="unequal timestep"):
             unrolled_residual_add(np.zeros((2, 1, 3)), np.zeros((4, 1, 3)))
+        with pytest.raises(ConversionError, match=r"unequal timestep counts \(2 vs 4\)"):
+            unrolled_residual_add(SpikeTrain(np.zeros((2, 1, 3), bool), 0.5),
+                                  SpikeTrain(np.zeros((4, 1, 3), bool), 0.5))
+
+    def test_two_trains_add_by_lookup(self):
+        # 0.1 + 0.7 rounds, so the table entry must be the float sum itself
+        rng = np.random.default_rng(10)
+        for theta_a, theta_b in ((0.1, 0.7), (1.0 / 3.0, 0.25), (0.5, 0.5)):
+            a = SpikeTrain(rng.random((4, 2, 3, 5)) < 0.5, theta_a)
+            b = SpikeTrain(rng.random((4, 2, 3, 5)) < 0.5, theta_b)
+            want = (a.dense() + b.dense()).tobytes()
+            assert unrolled_residual_add(a, b).tobytes() == want
+            assert unrolled_residual_add(a, b.dense()).tobytes() == want
 
 
 class TestSnnForward:
@@ -322,6 +356,23 @@ class TestSnnForward:
         for lid, train in trace.trains.items():
             assert trace.sums[lid].tobytes() == train.dense().sum(axis=0).tobytes()
 
+    def test_train_sum_matches_step_adds(self):
+        # random bits, not thermometer codes: spikes anywhere in the train
+        rng = np.random.default_rng(18)
+        for t in (1, 2, 3, 4, 7, 8, 300):
+            for theta in (0.1, 1.0 / 3.0, 0.7, float(rng.uniform(0.01, 2.0))):
+                train = SpikeTrain(rng.random((t, 2, 3, 4)) < rng.random(), theta)
+                assert _train_sum(train).tobytes() == step_train_sum(train).tobytes()
+
+    def test_spiking_pool_reads_bits(self):
+        rng = np.random.default_rng(19)
+        for theta in (0.1, 1.0 / 3.0, 0.7):
+            train = SpikeTrain(rng.random((3, 2, 4, 6, 2)) < 0.5, theta)
+            dense = train.dense()
+            want = mean_avg_pool2d(dense.reshape(6, 4, 6, 2)).reshape(3, 2, 4, 3, 1)
+            assert unrolled_avg_pool(train, 2).tobytes() == want.tobytes()
+            assert unrolled_avg_pool(dense, 2).tobytes() == want.tobytes()
+
     def test_peak_well_below_all_intermediates(self):
         # at most a few values are alive at once: the peak is one layer's
         # working set, not the sum of every layer's output
@@ -361,6 +412,22 @@ class TestCheckEquivalence:
         assert rep.inhibitory_spikes > 0
         assert rep.argmax_agreement == 1.0
         assert rep.max_rel_dev <= 1e-4
+
+    def test_deviations_match_plain_formula(self):
+        rng = np.random.default_rng(20)
+        for _ in range(10):
+            g = random_graph(rng)
+            x = rng.uniform(0, 1, size=(3,) + g.input_layer.shape)
+            rep = check_equivalence(g, x)
+            ref = ann_forward(g, x)
+            trace = SnnTrace()
+            snn_forward(convert(g), x, trace=trace)
+            for row, layer in zip(rep.per_layer, g.layers):
+                ann_out = ref.outputs[layer.id].reshape(trace.sums[layer.id].shape)
+                dev = float(np.max(np.abs(trace.sums[layer.id] - ann_out)))
+                scale = float(np.max(np.abs(ann_out)))
+                assert row.max_abs_dev.hex() == dev.hex()
+                assert row.rel_dev.hex() == (dev / scale if scale > 0 else dev).hex()
 
     def test_instances_counts_batch_rows(self, toy_graph):
         images = list(np.random.default_rng(17).uniform(0, 1, size=(3, 2, 8, 8)))

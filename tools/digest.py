@@ -1,0 +1,165 @@
+"""Print the count and SHA-256 of spikecast's bitwise digest set.
+
+A change meant to keep every output bitwise equal runs this on its own tree
+and on the parent's, and compares the two summary lines:
+
+    python3 tools/digest.py                      # the tree holding this file
+    python3 tools/digest.py --repo ../parent     # another checkout
+    python3 tools/digest.py --list               # one line per digest
+
+The set holds one SHA-256 per array or record: the logits; every
+LayerTrace output, pre-activation and histogram; every SnnTrace sum and
+spike train; every IfStats count and counter; and every
+check_equivalence report. The runs are VGG-16/CIFAR-10 at L=4 with batch
+1, the layerwise mixed steps at batch 8, ann_forward at L=4 with batch 32,
+the acceptance gate's 200 models (seed 20240813, from
+tests/conftest.random_graph) and the 8 level-edge probes. Every pass runs
+twice, so warm caches are covered as well as cold ones.
+"""
+
+import argparse
+import hashlib
+import itertools
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+MIXED_STEPS = [8, 4, 2, 1, 2, 4, 8, 4, 1, 2, 8, 2, 4, 1, 4]
+GATE_SEED, GATE_MODELS, GATE_BATCH = 20240813, 200, 5
+PROBES = range(8)
+
+
+class Digests:
+    def __init__(self):
+        self.lines = []
+
+    def add(self, name, value):
+        h = hashlib.sha256()
+        if isinstance(value, np.ndarray):
+            h.update(f"{value.dtype.str}{value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        else:
+            h.update(json.dumps(value, sort_keys=True).encode())
+        self.lines.append(f"{name} {h.hexdigest()}")
+
+    def summary(self):
+        total = hashlib.sha256("\n".join(self.lines).encode()).hexdigest()
+        return f"{len(self.lines)} digests, sha256 {total}"
+
+
+def probe_graph(sc, seed):
+    """in(3x1x1) -> identity fc -> act (L=10) -> fc with float32 weights
+    rounded to multiples of 0.1 -> act (L=2) -> 2-class head."""
+    doc = {"name": "level-edge", "classes": 2, "layers": [
+        {"id": "in", "kind": "input", "pred": [], "shape": [3, 1, 1]},
+        {"id": "fc1", "kind": "fc", "pred": ["in"], "out_features": 3},
+        {"id": "act1", "kind": "qcfs_act", "pred": ["fc1"], "L": 10, "theta": 1.0},
+        {"id": "fc2", "kind": "fc", "pred": ["act1"], "out_features": 3},
+        {"id": "act2", "kind": "qcfs_act", "pred": ["fc2"], "L": 2, "theta": 1.0},
+        {"id": "head", "kind": "fc", "pred": ["act2"], "out_features": 2, "bias": True},
+    ]}
+    graph = sc.graph.init_random(sc.graph.parse_manifest(json.dumps(doc)), seed)
+    w = dict(graph.weights)
+    w["fc1"] = {"weight": np.eye(3, dtype=np.float32)}
+    fc2 = np.asarray(w["fc2"]["weight"], dtype=np.float64)
+    w["fc2"] = {"weight": (np.round(fc2 * 10.0) / 10.0).astype(np.float32)}
+    return graph.with_weights(w)
+
+
+def level_grid():
+    """All 11^3 inputs with each channel in {0, 0.1, ..., 1}."""
+    grid = np.array(list(itertools.product(range(11), repeat=3)), dtype=np.float64)
+    return grid.reshape(-1, 3, 1, 1) / 10.0
+
+
+def ann_pass(sc, d, name, graph, x):
+    ref = sc.reference.ann_forward(graph, x)
+    d.add(f"{name}/ann/logits", ref.logits)
+    for lid, out in ref.outputs.items():
+        d.add(f"{name}/ann/out/{lid}", out)
+    for lid in ref.pre_activations:
+        d.add(f"{name}/ann/pre/{lid}", ref.pre_activations[lid])
+        d.add(f"{name}/ann/hist/{lid}", ref.histograms[lid])
+
+
+def snn_pass(sc, d, name, model, x):
+    trace = sc.runtime.SnnTrace()
+    logits, stats = sc.runtime.snn_forward(model, x, trace=trace, keep_counters=True)
+    d.add(f"{name}/snn/logits", logits)
+    for lid, total in trace.sums.items():
+        d.add(f"{name}/snn/sum/{lid}", total)
+    for lid, train in trace.trains.items():
+        d.add(f"{name}/snn/train/{lid}", train.bits)
+        d.add(f"{name}/snn/theta/{lid}", float(train.theta_star).hex())
+    for lid, st in stats.items():
+        d.add(f"{name}/snn/stats/{lid}",
+              [list(st.stage_steps), st.stage1_spikes, st.stage2_excitatory,
+               st.stage2_inhibitory, st.emitted_spikes, st.elements, st.timesteps])
+        d.add(f"{name}/snn/counter/{lid}", st.counter)
+
+
+def report(sc, d, name, graph, x, model):
+    rep = sc.runtime.check_equivalence(graph, x, model).to_dict()
+    # floats as hex, so the digest sees every bit
+    rep["per_layer"] = [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+                        for row in rep["per_layer"]]
+    d.add(f"{name}/report", {k: v.hex() if isinstance(v, float) else v for k, v in rep.items()})
+
+
+def both_passes(sc, d, name, graph, x):
+    model = sc.runtime.convert(graph)
+    for rep in range(2):
+        ann_pass(sc, d, f"{name}/{rep}", graph, x)
+        snn_pass(sc, d, f"{name}/{rep}", model, x)
+    report(sc, d, name, graph, x, model)
+
+
+def collect(sc, random_graph):
+    d = Digests()
+    rng = np.random.default_rng(3)
+    for name, steps, batch in (("vgg16-b1", 4, 1), ("vgg16-mixed-b8", MIXED_STEPS, 8)):
+        text = sc.zoo.vgg16_manifest(classes=10, steps=steps)
+        graph = sc.graph.init_random(sc.graph.parse_manifest(text), 3)
+        both_passes(sc, d, name, graph, rng.uniform(0.0, 1.0, size=(batch, 3, 32, 32)))
+    graph = sc.graph.init_random(sc.graph.parse_manifest(sc.zoo.vgg16_manifest(10, 4)), 5)
+    x = rng.uniform(0.0, 1.0, size=(32, 3, 32, 32))
+    for rep in range(2):
+        ann_pass(sc, d, f"calibrate-b32/{rep}", graph, x)
+    del graph, x
+
+    gate = np.random.default_rng(GATE_SEED)
+    for i in range(GATE_MODELS):
+        graph = random_graph(gate)
+        x = gate.uniform(0.0, 1.0, size=(GATE_BATCH,) + graph.input_layer.shape)
+        both_passes(sc, d, f"gate{i}", graph, x)
+    grid = level_grid()
+    for seed in PROBES:
+        both_passes(sc, d, f"probe{seed}", probe_graph(sc, seed), grid)
+    return d
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout to digest (default: the one holding this tool)")
+    parser.add_argument("--list", action="store_true", help="print every digest")
+    args = parser.parse_args(argv)
+    repo = args.repo.resolve()
+    if not (repo / "src" / "spikecast").is_dir():
+        parser.error(f"{repo} holds no src/spikecast")
+    sys.path[:0] = [str(repo / "src"), str(repo / "tests")]
+    import spikecast as sc
+    import spikecast.zoo  # noqa: F401  (not exported by the package)
+    from conftest import random_graph
+
+    d = collect(sc, random_graph)
+    if args.list:
+        print("\n".join(d.lines))
+    print(d.summary())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,8 +25,8 @@ from .runtime import (ConversionError, EquivalenceReport, IfLayer, IfStats,
 from .sensitivity import (LevelHistogram, MetricError, activation_histogram,
                           al_metric, assign_layerwise_l, cluster_1d,
                           default_alpha, kurtosis, skewness, van_der_eijk_a)
-from .energy import (ENERGY, EnergyModelError, MatMulDims, PoolDims,
-                     ann_snn_energy_ratio, golden_table, op_counts,
-                     overall_r_e, r_e_layer, r_prime, t_eff, t_norm)
+from .energy import (ENERGY, EnergyModelError, MatMulDims, ann_snn_energy_ratio,
+                     dims_from_graph, golden_table, op_counts, overall_r_e,
+                     r_e_layer, r_prime, t_eff, t_norm)
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands
-  convert      build the spiking bundle (rescaled constants + plan) on disk
+  convert      write the spiking bundle: manifest, source weights and plan
   check-equiv  certify reference/spiking agreement on seeded random inputs
   al-metric    per-layer sensitivity statistics, clustering and step hints
   energy       op counts, overhead-weighted timesteps and energy ratios
@@ -25,7 +25,7 @@ import numpy as np
 from . import energy as energy_model
 from . import runtime, sensitivity
 from .graph import (GraphError, init_random, load_weights, parse_manifest,
-                    save_weights)
+                    save_weights, serialize_manifest)
 from .kernels import KernelError
 from .reference import ann_forward
 from .runtime import ConversionError, convert, snn_forward
@@ -148,19 +148,8 @@ def cmd_convert(args):
         "layers": layers,
         "config": _config_echo(args),
     })
-
-    scaled = {}
-    for layer in graph.matmul_layers():
-        arrays = dict(graph.weights[layer.id])
-        affine = model.scaled_affines.get(layer.id)
-        if affine is not None:
-            if layer.has_bias:
-                arrays["bias"] = affine.bias
-            if layer.has_bn:
-                arrays.update(gamma=affine.gamma, beta=affine.beta,
-                              mu=affine.mu, sigma_sq=affine.sigma_sq)
-        scaled[layer.id] = arrays
-    save_weights(graph.with_weights(scaled), out)
+    (out / "manifest.json").write_text(serialize_manifest(graph) + "\n")
+    save_weights(graph, out)
     print(f"wrote spiking bundle to {out} "
           f"({len(model.if_plans)} integrate-and-fire layers)")
     return EXIT_OK
@@ -245,55 +234,17 @@ def _parse_steps(text):
     return values[0] if len(values) == 1 else values
 
 
-def _graph_dims(graph, model):
-    """MatMulDims list plus per-matmul step vector from a parsed model."""
-    succ = {}
-    for layer in graph.layers:
-        for p in layer.preds:
-            succ.setdefault(p, []).append(layer.id)
-    dims, steps = [], []
-    for layer in graph.matmul_layers():
-        nexts = [graph.layer(i) for i in succ.get(layer.id, [])]
-        paired = any(n.kind == "qcfs_act" for n in nexts)
-        if layer.kind == "conv":
-            c, h, w = layer.out_shape
-            dims.append(energy_model.MatMulDims(
-                layer.id, "conv", layer.in_channels, c,
-                layer.kernel[0], layer.kernel[1], h, w, paired=paired))
-        else:
-            dims.append(energy_model.MatMulDims(
-                layer.id, "fc", layer.in_channels, layer.out_channels, paired=paired))
-        if paired:
-            steps.append(next(n.qcfs.L for n in nexts if n.kind == "qcfs_act"))
-        else:
-            t = model.t_map[layer.id]
-            steps.append(1 if t is None else t)
-    return dims, steps
-
-
-def _measured_rates(graph, model, dims, inputs):
+def _measured_rates(model, sources, inputs):
     """Per-matmul spike rate of the train each matmul consumes.
 
     Prefix layers see the real-valued image; they are MAC-counted anyway
     and get the model-mean rate so the ratio columns stay defined.
     """
     _, stats = snn_forward(model, inputs)
-    source_if = {}
-    for layer in graph.layers:
-        if layer.kind == "qcfs_act":
-            source_if[layer.id] = layer.id
-        elif layer.kind == "input":
-            source_if[layer.id] = None
-        else:
-            source_if[layer.id] = source_if[layer.preds[0]]
     mean_rate = (float(np.mean([st.spike_rate for st in stats.values()]))
                  if stats else 0.75)
-    rates = []
-    for layer, d in zip(graph.matmul_layers(), dims):
-        src = source_if[layer.preds[0]]
-        rate = stats[src].spike_rate if src in stats else mean_rate
-        rates.append(max(rate, 1e-12))
-    return rates
+    return [max(stats[src].spike_rate if src in stats else mean_rate, 1e-12)
+            for src in sources]
 
 
 def cmd_energy(args):
@@ -308,10 +259,10 @@ def cmd_energy(args):
             print(f"Total Operations ({head}): {total:,}")
         if args.out:
             write_csv(args.out, ["layer", "input", "output", "macs"], rows)
-        arch = energy_model.ARCHITECTURES.get(args.golden)
-        if arch and args.L is not None and isinstance(steps, int):
+        if args.L is not None and isinstance(steps, int):
             rate = 0.75 if args.rate in (None, "measured") else float(args.rate)
-            tn = energy_model.t_norm(arch(), steps, rate)
+            dims, _, _ = energy_model.dims_from_graph(energy_model.golden_graph(args.golden))
+            tn = energy_model.t_norm(dims, steps, rate)
             print(f"T_norm (L={steps}, rate={_fmt(rate)}): {_fmt(tn)}")
         return EXIT_OK
 
@@ -319,14 +270,11 @@ def cmd_energy(args):
         raise CliError("energy needs --golden or --manifest")
     measured = args.rate == "measured"
     graph = _load_model(args, need_weights=measured)
+    dims, graph_steps, sources = energy_model.dims_from_graph(graph)
     if measured:
-        model = convert(graph)
-        dims, graph_steps = _graph_dims(graph, model)
-        rates = _measured_rates(graph, model, dims, _load_inputs(args, graph))
+        rates = _measured_rates(convert(graph), sources, _load_inputs(args, graph))
         rate_label = "measured"
     else:
-        model = convert(init_random(graph, 0) if not graph.weights else graph)
-        dims, graph_steps = _graph_dims(graph, model)
         rates = float(args.rate) if args.rate else 0.75
         rate_label = "assumed"
     if args.L is None:

@@ -37,11 +37,25 @@ Energy-per-operation constants (45nm CMOS):
 
     fp32: add 0.9 pJ, mul 3.7 pJ, mac 4.6 pJ
     int8: add 0.03 pJ, mul 0.2 pJ, mac 0.23 pJ
+
+Layer geometry comes from a model graph (dims_from_graph), and every named
+architecture is a spikecast.zoo manifest: VGG-16 at 32 or 224 pixels, and
+ResNet-18/CIFAR and ResNet-34/ImageNet from one ResNet builder. Manifests
+require exact conv tiling, so the ResNet builder downsamples with a
+window-2 average pool ahead of a stride-1 conv instead of a stride-2 conv.
+A conv's count depends only on its C_in, C_out, kernel and output size,
+which the two forms share, so every row equals the standard net's. Only the
+ResNet-18/CIFAR golden rows are kept as literal data (see
+RESNET18_CIFAR_GOLDEN).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import zoo
+from .graph import parse_manifest
+from .runtime import timestep_map
 
 
 class EnergyModelError(ValueError):
@@ -73,8 +87,6 @@ class MatMulDims:
     k_w: int = 1
     h_out: int = 1
     w_out: int = 1
-    in_desc: str = ""
-    out_desc: str = ""
     paired: bool = True        # feeds an activation layer downstream
 
     @property
@@ -92,15 +104,6 @@ class MatMulDims:
 
 
 @dataclass(frozen=True)
-class PoolDims:
-    """Pooling rows carry no MACs/ACs; kept for table fidelity."""
-
-    name: str
-    in_desc: str = ""
-    out_desc: str = ""
-
-
-@dataclass(frozen=True)
 class OpCount:
     macs: int = 0
     acs: float = 0.0
@@ -109,8 +112,6 @@ class OpCount:
 
 def op_counts(dims, mode, spike_rate=None, first_layer=False):
     """Operation counts for one layer in 'ann' or 'snn' mode."""
-    if isinstance(dims, PoolDims):
-        return OpCount()
     if not isinstance(dims, MatMulDims):
         raise EnergyModelError(f"unknown layer kind: {dims!r}")
     if mode == "ann":
@@ -141,35 +142,29 @@ def r_e_layer(L, rp):
     return (1.0 + (5 * L - 2) * rp) / (1.0 + L * rp)
 
 
-def _matmuls(layers):
-    return [d for d in layers if isinstance(d, MatMulDims)]
-
-
 def t_norm(layers, T, spike_rate=0.75):
     """Overhead-weighted timestep count at a uniform quantization step.
 
     Defined as t_eff with the uniform step vector, so the two collapse to
     the same value exactly.
     """
-    mm = _matmuls(layers)
-    if not mm:
+    if not layers:
         raise EnergyModelError("no matmul layers to average over")
-    return t_eff(layers, [T] * len(mm), spike_rate)
+    return t_eff(layers, [T] * len(layers), spike_rate)
 
 
 def t_eff(layers, l_vector, spike_rate=0.75):
     """Overhead-weighted timestep count with layerwise steps T^l = L^l."""
-    mm = _matmuls(layers)
-    if len(l_vector) != len(mm):
+    if len(l_vector) != len(layers):
         raise EnergyModelError(
-            f"layerwise step vector has {len(l_vector)} entries for {len(mm)} matmul layers")
-    terms = [r_e_layer(L, r_prime(d, spike_rate)) * L for d, L in zip(mm, l_vector)]
+            f"layerwise step vector has {len(l_vector)} entries for {len(layers)} matmul layers")
+    terms = [r_e_layer(L, r_prime(d, spike_rate)) * L for d, L in zip(layers, l_vector)]
     return float(np.mean(terms))
 
 
 def qcfs_paired(layers):
     """Matmul layers that feed an activation (for layerwise-step vectors)."""
-    return [d for d in _matmuls(layers) if d.paired]
+    return [d for d in layers if d.paired]
 
 
 def ann_snn_energy_ratio(a, b, c, precision="fp32"):
@@ -203,16 +198,15 @@ def overall_r_e(layers, l_steps, spike_rate=0.75,
     updates as int8 adds (see module docstring); pass equal energies to
     reduce a single-layer model exactly to r_e_layer.
     """
-    mm = _matmuls(layers)
-    if not mm:
+    if not layers:
         raise EnergyModelError("empty model")
     if isinstance(l_steps, (int, np.integer)):
-        l_steps = [int(l_steps)] * len(mm)
-    if len(l_steps) != len(mm):
+        l_steps = [int(l_steps)] * len(layers)
+    if len(l_steps) != len(layers):
         raise EnergyModelError(
-            f"step vector has {len(l_steps)} entries for {len(mm)} matmul layers")
+            f"step vector has {len(l_steps)} entries for {len(layers)} matmul layers")
     num = den = 0.0
-    for i, (d, L) in enumerate(zip(mm, l_steps)):
+    for i, (d, L) in enumerate(zip(layers, l_steps)):
         if first_layer_macs and i == 0:
             e_ac = d.macs * mac_energy
         else:
@@ -224,120 +218,51 @@ def overall_r_e(layers, l_steps, spike_rate=0.75,
 
 
 # ---------------------------------------------------------------------------
-# reference architectures
+# geometry from graphs
 
 
-def _conv(name, c_in, c_out, h, w, k=3, paired=True):
-    return MatMulDims(name=name, kind="conv", c_in=c_in, c_out=c_out,
-                      k_h=k, k_w=k, h_out=h, w_out=w,
-                      in_desc="", out_desc=f"{h}x{w}x{c_out}", paired=paired)
+def dims_from_graph(graph):
+    """Per-matmul geometry, step and source activation, in graph order.
 
-
-def vgg16_cifar(classes=10):
-    """VGG-16 at 32x32 input: 13 convs, 5 pools, 3 fully-connected."""
-    if classes not in (10, 100):
-        raise EnergyModelError("cifar head must have 10 or 100 classes")
-    rows = [
-        _conv("Conv1_1", 3, 64, 32, 32),
-        _conv("Conv1_2", 64, 64, 32, 32),
-        PoolDims("Pool1", "32x32x64", "16x16x64"),
-        _conv("Conv2_1", 64, 128, 16, 16),
-        _conv("Conv2_2", 128, 128, 16, 16),
-        PoolDims("Pool2", "16x16x128", "8x8x128"),
-        _conv("Conv3_1", 128, 256, 8, 8),
-        _conv("Conv3_2", 256, 256, 8, 8),
-        _conv("Conv3_3", 256, 256, 8, 8),
-        PoolDims("Pool3", "8x8x256", "4x4x256"),
-        _conv("Conv4_1", 256, 512, 4, 4),
-        _conv("Conv4_2", 512, 512, 4, 4),
-        _conv("Conv4_3", 512, 512, 4, 4),
-        PoolDims("Pool4", "4x4x512", "2x2x512"),
-        _conv("Conv5_1", 512, 512, 2, 2),
-        _conv("Conv5_2", 512, 512, 2, 2),
-        _conv("Conv5_3", 512, 512, 2, 2),
-        PoolDims("Pool5", "2x2x512", "1x1x512"),
-        MatMulDims("FC1", "fc", 512, 4096),
-        MatMulDims("FC2", "fc", 4096, 4096),
-        MatMulDims("FC3", "fc", 4096, classes, paired=False),
-    ]
-    return rows
-
-
-def vgg16_imagenet():
-    """VGG-16 at 224x224 input with the 1000-class head."""
-    rows = [
-        _conv("Conv1_1", 3, 64, 224, 224),
-        _conv("Conv1_2", 64, 64, 224, 224),
-        PoolDims("Pool1", "224x224x64", "112x112x64"),
-        _conv("Conv2_1", 64, 128, 112, 112),
-        _conv("Conv2_2", 128, 128, 112, 112),
-        PoolDims("Pool2", "112x112x128", "56x56x128"),
-        _conv("Conv3_1", 128, 256, 56, 56),
-        _conv("Conv3_2", 256, 256, 56, 56),
-        _conv("Conv3_3", 256, 256, 56, 56),
-        PoolDims("Pool3", "56x56x256", "28x28x256"),
-        _conv("Conv4_1", 256, 512, 28, 28),
-        _conv("Conv4_2", 512, 512, 28, 28),
-        _conv("Conv4_3", 512, 512, 28, 28),
-        PoolDims("Pool4", "28x28x512", "14x14x512"),
-        _conv("Conv5_1", 512, 512, 14, 14),
-        _conv("Conv5_2", 512, 512, 14, 14),
-        _conv("Conv5_3", 512, 512, 14, 14),
-        PoolDims("Pool5", "14x14x512", "7x7x512"),
-        MatMulDims("FC1", "fc", 25088, 4096),
-        MatMulDims("FC2", "fc", 4096, 4096),
-        MatMulDims("FC3", "fc", 4096, 1000, paired=False),
-    ]
-    return rows
-
-
-def resnet34_imagenet():
-    """Standard ResNet-34 at 224x224: 7x7 stem, 3/4/6/3 blocks, fc head."""
-    rows = [MatMulDims("Conv1", "conv", 3, 64, 7, 7, 112, 112)]
-    stages = [
-        ("2", 64, 64, 56, 3),
-        ("3", 64, 128, 28, 4),
-        ("4", 128, 256, 14, 6),
-        ("5", 256, 512, 7, 3),
-    ]
-    for tag, c_prev, c, h, blocks in stages:
-        for b in range(1, blocks + 1):
-            c_in = c_prev if b == 1 else c
-            rows.append(_conv(f"Block{tag}.{b}.Conv1", c_in, c, h, h))
-            rows.append(_conv(f"Block{tag}.{b}.Conv2", c, c, h, h))
-            if b == 1 and c_prev != c:
-                rows.append(MatMulDims(f"Block{tag}.1.Shortcut", "conv", c_prev, c,
-                                       1, 1, h, h, paired=False))
-    rows.append(MatMulDims("FC", "fc", 512, 1000, paired=False))
-    return rows
-
-
-def resnet18_cifar_dims(classes=10):
-    """Formula-consistent ResNet-18 at 32x32 (3x3 stem, 2/2/2/2 blocks)."""
-    rows = [_conv("Initial Conv", 3, 64, 32, 32)]
-    stages = [
-        ("1", 64, 64, 32, 2),
-        ("2", 64, 128, 16, 2),
-        ("3", 128, 256, 8, 2),
-        ("4", 256, 512, 4, 2),
-    ]
-    for tag, c_prev, c, h, blocks in stages:
-        for b in range(1, blocks + 1):
-            c_in = c_prev if b == 1 else c
-            rows.append(_conv(f"Residual Block {tag}.{b} Conv1", c_in, c, h, h))
-            rows.append(_conv(f"Residual Block {tag}.{b} Conv2", c, c, h, h))
-            if b == 1 and c_prev != c:
-                rows.append(MatMulDims(f"Residual Block {tag}.1 Shortcut", "conv",
-                                       c_prev, c, 1, 1, h, h, paired=False))
-    rows.append(MatMulDims("Final FC Layer", "fc", 512, classes, paired=False))
-    return rows
+    Returns three aligned lists: MatMulDims, steps and source ids. A matmul
+    is paired with the activation it feeds, directly or through residual
+    adds of which it is the first predecessor, so a block's second conv is
+    paired and its projection shortcut is not. A paired matmul's step is
+    that activation's L; an unpaired one's is the timestep count it runs
+    at (1 on the real-valued input). Its source is the activation whose
+    train it consumes, followed back through pools and residual adds by
+    their first predecessor, or None where it consumes the image. Needs no
+    weights; raises ConversionError where runtime.timestep_map does.
+    """
+    t_map = timestep_map(graph)
+    source, fed = {}, {}
+    for layer in graph.layers:
+        if layer.kind == "input":
+            source[layer.id] = None
+        elif layer.kind == "qcfs_act":
+            source[layer.id] = layer.id
+            feeder = graph.layer(layer.preds[0])
+            while feeder.kind == "residual_add":
+                feeder = graph.layer(feeder.preds[0])
+            fed.setdefault(feeder.id, layer.qcfs.L)
+        else:
+            source[layer.id] = source[layer.preds[0]]
+    dims, steps, sources = [], [], []
+    for layer in graph.matmul_layers():
+        L = fed.get(layer.id)
+        # an fc layer has kernel (1, 1) and no spatial output dims
+        dims.append(MatMulDims(layer.id, layer.kind, layer.in_channels, layer.out_channels,
+                               *layer.kernel, *layer.out_shape[1:], paired=L is not None))
+        steps.append(L if L is not None else t_map[layer.id] or 1)
+        sources.append(source[layer.id])
+    return dims, steps, sources
 
 
 # Golden reference table for the CIFAR ResNet-18 operation counts. Several
 # transition-block rows do not follow the standard dims formula for the
 # shapes shown (they track a double-stride cascade), so this table is kept
-# as literal reference data rather than derived; its rows sum exactly to
-# the reference totals (217,584,640 / 217,630,720).
+# as literal reference data rather than derived; with one of the two head
+# rows it sums exactly to the reference totals (217,584,640 / 217,630,720).
 RESNET18_CIFAR_GOLDEN = [
     ("Initial Conv", "3x32x32", "64x32x32", 1769472),
     ("Residual Block 1.1 Conv1", "64x32x32", "64x32x32", 37748736),
@@ -360,55 +285,73 @@ RESNET18_CIFAR_GOLDEN = [
     ("Residual Block 4.2 Conv1", "512x4x4", "512x4x4", 589824),
     ("Residual Block 4.2 Conv2", "512x4x4", "512x4x4", 589824),
 ]
+RESNET18_CIFAR_HEADS = [
+    ("Final FC Layer (CIFAR-10)", "512", "10", 5120),
+    ("Final FC Layer (CIFAR-100)", "512", "100", 51200),
+]
 
 
 GOLDEN_NAMES = ("vgg16-cifar", "vgg16-imagenet", "resnet18-cifar")
 
 
-def golden_table(name):
-    """Rows (layer, input, output, macs) plus totals for a golden target.
+def golden_graph(name, classes=10):
+    """The zoo graph behind a golden target, without weights.
 
-    Pool rows carry macs=None. CIFAR targets return both heads as extra
-    rows and a totals dict keyed by head.
+    classes picks the head of a CIFAR target.
     """
     if name == "vgg16-cifar":
-        rows = []
-        for d in vgg16_cifar(10):
-            if isinstance(d, PoolDims):
-                rows.append((d.name, d.in_desc, d.out_desc, None))
-            elif d.name != "FC3":
-                rows.append((d.name, d.in_desc, d.out_desc, d.macs))
-        head10 = [d for d in vgg16_cifar(10) if d.name == "FC3"][0]
-        head100 = [d for d in vgg16_cifar(100) if d.name == "FC3"][0]
-        rows.append(("FC3 (CIFAR-10)", "4096", "10", head10.macs))
-        rows.append(("FC3 (CIFAR-100)", "4096", "100", head100.macs))
-        totals = {
-            "CIFAR-10": sum(d.macs for d in _matmuls(vgg16_cifar(10))),
-            "CIFAR-100": sum(d.macs for d in _matmuls(vgg16_cifar(100))),
-        }
-        return rows, totals
+        return parse_manifest(zoo.vgg16_manifest(classes))
     if name == "vgg16-imagenet":
-        rows = [(d.name, d.in_desc, d.out_desc, None if isinstance(d, PoolDims) else d.macs)
-                for d in vgg16_imagenet()]
-        totals = {"ImageNet": sum(d.macs for d in _matmuls(vgg16_imagenet()))}
-        return rows, totals
+        return parse_manifest(zoo.vgg16_manifest(1000, input_size=224))
     if name == "resnet18-cifar":
-        rows = list(RESNET18_CIFAR_GOLDEN)
-        body = sum(macs for _, _, _, macs in RESNET18_CIFAR_GOLDEN)
-        rows.append(("Final FC Layer (CIFAR-10)", "512", "10", 5120))
-        rows.append(("Final FC Layer (CIFAR-100)", "512", "100", 51200))
-        totals = {"CIFAR-10": body + 5120, "CIFAR-100": body + 51200}
-        return rows, totals
+        return parse_manifest(zoo.resnet_manifest(classes=classes))
     raise EnergyModelError(f"unknown golden target '{name}' (choose from {', '.join(GOLDEN_NAMES)})")
 
 
-ARCHITECTURES = {
-    "vgg16-cifar": lambda: vgg16_cifar(10),
-    "vgg16-cifar100": lambda: vgg16_cifar(100),
-    "vgg16-imagenet": vgg16_imagenet,
-    "resnet18-cifar": lambda: resnet18_cifar_dims(10),
-    "resnet34-imagenet": resnet34_imagenet,
-}
+def _hwc(shape):
+    c, h, w = shape
+    return f"{h}x{w}x{c}"
+
+
+def _vgg16_rows(graph):
+    """Convs with their output shape, pools with both shapes, fcs bare."""
+    macs = {d.name: d.macs for d in dims_from_graph(graph)[0]}
+    rows = []
+    for layer in graph.layers:
+        if layer.kind == "conv":
+            rows.append((layer.id.capitalize(), "", _hwc(layer.out_shape), macs[layer.id]))
+        elif layer.kind == "avg_pool":
+            rows.append((layer.id.capitalize(), _hwc(layer.in_shape),
+                         _hwc(layer.out_shape), None))
+        elif layer.kind == "fc":
+            rows.append((layer.id.upper(), "", "", macs[layer.id]))
+    return rows
+
+
+def golden_table(name):
+    """Rows (layer, input, output, macs) plus totals for a golden target.
+
+    Pool rows carry macs=None. CIFAR targets end in one head row per
+    class count (10 and 100) and return totals keyed by head. VGG-16 rows
+    are derived from the zoo graphs; the ResNet-18 rows are literal
+    (RESNET18_CIFAR_GOLDEN and RESNET18_CIFAR_HEADS).
+    """
+    if name == "resnet18-cifar":
+        body, heads = list(RESNET18_CIFAR_GOLDEN), RESNET18_CIFAR_HEADS
+    elif name == "vgg16-cifar":
+        body = _vgg16_rows(golden_graph(name))[:-1]
+        heads = []
+        for classes in (10, 100):
+            head = dims_from_graph(golden_graph(name, classes))[0][-1]
+            heads.append((f"FC3 (CIFAR-{classes})", str(head.c_in), str(head.c_out),
+                          head.macs))
+    else:   # vgg16-imagenet, or golden_graph raises for an unknown name
+        rows = _vgg16_rows(golden_graph(name))
+        return rows, {"ImageNet": sum(macs for *_, macs in rows if macs is not None)}
+    body_macs = sum(macs for *_, macs in body if macs is not None)
+    totals = {f"CIFAR-{classes}": body_macs + head[-1]
+              for classes, head in zip((10, 100), heads)}
+    return body + heads, totals
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +365,19 @@ def build_report(layers, l_steps, spike_rate=0.75, precision="fp32", rate_label=
     spike_rate is a scalar assumption or a per-matmul vector of measured
     rates; rate_label records which mode produced the numbers.
     """
-    mm = _matmuls(layers)
     uniform = isinstance(l_steps, (int, np.integer))
-    steps = [int(l_steps)] * len(mm) if uniform else [int(v) for v in l_steps]
-    if len(steps) != len(mm):
+    steps = [int(l_steps)] * len(layers) if uniform else [int(v) for v in l_steps]
+    if len(steps) != len(layers):
         raise EnergyModelError(
-            f"step vector has {len(steps)} entries for {len(mm)} matmul layers")
-    rates = ([float(spike_rate)] * len(mm) if np.isscalar(spike_rate)
+            f"step vector has {len(steps)} entries for {len(layers)} matmul layers")
+    rates = ([float(spike_rate)] * len(layers) if np.isscalar(spike_rate)
              else [float(v) for v in spike_rate])
-    if len(rates) != len(mm):
+    if len(rates) != len(layers):
         raise EnergyModelError(
-            f"rate vector has {len(rates)} entries for {len(mm)} matmul layers")
+            f"rate vector has {len(rates)} entries for {len(layers)} matmul layers")
 
     rows = []
-    for i, (d, L, rate) in enumerate(zip(mm, steps, rates)):
+    for i, (d, L, rate) in enumerate(zip(layers, steps, rates)):
         ann = op_counts(d, "ann")
         snn = op_counts(d, "snn", spike_rate=rate, first_layer=(i == 0))
         rp = r_prime(d, rate)

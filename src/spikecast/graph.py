@@ -48,15 +48,12 @@ class QcfsConfig:
 
     L: int
     theta: float
-    phi: float = 0.5
 
     def __post_init__(self):
         if self.L < 1:
             raise GraphError(f"quantization step must be >= 1, got {self.L}")
         if not self.theta > 0:
             raise GraphError(f"activation threshold must be positive, got {self.theta}")
-        if self.phi != 0.5:
-            raise GraphError("shift term is fixed at 1/2")
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,8 @@ def input_batch(graph, x):
     """The input as a float64 (N, C, H, W) batch; one (C, H, W) image gets N = 1.
 
     Both forward passes start here. Raises ValueError, naming the input
-    layer, for an empty batch or a sample shape other than the model's.
+    layer, for an empty batch, a sample shape other than the model's, or a
+    NaN or infinite value.
     """
     layer = graph.input_layer
     x = np.asarray(x, dtype=np.float64)
@@ -131,6 +132,8 @@ def input_batch(graph, x):
                          f"does not match model input {layer.shape}")
     if x.shape[0] == 0:
         raise ValueError(f"input layer '{layer.id}': empty batch")
+    if not np.isfinite(x).all():
+        raise ValueError(f"input layer '{layer.id}': input contains non-finite values")
     return x
 
 

@@ -134,35 +134,24 @@ class SpikingModel:
         return 1 if t is None else t
 
 
-def convert(graph):
-    """Build the spiking execution plan for a quantized-activation graph.
+def timestep_map(graph):
+    """Timestep count of every layer's output (None = single-shot real values).
 
-    Raises ConversionError for max-pool layers (the max over unrolled
-    timesteps does not commute with their sum, so there is no exact
-    spiking counterpart) and for residual merges whose branches arrive
-    with different timestep counts.
+    Reads only the graph's structure, so it needs no weights. Raises
+    ConversionError for max-pool layers (the max over unrolled timesteps
+    does not commute with their sum, so there is no exact spiking
+    counterpart) and for residual merges whose branches arrive with
+    different timestep counts.
     """
-    if not graph.weights:
-        raise ConversionError("graph has no weights loaded")
-    for layer in graph.layers:
-        if layer.kind == "max_pool":
-            raise ConversionError(
-                f"layer '{layer.id}': unsupported nonlinearity in certified path (max_pool)")
-
-    t_map, if_plans, scaled_affines = {}, {}, {}
+    t_map = {}
     for layer in graph.layers:
         if layer.kind == "input":
             t_map[layer.id] = None
+        elif layer.kind == "max_pool":
+            raise ConversionError(
+                f"layer '{layer.id}': unsupported nonlinearity in certified path (max_pool)")
         elif layer.kind == "qcfs_act":
-            t_in = t_map[layer.preds[0]]
-            cfg = layer.qcfs
-            theta_star = cfg.theta / cfg.L
-            if t_in is None:
-                plan = IfLayer(layer.id, theta_star, l_in=cfg.L, l_out=cfg.L, input_mode=True)
-            else:
-                plan = IfLayer(layer.id, theta_star, l_in=t_in, l_out=cfg.L)
-            if_plans[layer.id] = plan
-            t_map[layer.id] = cfg.L
+            t_map[layer.id] = layer.qcfs.L
         elif layer.kind == "residual_add":
             t_a, t_b = (t_map[p] for p in layer.preds)
             if t_a != t_b:
@@ -173,12 +162,35 @@ def convert(graph):
             t_map[layer.id] = t_a
         else:
             t_map[layer.id] = t_map[layer.preds[0]]
-            if layer.is_matmul:
-                affine = layer_affine(graph, layer)
-                t_in = t_map[layer.preds[0]]
-                if affine is not None and t_in is not None:
-                    affine = affine.scaled(1.0 / t_in)
-                scaled_affines[layer.id] = affine
+    return t_map
+
+
+def convert(graph):
+    """Build the spiking execution plan for a quantized-activation graph.
+
+    Raises ConversionError for a graph without weights and wherever
+    timestep_map does.
+    """
+    if not graph.weights:
+        raise ConversionError("graph has no weights loaded")
+    t_map = timestep_map(graph)
+    if_plans, scaled_affines = {}, {}
+    for layer in graph.layers:
+        if layer.kind == "qcfs_act":
+            t_in = t_map[layer.preds[0]]
+            cfg = layer.qcfs
+            theta_star = cfg.theta / cfg.L
+            if t_in is None:
+                plan = IfLayer(layer.id, theta_star, l_in=cfg.L, l_out=cfg.L, input_mode=True)
+            else:
+                plan = IfLayer(layer.id, theta_star, l_in=t_in, l_out=cfg.L)
+            if_plans[layer.id] = plan
+        elif layer.is_matmul:
+            affine = layer_affine(graph, layer)
+            t_in = t_map[layer.preds[0]]
+            if affine is not None and t_in is not None:
+                affine = affine.scaled(1.0 / t_in)
+            scaled_affines[layer.id] = affine
     return SpikingModel(graph=graph, t_map=t_map, if_plans=if_plans,
                         scaled_affines=scaled_affines)
 

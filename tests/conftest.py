@@ -6,13 +6,37 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spikecast.energy import dims_from_graph
 from spikecast.graph import init_random, parse_manifest
-from spikecast.zoo import residual_block_manifest, toy_manifest
+from spikecast.zoo import (residual_block_manifest, resnet_manifest, toy_manifest,
+                           vgg16_manifest)
 
 
 @pytest.fixture
 def toy_graph():
     return init_random(parse_manifest(toy_manifest()), 42)
+
+
+def zoo_dims(manifest):
+    """MatMulDims of a manifest's matmuls, in graph order."""
+    return dims_from_graph(parse_manifest(manifest))[0]
+
+
+def vgg16_cifar(classes=10):
+    return zoo_dims(vgg16_manifest(classes))
+
+
+def vgg16_imagenet():
+    return zoo_dims(vgg16_manifest(1000, input_size=224))
+
+
+def resnet18_cifar():
+    return zoo_dims(resnet_manifest())
+
+
+def resnet34_imagenet():
+    return zoo_dims(resnet_manifest((3, 4, 6, 3), input_size=224, classes=1000,
+                                    imagenet_stem=True))
 
 
 def traced_peak_bytes(call):

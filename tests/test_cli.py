@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from spikecast import cli
 from spikecast.cli import main
 from spikecast.zoo import toy_manifest, vgg16_manifest
 
@@ -48,6 +50,22 @@ class TestConvert:
               "--out", str(out2)])
         assert read_tree(out1) == read_tree(out2)
 
+    def test_bundle_certifies_like_its_source(self, toy_manifest_path, tmp_path):
+        out = tmp_path / "bundle"
+        main(["convert", "--manifest", toy_manifest_path, "--seed", "7", "--out", str(out)])
+        inputs = tmp_path / "x.f32"
+        np.random.default_rng(5).uniform(0, 1, size=(6, 2, 8, 8)).astype("<f4").tofile(inputs)
+        source, bundled = tmp_path / "source.json", tmp_path / "bundled.json"
+        assert main(["check-equiv", "--manifest", toy_manifest_path, "--seed", "7",
+                     "--inputs", str(inputs), "--out", str(source)]) == 0
+        assert main(["check-equiv", "--manifest", str(out / "manifest.json"),
+                     "--weights", str(out), "--inputs", str(inputs),
+                     "--out", str(bundled)]) == 0
+        docs = [json.loads(p.read_text()) for p in (source, bundled)]
+        for doc in docs:
+            del doc["config"]
+        assert docs[0] == docs[1]
+
 
 class TestCheckEquiv:
     def test_random_net_passes(self, toy_manifest_path, tmp_path, capsys):
@@ -87,6 +105,19 @@ class TestCheckEquiv:
         code = main(["check-equiv", "--manifest", toy_manifest_path])
         assert code == 2
         assert "exactly one" in capsys.readouterr().err
+
+    def test_non_finite_input_blob_exits_2(self, toy_manifest_path, tmp_path, capsys):
+        inputs = tmp_path / "nan.f32"
+        x = np.zeros((2, 2, 8, 8), dtype="<f4")
+        x[1, 1, 2, 2] = np.nan
+        x.tofile(inputs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["check-equiv", "--manifest", toy_manifest_path, "--seed", "3",
+                         "--inputs", str(inputs)])
+        assert code == 2
+        assert "input layer 'in': input contains non-finite values" in capsys.readouterr().err
+        assert not caught
 
     def test_report_bytes_deterministic(self, toy_manifest_path, tmp_path):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
@@ -163,6 +194,16 @@ class TestEnergy:
         doc = json.loads(out.read_text())
         assert doc["aggregates"]["total_ann_macs"] == 332111872
         assert (tmp_path / "energy.csv").exists()
+
+    def test_assumed_rate_builds_no_weights(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise AssertionError("energy drew weights without --rate measured")
+        monkeypatch.setattr(cli, "init_random", fail)
+        monkeypatch.setattr(cli, "convert", fail)
+        path = tmp_path / "vgg.json"
+        path.write_text(vgg16_manifest(classes=10, steps=4))
+        assert main(["energy", "--manifest", str(path), "--seed", "3"]) == 0
+        assert "total matmul ops: 332,111,872" in capsys.readouterr().out
 
     def test_measured_rate_mode(self, toy_manifest_path, tmp_path, capsys):
         code = main(["energy", "--manifest", toy_manifest_path, "--seed", "3",

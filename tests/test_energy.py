@@ -1,12 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
-from spikecast.energy import (ENERGY, EnergyModelError, MatMulDims, PoolDims,
+from spikecast.energy import (ENERGY, EnergyModelError, MatMulDims,
                               RESNET18_CIFAR_GOLDEN, ann_snn_energy_ratio,
-                              build_report, golden_table, op_counts,
-                              overall_r_e, qcfs_paired, r_e_layer, r_prime,
-                              resnet18_cifar_dims, resnet34_imagenet, t_eff,
-                              t_norm, vgg16_cifar, vgg16_imagenet)
+                              build_report, dims_from_graph, golden_table,
+                              op_counts, overall_r_e, qcfs_paired, r_e_layer,
+                              r_prime, t_eff, t_norm)
+from spikecast.graph import parse_manifest
+from spikecast.zoo import resnet_manifest
+
+from conftest import resnet18_cifar, resnet34_imagenet, vgg16_cifar, vgg16_imagenet
 
 VGG_CIFAR_CONV_MACS = [
     1769472, 37748736, 18874368, 37748736, 18874368, 37748736, 37748736,
@@ -19,33 +24,29 @@ VGG_IMAGENET_CONV_MACS = [
 ]
 
 
-def matmuls(layers):
-    return [d for d in layers if isinstance(d, MatMulDims)]
-
-
 class TestOpCounts:
     def test_first_conv_row(self):
-        d = matmuls(vgg16_cifar(10))[0]
+        d = vgg16_cifar(10)[0]
         assert op_counts(d, "ann").macs == 1769472
 
     def test_every_vgg_cifar_row(self):
-        convs = [d for d in matmuls(vgg16_cifar(10)) if d.kind == "conv"]
+        convs = [d for d in vgg16_cifar(10) if d.kind == "conv"]
         assert [d.macs for d in convs] == VGG_CIFAR_CONV_MACS
-        fcs = [d for d in matmuls(vgg16_cifar(10)) if d.kind == "fc"]
+        fcs = [d for d in vgg16_cifar(10) if d.kind == "fc"]
         assert [d.macs for d in fcs] == [2097152, 16777216, 40960]
-        fcs100 = [d for d in matmuls(vgg16_cifar(100)) if d.kind == "fc"]
+        fcs100 = [d for d in vgg16_cifar(100) if d.kind == "fc"]
         assert fcs100[-1].macs == 409600
 
     def test_every_vgg_imagenet_row(self):
-        convs = [d for d in matmuls(vgg16_imagenet()) if d.kind == "conv"]
+        convs = [d for d in vgg16_imagenet() if d.kind == "conv"]
         assert [d.macs for d in convs] == VGG_IMAGENET_CONV_MACS
-        fcs = [d for d in matmuls(vgg16_imagenet()) if d.kind == "fc"]
+        fcs = [d for d in vgg16_imagenet() if d.kind == "fc"]
         assert [d.macs for d in fcs] == [102760448, 16777216, 4096000]
 
     def test_totals(self):
-        assert sum(d.macs for d in matmuls(vgg16_cifar(10))) == 332111872
-        assert sum(d.macs for d in matmuls(vgg16_cifar(100))) == 332480512
-        assert sum(d.macs for d in matmuls(vgg16_imagenet())) == 15470264320
+        assert sum(d.macs for d in vgg16_cifar(10)) == 332111872
+        assert sum(d.macs for d in vgg16_cifar(100)) == 332480512
+        assert sum(d.macs for d in vgg16_imagenet()) == 15470264320
         body = sum(m for *_, m in RESNET18_CIFAR_GOLDEN)
         assert body + 5120 == 217584640
         assert body + 51200 == 217630720
@@ -65,9 +66,6 @@ class TestOpCounts:
     def test_ann_mode_has_no_acs(self):
         d = MatMulDims("x", "fc", 512, 10)
         assert op_counts(d, "ann").acs == 0
-
-    def test_pool_rows_are_free(self):
-        assert op_counts(PoolDims("p"), "ann").macs == 0
 
     def test_unknown_kind(self):
         with pytest.raises(EnergyModelError, match="unknown layer kind"):
@@ -128,8 +126,7 @@ class TestTimesteps:
 
     def test_uniform_vector_collapses_to_t_norm(self):
         layers = vgg16_cifar(10)
-        n = len(matmuls(layers))
-        assert t_eff(layers, [4] * n) == t_norm(layers, 4)
+        assert t_eff(layers, [4] * len(layers)) == t_norm(layers, 4)
 
     def test_mean_of_steps_when_overhead_vanishes(self):
         huge = [MatMulDims("x", "fc", 10 ** 12, 4)] * 3
@@ -223,12 +220,41 @@ class TestReport:
         assert report["aggregates"]["t_eff"] == pytest.approx(
             t_eff(layers, steps), rel=1e-12)
 
+    def test_dims_from_graph_pairs_through_residual_adds(self):
+        graph = parse_manifest(resnet_manifest((1, 1), (4, 8), input_size=8, steps=2))
+        dims, steps, sources = dims_from_graph(graph)
+        got = {d.name: (d.paired, L, src) for d, L, src in zip(dims, steps, sources)}
+        assert got == {
+            "stem": (True, 2, None),
+            "s1b1_conv1": (True, 2, "stem_act"),
+            "s1b1_conv2": (True, 2, "s1b1_act1"),
+            "s2b1_conv1": (True, 2, "s1b1_act2"),
+            "s2b1_proj": (False, 2, "s1b1_act2"),
+            "s2b1_conv2": (True, 2, "s2b1_act1"),
+            "fc": (False, 2, "s2b1_act2"),
+        }
+        proj = dims[[d.name for d in dims].index("s2b1_proj")]
+        assert (proj.c_in, proj.c_out, proj.k_h, proj.h_out) == (4, 8, 1, 4)
+
+    def test_residual_pairing_follows_the_first_predecessor(self):
+        # a manifest that lists the shortcut first pairs the shortcut: the
+        # projection takes the block's activation and conv2 goes unpaired
+        doc = json.loads(resnet_manifest((1, 1), (4, 8), input_size=8, steps=2))
+        for layer in doc["layers"]:
+            if layer["kind"] == "residual_add":
+                layer["pred"].reverse()
+        dims, _, _ = dims_from_graph(parse_manifest(json.dumps(doc)))
+        assert {d.name: d.paired for d in dims} == {
+            "stem": True, "s1b1_conv1": True, "s1b1_conv2": False,
+            "s2b1_conv1": True, "s2b1_proj": True, "s2b1_conv2": False, "fc": False,
+        }
+
     def test_resnet18_dims_are_formula_consistent(self):
         # the derived geometry (used for ratio math) is self-consistent even
         # though the golden table rows are stored literally
-        total = sum(d.macs for d in matmuls(resnet18_cifar_dims(10)))
+        total = sum(d.macs for d in resnet18_cifar())
         assert total > 0
-        assert len(qcfs_paired(resnet18_cifar_dims(10))) == 17
+        assert len(qcfs_paired(resnet18_cifar())) == 17
 
 
 class TestGoldenTables:
@@ -239,6 +265,57 @@ class TestGoldenTables:
         assert totals == {"ImageNet": 15470264320}
         rows, totals = golden_table("resnet18-cifar")
         assert totals == {"CIFAR-10": 217584640, "CIFAR-100": 217630720}
+
+    def test_vgg16_rows_match_the_reference_tables(self):
+        rows, _ = golden_table("vgg16-cifar")
+        assert rows == [
+            ("Conv1_1", "", "32x32x64", 1769472),
+            ("Conv1_2", "", "32x32x64", 37748736),
+            ("Pool1", "32x32x64", "16x16x64", None),
+            ("Conv2_1", "", "16x16x128", 18874368),
+            ("Conv2_2", "", "16x16x128", 37748736),
+            ("Pool2", "16x16x128", "8x8x128", None),
+            ("Conv3_1", "", "8x8x256", 18874368),
+            ("Conv3_2", "", "8x8x256", 37748736),
+            ("Conv3_3", "", "8x8x256", 37748736),
+            ("Pool3", "8x8x256", "4x4x256", None),
+            ("Conv4_1", "", "4x4x512", 18874368),
+            ("Conv4_2", "", "4x4x512", 37748736),
+            ("Conv4_3", "", "4x4x512", 37748736),
+            ("Pool4", "4x4x512", "2x2x512", None),
+            ("Conv5_1", "", "2x2x512", 9437184),
+            ("Conv5_2", "", "2x2x512", 9437184),
+            ("Conv5_3", "", "2x2x512", 9437184),
+            ("Pool5", "2x2x512", "1x1x512", None),
+            ("FC1", "", "", 2097152),
+            ("FC2", "", "", 16777216),
+            ("FC3 (CIFAR-10)", "4096", "10", 40960),
+            ("FC3 (CIFAR-100)", "4096", "100", 409600),
+        ]
+        rows, _ = golden_table("vgg16-imagenet")
+        assert rows == [
+            ("Conv1_1", "", "224x224x64", 86704128),
+            ("Conv1_2", "", "224x224x64", 1849688064),
+            ("Pool1", "224x224x64", "112x112x64", None),
+            ("Conv2_1", "", "112x112x128", 924844032),
+            ("Conv2_2", "", "112x112x128", 1849688064),
+            ("Pool2", "112x112x128", "56x56x128", None),
+            ("Conv3_1", "", "56x56x256", 924844032),
+            ("Conv3_2", "", "56x56x256", 1849688064),
+            ("Conv3_3", "", "56x56x256", 1849688064),
+            ("Pool3", "56x56x256", "28x28x256", None),
+            ("Conv4_1", "", "28x28x512", 924844032),
+            ("Conv4_2", "", "28x28x512", 1849688064),
+            ("Conv4_3", "", "28x28x512", 1849688064),
+            ("Pool4", "28x28x512", "14x14x512", None),
+            ("Conv5_1", "", "14x14x512", 462422016),
+            ("Conv5_2", "", "14x14x512", 462422016),
+            ("Conv5_3", "", "14x14x512", 462422016),
+            ("Pool5", "14x14x512", "7x7x512", None),
+            ("FC1", "", "", 102760448),
+            ("FC2", "", "", 16777216),
+            ("FC3", "", "", 4096000),
+        ]
 
     def test_unknown_target(self):
         with pytest.raises(EnergyModelError, match="unknown golden target"):

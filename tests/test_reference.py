@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,16 @@ class TestAnnForward:
     def test_empty_batch_names_input_layer(self, toy_graph):
         with pytest.raises(ValueError, match="input layer 'in': empty batch"):
             ann_forward(toy_graph, np.zeros((0, 2, 8, 8)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_names_input_layer(self, toy_graph, bad):
+        x = np.zeros((2, 2, 8, 8))
+        x[1, 0, 3, 4] = bad
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="input layer 'in': input contains non-finite"):
+                ann_forward(toy_graph, x)
+        assert not caught
 
 
 class TestClassificationMap:

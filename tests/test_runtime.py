@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from spikecast.runtime import (ConversionError, IfLayer, SnnTrace, SpikeTrain,
                                if_generic_layer, if_input_layer, snn_forward,
                                unrolled_avg_pool, unrolled_matmul,
                                unrolled_residual_add)
-from spikecast.zoo import residual_block_manifest, toy_manifest
+from spikecast.zoo import residual_block_manifest, resnet_manifest, toy_manifest
 
 from conftest import (full_array_if, mean_avg_pool2d, negative_weight_graph,
                       random_graph, step_train_sum, traced_peak_bytes)
@@ -339,6 +340,16 @@ class TestSnnForward:
         with pytest.raises(ValueError, match="input layer 'in': empty batch"):
             snn_forward(convert(toy_graph), np.zeros((0, 2, 8, 8)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_names_input_layer(self, toy_graph, bad):
+        x = np.zeros((2, 2, 8, 8))
+        x[0, 1, 7, 0] = bad
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="input layer 'in': input contains non-finite"):
+                snn_forward(convert(toy_graph), x)
+        assert not caught
+
     def test_spike_train_membership_bitwise(self, toy_graph):
         x = np.random.default_rng(11).uniform(0, 1, size=(2, 2, 8, 8))
         trace = SnnTrace()
@@ -401,6 +412,18 @@ class TestCheckEquivalence:
     def test_residual_model_agrees(self):
         g = init_random(parse_manifest(residual_block_manifest()), 3)
         x = np.random.default_rng(13).uniform(0, 1, size=(4, 3, 8, 8))
+        rep = check_equivalence(g, x)
+        assert rep.argmax_agreement == 1.0
+        assert rep.max_rel_dev <= 1e-4
+
+    def test_resnet_with_projection_shortcuts_agrees(self):
+        # conv stacks meet identity and 1x1 projection shortcuts in residual adds
+        g = init_random(parse_manifest(
+            resnet_manifest((2, 2), (4, 8), input_size=8, steps=2)), 17)
+        merges = [l for l in g.layers if l.kind == "residual_add"]
+        assert len(merges) == 4
+        assert g.layer(merges[2].preds[1]).kind == "conv"      # the projection
+        x = np.random.default_rng(17).uniform(0, 1, size=(16, 3, 8, 8))
         rep = check_equivalence(g, x)
         assert rep.argmax_agreement == 1.0
         assert rep.max_rel_dev <= 1e-4

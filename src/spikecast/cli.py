@@ -235,16 +235,18 @@ def _parse_steps(text):
 
 
 def _measured_rates(model, sources, inputs):
-    """Per-matmul spike rate of the train each matmul consumes.
+    """Per-matmul spike rate of the train each matmul consumes, as emitted
+    spikes per neuron (IfStats.spike_rate for a generic layer).
 
     Prefix layers see the real-valued image; they are MAC-counted anyway
-    and get the model-mean rate so the ratio columns stay defined.
+    and get the mean rate of all trains so the ratio columns stay defined.
     """
-    _, stats = snn_forward(model, inputs)
-    mean_rate = (float(np.mean([st.spike_rate for st in stats.values()]))
-                 if stats else 0.75)
-    return [max(stats[src].spike_rate if src in stats else mean_rate, 1e-12)
-            for src in sources]
+    trace = runtime.SnnTrace()
+    snn_forward(model, inputs, trace=trace)
+    rates = {lid: int(np.count_nonzero(train.bits)) / train.bits[0].size
+             for lid, train in trace.trains.items()}
+    mean_rate = float(np.mean(list(rates.values()))) if rates else 0.75
+    return [max(rates.get(src, mean_rate), 1e-12) for src in sources]
 
 
 def cmd_energy(args):

@@ -425,6 +425,10 @@ def save_weights(graph, blob_dir):
         np.concatenate(parts).tofile(blob_dir / f"{layer.id}.f32")
 
 
+# Values per uniform draw in init_random: bounds the float64 temporary.
+_DRAW_CHUNK = 1 << 20
+
+
 def init_random(graph, seed):
     """Seeded random weights: uniform [-r, r] with r = sqrt(1/fan_in).
 
@@ -432,7 +436,9 @@ def init_random(graph, seed):
     fields are drawn in blob order, so a given (graph, seed) pair always
     produces bit-identical float32 weights. Batch-norm fields use fixed
     generic ranges: gamma in [0.5, 1.5], beta and mean in [-0.5, 0.5],
-    variance in [0.25, 1.0].
+    variance in [0.25, 1.0]. A field is drawn in chunks of _DRAW_CHUNK
+    values straight into its float32 array; uniform draws consume the
+    stream one value at a time, so the chunks give the bytes of one draw.
     """
     rng = np.random.default_rng(np.uint64(seed))
     weights = {}
@@ -443,14 +449,18 @@ def init_random(graph, seed):
         arrays = {}
         for name, shape in _weight_fields(layer):
             if name == "weight" or name == "bias":
-                draw = rng.uniform(-r, r, size=shape)
+                low, high = -r, r
             elif name == "gamma":
-                draw = rng.uniform(0.5, 1.5, size=shape)
+                low, high = 0.5, 1.5
             elif name == "sigma_sq":
-                draw = rng.uniform(0.25, 1.0, size=shape)
+                low, high = 0.25, 1.0
             else:  # beta, mu
-                draw = rng.uniform(-0.5, 0.5, size=shape)
-            arrays[name] = draw.astype(np.float32)
+                low, high = -0.5, 0.5
+            arrays[name] = np.empty(shape, dtype=np.float32)
+            flat = arrays[name].reshape(-1)
+            for lo in range(0, flat.size, _DRAW_CHUNK):
+                flat[lo:lo + _DRAW_CHUNK] = rng.uniform(
+                    low, high, size=min(_DRAW_CHUNK, flat.size - lo))
         weights[layer.id] = arrays
     return graph.with_weights(weights)
 

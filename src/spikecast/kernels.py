@@ -24,21 +24,26 @@ or the same product on an F-ordered ``cols``, runs a different BLAS kernel
 whose rounding differs (seen with C_out <= 3), so outputs would no longer
 be bitwise equal to earlier versions.
 
-Blocks: when the whole patch matrix would exceed ``_PATCH_BLOCK_BYTES``,
-conv2d splits the batch into the fewest balanced blocks of whole images
-that fit, and runs the same product once per block through one reused
-patch buffer. A row's result does not depend on how many other rows share
-its product as long as BLAS picks the same kernel, so blocking leaves every
-byte unchanged. Blocks must stay large for that: OpenBLAS (0.3.31)
-runs small products through kernels that round differently. Splitting
-small random conv batches into one-image products changed bits in 123 of
-400 geometries, all below M*N*K = 1e5 per image, by up to 1.4e-14. A
-batch that fits the budget stays one block, and a split batch's balanced
-blocks each hold more than a third of the budget (over 1.4 M patch
-entries, so M*N*K > 1.4e6); at that size 160 random splits with
-C_out >= 2 matched the unsplit product byte for byte. C_out = 1 is never
-split: that product runs as a matrix-vector kernel whose rounding depends
-on where a row sits, and splitting it changed bits in 77 of 80 cases.
+Blocks: when the whole patch matrix would exceed ``_PATCH_BLOCK_BYTES``
+(8 MiB), conv2d splits the batch into balanced blocks of whole images and
+runs the same product once per block through one reused patch buffer. It
+takes the fewest blocks that fit the budget, but never so many that a
+block's product falls below ``_BLOCK_MIN_MACS`` (4e6 multiply-adds,
+rows * C_out * taps): a conv with few output channels gets fewer, larger
+blocks than the budget asks for. A row's result does not depend on how
+many other rows share its product as long as BLAS picks the same kernel,
+so blocking leaves every byte unchanged. Blocks must stay large for that:
+OpenBLAS (0.3.31, 2 threads) runs small products through kernels that
+round differently. Of 300 random balanced splits of 288-tap products with
+C_out 2 to 64, 27 changed bits, all with blocks below 1.1e6
+multiply-adds; the 167 with blocks of 1.6e6 and more matched byte for
+byte. Over VGG's tap counts (27 to 4608), C_out 2 to 512 and blocks of
+2e6 to 4e7 multiply-adds, 157 of 158 splits matched; the other had
+one-row blocks, which run as a matrix-vector product. Splitting small
+random conv batches into one-image products changed bits in 123 of 400
+geometries. C_out = 1 is never split: that product runs as a
+matrix-vector kernel whose rounding depends on where a row sits, and
+splitting it changed bits in 77 of 80 cases.
 
 Epilogues run in the buffer that holds their data. conv2d applies a
 batch-norm affine per block: the first add reads the block's product
@@ -204,8 +209,22 @@ def _patch_index(c, h_p, w_p, kernel, stride, out_hw):
     return index
 
 
-# Most patch-matrix bytes conv2d holds at once; see "Blocks" above.
-_PATCH_BLOCK_BYTES = 32 << 20
+# Most patch-matrix bytes conv2d holds at once, and fewest multiply-adds
+# (rows * C_out * taps) a block of a split product may have; see "Blocks" above.
+_PATCH_BLOCK_BYTES = 8 << 20
+_BLOCK_MIN_MACS = 4_000_000
+
+
+def _block_count(n, patch_entries, c_out, itemsize):
+    """Balanced blocks of whole images for n images of patch_entries each:
+    the fewest that fit the byte budget, but no more than keep the smallest
+    block at or above the multiply-add floor. C_out = 1 is never split."""
+    if c_out == 1:
+        return 1
+    by_budget = -(-n * patch_entries * itemsize // _PATCH_BLOCK_BYTES)
+    # a balanced block holds at least n // blocks images
+    by_floor = n // -(-_BLOCK_MIN_MACS // (patch_entries * c_out))
+    return max(1, min(by_budget, by_floor))
 
 
 def conv2d(x, params, scale=None, affine=None, l_scale=1.0):
@@ -235,10 +254,7 @@ def conv2d(x, params, scale=None, affine=None, l_scale=1.0):
     flat_w = params.weights.reshape(c_out, taps)
 
     dtype = x.dtype if scale is None else np.dtype(np.float64)
-    if c_out == 1:      # a matrix-vector product: never split, see "Blocks" above
-        blocks = 1
-    else:
-        blocks = max(1, min(n, -(-n * index.size * dtype.itemsize // _PATCH_BLOCK_BYTES)))
+    blocks = _block_count(n, index.size, c_out, dtype.itemsize)
     edges = [n * b // blocks for b in range(blocks + 1)]
     size = -(-n // blocks)
     cols = np.empty((size, index.size), dtype=dtype)

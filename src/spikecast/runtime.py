@@ -48,9 +48,12 @@ builds no float64 copy of a whole train:
                 looked up in a cumulative table by its count.
 
 Each lookup table holds the very float sums the dense path adds, so the
-results are byte for byte those of the dense train. Stage 2 of the
-integrate-and-fire layer runs on the neurons whose membrane can still move
-(below 0 or at threshold and above), gathered once.
+results are byte for byte those of the dense train. The integrate-and-fire
+layer runs stages 1 and 2 over chunks of 32K neurons, so its membranes and
+masks are chunk-sized, and stage 2 runs only on a chunk's neurons whose
+membrane can still move (below 0 or at threshold and above). Its counter is
+int16 whenever L_in plus the stage-2 steps fits that dtype and int64
+otherwise; IfStats.counter is int64 either way.
 The forward pass drops each layer's value as soon as its last consumer has
 run, so only a few layers' values are alive at once.
 
@@ -235,6 +238,17 @@ def _settle(mem, count, th, steps):
     return excitatory, inhibitory
 
 
+# Neurons per chunk of the integrate-and-fire layer: its membranes and masks
+# stay in cache over all steps, and no float temporary spans the layer.
+_IF_CHUNK = 1 << 15
+
+
+def _counter_dtype(l_in, stage2_steps):
+    """int16 when every counter fits it, else int64: a counter moves by at
+    most one per step, so it stays within +-(l_in + stage2_steps)."""
+    return np.int16 if l_in + stage2_steps <= np.iinfo(np.int16).max else np.int64
+
+
 def if_generic_layer(stack, plan, keep_counter=False):
     """Run the three-stage integrate-and-fire layer on an unrolled stack.
 
@@ -249,36 +263,45 @@ def if_generic_layer(stack, plan, keep_counter=False):
             f"got {stack.shape[0]}")
     th = plan.theta_star
     shape = stack.shape[1:]
-    mem = np.full(shape, th / 2.0)
-    count = np.zeros(shape, dtype=np.int64)
-
-    # mem and count are updated in place. Stage 1 subtracts th * fire from
-    # every membrane, which is exact where nothing fires (x - 0.0 is x, a
-    # -0.0 included) and runs much faster than a subtract masked by fire.
-    fire = np.empty(shape, dtype=bool)
-    drop = np.empty(shape)
-    stage1_spikes = 0
-    for t in range(plan.l_in):
-        mem += stack[t]
-        np.greater_equal(mem, th, out=fire)
-        count += fire
-        np.multiply(fire, th, out=drop)
-        mem -= drop
-        stage1_spikes += int(np.count_nonzero(fire))
-
+    flat = stack.reshape(plan.l_in, -1)
+    size = flat.shape[1]
     stage2_steps = max(plan.l_in, plan.l_out) - 1
-    excitatory = inhibitory = 0
-    if stage2_steps:
-        # a membrane in [0, th) neither fires nor inhibits, so it never moves:
-        # stage 2 runs on the other neurons only, gathered once
-        moving = np.flatnonzero((mem < 0.0) | (mem >= th))
-        moved = count.ravel()[moving]
-        excitatory, inhibitory = _settle(mem.ravel()[moving], moved, th, stage2_steps)
-        count.ravel()[moving] = moved
+    count = np.zeros(size, dtype=_counter_dtype(plan.l_in, stage2_steps))
 
-    emit = np.clip(count, 0, plan.l_out)
-    ticks = np.arange(1, plan.l_out + 1).reshape((plan.l_out,) + (1,) * count.ndim)
-    bits = ticks <= emit[None, ...]
+    # Stages 1 and 2 run chunk by chunk; a neuron's steps are the same IEEE
+    # operations in the same order as on the whole layer. Stage 1 subtracts
+    # th * fire from every membrane, which is exact where nothing fires
+    # (x - 0.0 is x, a -0.0 included) and runs much faster than a subtract
+    # masked by fire.
+    width = min(size, _IF_CHUNK)
+    mem_buf, fire_buf, drop_buf = np.empty(width), np.empty(width, dtype=bool), np.empty(width)
+    stage1_spikes = excitatory = inhibitory = 0
+    for lo in range(0, size, _IF_CHUNK):
+        hi = min(lo + _IF_CHUNK, size)
+        mem, fire, drop = mem_buf[:hi - lo], fire_buf[:hi - lo], drop_buf[:hi - lo]
+        part = count[lo:hi]
+        mem.fill(th / 2.0)
+        for t in range(plan.l_in):
+            mem += flat[t, lo:hi]
+            np.greater_equal(mem, th, out=fire)
+            part += fire
+            np.multiply(fire, th, out=drop)
+            mem -= drop
+        stage1_spikes += int(part.sum())
+        if stage2_steps:
+            # a membrane in [0, th) neither fires nor inhibits, so it never
+            # moves: stage 2 runs on the chunk's other neurons only
+            moving = np.flatnonzero((mem < 0.0) | (mem >= th))
+            moved = part[moving]
+            e, i = _settle(mem[moving], moved, th, stage2_steps)
+            part[moving] = moved
+            excitatory += e
+            inhibitory += i
+
+    counter = count.astype(np.int64).reshape(shape) if keep_counter else None
+    emit = np.clip(count, 0, plan.l_out, out=count)
+    ticks = np.arange(1, plan.l_out + 1, dtype=emit.dtype)[:, None]
+    bits = (ticks <= emit).reshape((plan.l_out,) + shape)
     stats = IfStats(
         layer_id=plan.layer_id,
         stage_steps=(plan.l_in, stage2_steps, plan.l_out),
@@ -286,9 +309,9 @@ def if_generic_layer(stack, plan, keep_counter=False):
         stage2_excitatory=excitatory,
         stage2_inhibitory=inhibitory,
         emitted_spikes=int(emit.sum()),
-        elements=int(np.prod(shape)),
+        elements=size,
         timesteps=plan.l_out,
-        counter=count if keep_counter else None,
+        counter=counter,
     )
     return SpikeTrain(bits=bits, theta_star=th), stats
 

@@ -6,6 +6,8 @@ import pytest
 
 from spikecast import cli
 from spikecast.cli import main
+from spikecast.graph import init_random, parse_manifest
+from spikecast.runtime import SnnTrace, convert, snn_forward
 from spikecast.zoo import toy_manifest, vgg16_manifest
 
 
@@ -210,3 +212,23 @@ class TestEnergy:
                      "--n", "4", "--rate", "measured"])
         assert code == 0
         assert "overall staged/plain energy ratio" in capsys.readouterr().out
+
+    def test_measured_rates_are_each_sources_train(self, toy_manifest_path, tmp_path, capsys):
+        # conv2 reads act1, the input-mode activation, which keeps no IfStats:
+        # it is costed at act1's emitted spikes per neuron, and the
+        # image-fed conv1 at the mean over both trains
+        out = tmp_path / "energy.json"
+        assert main(["energy", "--manifest", toy_manifest_path, "--seed", "3", "--n", "4",
+                     "--rate", "measured", "--out", str(out)]) == 0
+        rates = {r["layer"]: r["spike_rate"] for r in json.loads(out.read_text())["per_layer"]}
+        graph = init_random(parse_manifest(toy_manifest()), 3)
+        rng = np.random.default_rng(np.uint64(3) + 0x5EED)
+        x = rng.uniform(0.0, 1.0, size=(4,) + graph.input_layer.shape)
+        trace = SnnTrace()
+        snn_forward(convert(graph), x, trace=trace)
+        want = {lid: train.bits.sum() / train.bits[0].size
+                for lid, train in trace.trains.items()}
+        assert want["act1"] == pytest.approx(1.65, abs=0.01)
+        assert rates["conv2"] == pytest.approx(want["act1"], rel=1e-5)
+        assert rates["head"] == pytest.approx(want["act2"], rel=1e-5)
+        assert rates["conv1"] == pytest.approx((want["act1"] + want["act2"]) / 2, rel=1e-5)

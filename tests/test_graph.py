@@ -163,6 +163,20 @@ class TestInitRandom:
         w = g.weights["c1"]["weight"]          # fan_in = 1 * 3 * 3 = 9
         assert np.all(np.abs(w) <= 1.0 / 3.0)
 
+    def test_chunked_draws_match_one_shot_draw(self):
+        # fc2 (4096 x 4096) spans 16 chunks; the one-shot draw of each field
+        # from the same stream, cast to float32, is the oracle
+        g = init_random(parse_manifest(vgg16_manifest(classes=10, steps=4)), 3)
+        rng = np.random.default_rng(np.uint64(3))
+        ranges = {"gamma": (0.5, 1.5), "sigma_sq": (0.25, 1.0),
+                  "beta": (-0.5, 0.5), "mu": (-0.5, 0.5)}
+        for layer in g.matmul_layers():
+            r = float(np.sqrt(1.0 / int(np.prod(layer.weight_shape()[1:]))))
+            for name, got in g.weights[layer.id].items():
+                low, high = ranges.get(name, (-r, r))
+                want = rng.uniform(low, high, size=got.shape).astype(np.float32)
+                assert got.tobytes() == want.tobytes(), (layer.id, name)
+
 
 def _view_arrays(graph):
     """Every array of every float64 view of the graph, built on demand."""

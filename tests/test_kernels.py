@@ -53,8 +53,8 @@ def bitwise_cases():
 
 
 def multi_block_case(pad, c_out=8):
-    """A batch of 15x15 outputs whose patch matrix spans three uneven blocks
-    (an odd row count per image, so blocks start at unaligned rows)."""
+    """A batch of 15x15 outputs whose patch matrix spans several uneven
+    blocks (an odd row count per image, so blocks start at unaligned rows)."""
     rng = np.random.default_rng(37 + pad)
     hw = 17 - 2 * pad
     x = rng.uniform(-1, 1, size=(133, 32, hw, hw))
@@ -126,10 +126,33 @@ class TestConv2d:
         with pytest.raises(KernelError, match="bool spike tensor"):
             conv2d(np.ones((1, 1, 2, 2)), p, scale=0.5)
 
-    @pytest.mark.parametrize("pad, c_out", [(0, 8), (1, 8), (1, 2), (1, 1)])
+    @pytest.mark.parametrize("pad, c_out", [(0, 8), (1, 8), (0, 2), (1, 2), (1, 3), (1, 1)])
     def test_multi_block_bitwise_equal(self, pad, c_out):
         x, p = multi_block_case(pad, c_out)
         assert x.shape[0] * patch_bytes_per_image(x, p) > 2 * kernels._PATCH_BLOCK_BYTES
+        blocks = kernels._block_count(x.shape[0], patch_bytes_per_image(x, p) // 8, c_out, 8)
+        assert (blocks > 1) == (c_out > 1)
+        assert conv2d(x, p).tobytes() == sliding_window_conv2d(x, p).tobytes()
+        bits = x > 0.0
+        want = sliding_window_conv2d(bits * 0.25, p).tobytes()
+        assert conv2d(bits, p, scale=0.25).tobytes() == want
+
+    @pytest.mark.parametrize("budget", [None, 1 << 20])
+    def test_small_c_out_splits_above_the_floor(self, budget, monkeypatch):
+        # 300 images of 8x8 outputs at C_out = 2: the budget alone would cut
+        # blocks of 1.8e6 multiply-adds (2.2e5 at 1 MiB, where such blocks
+        # change bits); the floor keeps two blocks of 150 images
+        if budget is not None:
+            monkeypatch.setattr(kernels, "_PATCH_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(53)
+        x = rng.uniform(-1, 1, size=(300, 32, 8, 8))
+        p = ConvParams(weights=rng.uniform(-1, 1, size=(2, 32, 3, 3)), padding=(1, 1))
+        n, entries = x.shape[0], patch_bytes_per_image(x, p) // 8
+        by_budget = -(-n * entries * 8 // kernels._PATCH_BLOCK_BYTES)
+        blocks = kernels._block_count(n, entries, 2, 8)
+        assert blocks == 2 < by_budget
+        assert (n // by_budget) * entries * 2 < kernels._BLOCK_MIN_MACS
+        assert (n // blocks) * entries * 2 >= kernels._BLOCK_MIN_MACS
         assert conv2d(x, p).tobytes() == sliding_window_conv2d(x, p).tobytes()
         bits = x > 0.0
         want = sliding_window_conv2d(bits * 0.25, p).tobytes()

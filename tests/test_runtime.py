@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from spikecast import runtime
 from spikecast.graph import QcfsConfig, init_random, parse_manifest
 from spikecast.kernels import ConvParams
 from spikecast.reference import ann_forward, qcfs
@@ -16,6 +17,8 @@ from spikecast.zoo import residual_block_manifest, resnet_manifest, toy_manifest
 
 from conftest import (full_array_if, mean_avg_pool2d, negative_weight_graph,
                       random_graph, step_train_sum, traced_peak_bytes)
+
+CHUNK = runtime._IF_CHUNK
 
 
 def chain_manifest(l_first, l_second):
@@ -224,6 +227,55 @@ class TestGenericIfLayer:
             assert st.emitted_spikes == int(np.clip(count, 0, l_out).sum())
             ticks = np.arange(1, l_out + 1).reshape(l_out, 1, 1, 1)
             assert np.array_equal(train.bits, ticks <= np.clip(count, 0, l_out))
+
+    @pytest.mark.parametrize("neurons, l_in, l_out", [
+        (1, 4, 4), (CHUNK - 1, 8, 2), (CHUNK, 2, 8), (CHUNK + 1, 3, 5), (3 * CHUNK + 5, 8, 4)])
+    def test_chunks_match_full_array_loop(self, neurons, l_in, l_out):
+        # layers around the chunk size against the loop over every neuron at
+        # once; every third input is a multiple of th / 2, which puts
+        # membranes exactly on 0 and on the threshold
+        rng = np.random.default_rng(neurons)
+        th = 0.25
+        stack = rng.uniform(-1, 1, size=(l_in, neurons))
+        stack[:, ::3] = rng.integers(-4, 5, size=stack[:, ::3].shape) * (th / 2)
+        plan = IfLayer("t", theta_star=th, l_in=l_in, l_out=l_out)
+        train, st = if_generic_layer(stack, plan, keep_counter=True)
+        count, spikes = full_array_if(stack, plan)
+        assert st.counter.tobytes() == count.tobytes()
+        assert [st.stage1_spikes, st.stage2_excitatory, st.stage2_inhibitory] == spikes
+        emit = np.clip(count, 0, l_out)
+        assert st.emitted_spikes == int(emit.sum())
+        assert train.bits.tobytes() == (np.arange(1, l_out + 1)[:, None] <= emit).tobytes()
+
+    def test_counter_dtype_rule(self):
+        limit = np.iinfo(np.int16).max
+        assert runtime._counter_dtype(8, 7) == np.int16
+        assert runtime._counter_dtype(1, limit - 1) == np.int16
+        assert runtime._counter_dtype(1, limit) == np.int64
+
+    def test_counter_past_int16_range(self):
+        # 2**15 stage-2 steps on membranes far from [0, th): the counters
+        # leave the int16 range, so the rule keeps them in int64
+        l_out = 2 ** 15 + 1
+        plan = IfLayer("t", theta_star=1.0, l_in=1, l_out=l_out)
+        assert runtime._counter_dtype(1, l_out - 1) == np.int64
+        stack = np.array([[1e6, 0.75, -1e6]])
+        train, st = if_generic_layer(stack, plan, keep_counter=True)
+        count, spikes = full_array_if(stack, plan)
+        assert count.max() > np.iinfo(np.int16).max
+        assert st.counter.tobytes() == count.tobytes()
+        assert [st.stage1_spikes, st.stage2_excitatory, st.stage2_inhibitory] == spikes
+        assert train.spike_counts().tolist() == [l_out, 1, 0]
+
+    @pytest.mark.parametrize("l_in", [1, 4, 8])
+    def test_peak_does_not_grow_with_steps(self, l_in):
+        # an int16 counter and the emitted bits per neuron, plus buffers of
+        # one chunk: nothing the size of a membrane array over the layer
+        neurons, l_out = 4 * 64 * 32 * 32, 4
+        stack = np.random.default_rng(l_in).uniform(-0.5, 0.5, size=(l_in, 4, 64, 32, 32))
+        plan = IfLayer("t", theta_star=0.25, l_in=l_in, l_out=l_out)
+        bound = neurons * (2 + l_out) + (2 << 20)
+        assert traced_peak_bytes(lambda: if_generic_layer(stack, plan)) < bound
 
     def test_matches_activation_of_summed_input(self):
         # the train total equals the staircase activation of the summed stack

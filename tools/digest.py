@@ -6,6 +6,7 @@ and on the parent's, and compares the two summary lines:
     python3 tools/digest.py                      # the tree holding this file
     python3 tools/digest.py --repo ../parent     # another checkout
     python3 tools/digest.py --list               # one line per digest
+    python3 tools/digest.py --peaks              # also each VGG pass's peak
 
 The set holds one SHA-256 per array or record: the logits; every
 LayerTrace output, pre-activation and histogram; every SnnTrace sum and
@@ -15,6 +16,10 @@ check_equivalence report. The runs are VGG-16/CIFAR-10 at L=4 with batch
 the acceptance gate's 200 models (seed 20240813, from
 tests/conftest.random_graph) and the 8 level-edge probes. Every pass runs
 twice, so warm caches are covered as well as cold ones.
+
+With --peaks, every VGG pass also prints the tracemalloc peak it reached
+above the bytes held when it started; the ``report`` pass is one
+check_equivalence on warm caches. Tracing changes no digest.
 """
 
 import argparse
@@ -22,6 +27,7 @@ import hashlib
 import itertools
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -108,25 +114,41 @@ def report(sc, d, name, graph, x, model):
     d.add(f"{name}/report", {k: v.hex() if isinstance(v, float) else v for k, v in rep.items()})
 
 
-def both_passes(sc, d, name, graph, x):
+def peak_of(show, label, fn, *args):
+    """fn(*args); with show set, print the tracemalloc peak fn reached above
+    the bytes held when it started."""
+    if not show:
+        fn(*args)
+        return
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        print(f"peak {label} {(tracemalloc.get_traced_memory()[1] - base) / 1e6:.2f} MB")
+    finally:
+        tracemalloc.stop()
+
+
+def both_passes(sc, d, name, graph, x, peaks=False):
     model = sc.runtime.convert(graph)
     for rep in range(2):
-        ann_pass(sc, d, f"{name}/{rep}", graph, x)
-        snn_pass(sc, d, f"{name}/{rep}", model, x)
-    report(sc, d, name, graph, x, model)
+        peak_of(peaks, f"{name}/{rep}/ann", ann_pass, sc, d, f"{name}/{rep}", graph, x)
+        peak_of(peaks, f"{name}/{rep}/snn", snn_pass, sc, d, f"{name}/{rep}", model, x)
+    peak_of(peaks, f"{name}/report", report, sc, d, name, graph, x, model)
 
 
-def collect(sc, random_graph):
+def collect(sc, random_graph, peaks=False):
     d = Digests()
     rng = np.random.default_rng(3)
     for name, steps, batch in (("vgg16-b1", 4, 1), ("vgg16-mixed-b8", MIXED_STEPS, 8)):
         text = sc.zoo.vgg16_manifest(classes=10, steps=steps)
         graph = sc.graph.init_random(sc.graph.parse_manifest(text), 3)
-        both_passes(sc, d, name, graph, rng.uniform(0.0, 1.0, size=(batch, 3, 32, 32)))
+        both_passes(sc, d, name, graph, rng.uniform(0.0, 1.0, size=(batch, 3, 32, 32)), peaks)
     graph = sc.graph.init_random(sc.graph.parse_manifest(sc.zoo.vgg16_manifest(10, 4)), 5)
     x = rng.uniform(0.0, 1.0, size=(32, 3, 32, 32))
     for rep in range(2):
-        ann_pass(sc, d, f"calibrate-b32/{rep}", graph, x)
+        peak_of(peaks, f"calibrate-b32/{rep}/ann", ann_pass, sc, d, f"calibrate-b32/{rep}",
+                graph, x)
     del graph, x
 
     gate = np.random.default_rng(GATE_SEED)
@@ -145,6 +167,8 @@ def main(argv=None):
     parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout to digest (default: the one holding this tool)")
     parser.add_argument("--list", action="store_true", help="print every digest")
+    parser.add_argument("--peaks", action="store_true",
+                        help="print the tracemalloc peak of each VGG pass")
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
     if not (repo / "src" / "spikecast").is_dir():
@@ -154,7 +178,7 @@ def main(argv=None):
     import spikecast.zoo  # noqa: F401  (not exported by the package)
     from conftest import random_graph
 
-    d = collect(sc, random_graph)
+    d = collect(sc, random_graph, args.peaks)
     if args.list:
         print("\n".join(d.lines))
     print(d.summary())

@@ -14,7 +14,6 @@ import numpy as np
 
 from spikecast.graph import QcfsConfig
 from spikecast.reference import qcfs, qcfs_levels
-from spikecast.sensitivity import activation_histogram
 
 cfg = QcfsConfig(L=4, theta=0.25)
 print(f"staircase with L={cfg.L}, theta={cfg.theta}\n")
@@ -32,9 +31,9 @@ rng = np.random.default_rng(0)
 z = rng.normal(0.1, 0.15, size=20000)
 out = qcfs(z, cfg)
 assert np.array_equal(qcfs(out, cfg), out), "staircase must be idempotent"
-hist = activation_histogram(out, cfg)
+counts = np.bincount(qcfs_levels(z, cfg), minlength=cfg.L + 1)
 print("\nlevel histogram of 20000 normal samples:")
-width = hist.counts.max()
-for k, count in enumerate(hist.counts):
+width = counts.max()
+for k, count in enumerate(counts):
     bar = "#" * int(round(40 * count / width))
     print(f"  level {k} ({k * cfg.theta / cfg.L:.4f}): {count:6d} {bar}")

@@ -4,7 +4,8 @@ The package splits into:
 
   kernels      dense NCHW inference primitives
   graph        manifests, weight blobs, seeded initialization
-  reference    quantized-activation forward pass and classification map
+  reference    quantized-activation forward pass, the graph walk both
+               passes share, and the classification map
   runtime      conversion engine and staged integrate-and-fire simulator
   sensitivity  per-layer level statistics, clustering, step assignment
   energy       op counts, overhead-weighted timesteps, energy ratios
@@ -20,11 +21,10 @@ from .reference import (ClassificationMap, LayerTrace, ann_forward,
                         classification_map, qcfs)
 from .runtime import (ConversionError, EquivalenceReport, IfLayer, IfStats,
                       SnnTrace, SpikeTrain, SpikingModel, check_equivalence,
-                      convert, if_generic_layer, if_input_layer, snn_forward,
-                      unrolled_matmul, unrolled_residual_add)
-from .sensitivity import (LevelHistogram, MetricError, activation_histogram,
-                          al_metric, assign_layerwise_l, cluster_1d,
-                          default_alpha, kurtosis, skewness, van_der_eijk_a)
+                      convert, if_generic_layer, if_input_layer, snn_forward)
+from .sensitivity import (LevelHistogram, MetricError, al_metric,
+                          assign_layerwise_l, cluster_1d, default_alpha,
+                          kurtosis, skewness, van_der_eijk_a)
 from .energy import (ENERGY, EnergyModelError, MatMulDims, ann_snn_energy_ratio,
                      dims_from_graph, golden_table, op_counts, overall_r_e,
                      r_e_layer, r_prime, t_eff, t_norm)

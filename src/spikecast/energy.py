@@ -334,7 +334,11 @@ def golden_table(name):
     Pool rows carry macs=None. CIFAR targets end in one head row per
     class count (10 and 100) and return totals keyed by head. VGG-16 rows
     are derived from the zoo graphs; the ResNet-18 rows are literal
-    (RESNET18_CIFAR_GOLDEN and RESNET18_CIFAR_HEADS).
+    (RESNET18_CIFAR_GOLDEN and RESNET18_CIFAR_HEADS). The CLI prints a
+    target's T_norm over its zoo graph, which for ResNet-18 gives the very
+    figure of these rows even where their MACs differ: T_norm reads only
+    the matmul count and each matmul's fan-in C_in * K_h * K_w, and both
+    nets have 21 matmuls with the same fan-ins.
     """
     if name == "resnet18-cifar":
         body, heads = list(RESNET18_CIFAR_GOLDEN), RESNET18_CIFAR_HEADS

@@ -3,7 +3,10 @@
 Minimal deterministic numpy kernels used by both the real-valued reference
 path and the unrolled spiking path: cross-correlation convolution,
 fully-connected product, fused batch-norm affine, and average and max
-pooling.
+pooling. Both passes call them the same way: an unrolled layer's T
+timesteps arrive folded into the batch axis as T*N rows, and its affine
+comes already divided by T (BnAffine.scaled, applied in conversion), so no
+kernel knows how many timesteps its rows hold.
 
 All kernels are pure functions: they never mutate their arguments and
 return freshly allocated arrays, so they are safe to call concurrently
@@ -158,19 +161,21 @@ class BnAffine:
         out = cls.identity(bias.shape[0], epsilon)
         return cls(out.gamma, out.beta, out.mu, out.sigma_sq, np.asarray(bias, dtype=float), epsilon)
 
-    def scaled(self, l_scale):
-        """Return a copy with the additive constants divided down.
+    def scaled(self, factor):
+        """Return a copy with the additive constants multiplied by factor.
 
         Splitting a tensor over L unrolled pieces requires b' = b/L,
-        mu' = mu/L and beta' = beta/L so the pieces still sum to the
-        single-shot result; gamma and the variance are untouched.
+        mu' = mu/L and beta' = beta/L (factor 1/L) so the pieces still sum
+        to the single-shot result; gamma and the variance are untouched.
+        This is the only place the split happens: conversion scales each
+        unrolled layer's affine once, and the kernels apply it as given.
         """
         return BnAffine(
             gamma=self.gamma,
-            beta=self.beta * l_scale,
-            mu=self.mu * l_scale,
+            beta=self.beta * factor,
+            mu=self.mu * factor,
             sigma_sq=self.sigma_sq,
-            bias=self.bias * l_scale,
+            bias=self.bias * factor,
             epsilon=self.epsilon,
         )
 
@@ -227,12 +232,12 @@ def _block_count(n, patch_entries, c_out, itemsize):
     return max(1, min(by_budget, by_floor))
 
 
-def conv2d(x, params, scale=None, affine=None, l_scale=1.0):
+def conv2d(x, params, scale=None, affine=None):
     """2-D cross-correlation of an (N, C, H, W) batch with ConvParams.
 
     With scale given, x is a bool spike tensor and the input convolved is
     x * scale; the float64 input is only ever built one block at a time.
-    With affine given, the result is fused_bn_affine(conv, affine, l_scale),
+    With affine given, the result is fused_bn_affine(conv, affine),
     applied one block at a time in the output buffer.
     """
     _check(x.ndim == 4, "conv input must be 4-D, got shape {}", x.shape)
@@ -246,7 +251,7 @@ def conv2d(x, params, scale=None, affine=None, l_scale=1.0):
     h_o, w_o = conv_output_hw(h, w, params.kernel, params.stride, params.padding)
     h_p, w_p = h + 2 * p_h, w + 2 * p_w
     c_out, taps = params.out_channels, c * k_h * k_w
-    terms = () if affine is None else _affine_terms(affine, l_scale, 4, c_out)
+    terms = () if affine is None else _affine_terms(affine, 4, c_out)
     index = _patch_index(c, h_p, w_p, params.kernel, tuple(params.stride), (h_o, w_o))
     # take copies a read-only index on every call, so it gets the writeable
     # (patch, tap) grid the cached index is a flat view of; take never writes it
@@ -303,16 +308,16 @@ def fully_connected(x, weights):
     return out
 
 
-def _affine_terms(affine, l_scale, ndim, channels):
+def _affine_terms(affine, ndim, channels):
     """shift, gamma, denom and beta of gamma * (y + shift) / denom + beta,
     shaped to broadcast over an (N, channels, ...) tensor with ndim axes."""
     _check(affine.gamma.shape[0] == channels,
            "affine expects {} channels, input has {}", affine.gamma.shape[0], channels)
     shape = (1, channels) + (1,) * (ndim - 2)
-    shift = (l_scale * (affine.bias - affine.mu)).reshape(shape)
+    shift = (affine.bias - affine.mu).reshape(shape)
     gamma = affine.gamma.reshape(shape)
     denom = np.sqrt(affine.sigma_sq + affine.epsilon).reshape(shape)
-    beta = (l_scale * affine.beta).reshape(shape)
+    beta = affine.beta.reshape(shape)
     return shift, gamma, denom, beta
 
 
@@ -326,17 +331,16 @@ def _affine_into(y, terms, out):
     np.add(out, beta, out=out)
 
 
-def fused_bn_affine(y, affine, l_scale=1.0, out=None):
+def fused_bn_affine(y, affine, out=None):
     """Apply a BnAffine per output channel.
 
-    l_scale divides the additive constants (bias, mu, beta): pass 1 for a
-    single-shot pass and 1/L when the layer is unrolled over L timesteps,
-    so that the L unrolled outputs sum to the single-shot output. out, if
-    given, receives the result and may be y itself; it must have y's shape
-    and the dtype the expression promotes to.
+    A layer unrolled over T timesteps gets the affine its conversion
+    divided down (BnAffine.scaled(1 / T)), so the T outputs sum to the
+    single-shot output. out, if given, receives the result and may be y
+    itself; it must have y's shape and the dtype the expression promotes to.
     """
     _check(y.ndim in (2, 4), "affine input must be 2-D or 4-D, got shape {}", y.shape)
-    terms = _affine_terms(affine, l_scale, y.ndim, y.shape[1])
+    terms = _affine_terms(affine, y.ndim, y.shape[1])
     dtype = np.result_type(y, *terms)
     if out is None:
         out = np.empty(y.shape, dtype=dtype)

@@ -1,4 +1,4 @@
-"""Reference path: quantized-activation forward pass and classification map.
+"""The reference pass, and the graph walk both forward passes share.
 
 The activation is the clip-floor staircase
 
@@ -13,9 +13,34 @@ floor and clip run in place, in that order. ann_forward takes the level
 histogram from an integer cast of that buffer and then scales the same
 buffer by theta / L to get the activation output.
 
-The forward pass records every layer output plus, per activation layer,
-the pre-activation tensor and a histogram of the emitted levels; those
-histograms feed the layer-sensitivity metric.
+One walk, forward, runs a graph for both passes: input_batch, then every
+layer in graph order, then the logits. A value carries its timesteps folded
+into the batch axis: a layer unrolled over T timesteps holds T*N rows,
+timestep-major, and a single-shot (N, ...) value is just T = 1. Every conv,
+fc, pool and residual layer runs through run_layer, whatever its T; an
+unrolled matmul's affine arrives already divided by T (runtime.convert does
+that split, through BnAffine.scaled). The two passes differ only in what an
+activation does and what they record. ann_forward applies the staircase and
+records every layer output plus, per activation layer, the pre-activation
+tensor and a histogram of the emitted levels; those histograms feed the
+layer-sensitivity metric. runtime.snn_forward runs integrate-and-fire
+layers instead.
+
+A SpikeTrain stores its spikes as a bit tensor plus the shared theta_star
+scalar, so the "every element is 0 or theta_star" guarantee is structural.
+run_layer reads a train in one of three ways, and only fc builds a float64
+copy of a whole train:
+
+  conv          kernels.conv2d scales the bits into its patch buffer one
+                block at a time.
+  average pool  a 2 x 2 window's float sum depends only on its spike
+                count, so kernels.avg_pool2d looks each window up by count.
+  fc            the dense train, T*N rows of theta_star or 0.
+  residual add  two trains sum to 0, theta_a, theta_b or theta_a + theta_b,
+                looked up by a + 2 b.
+
+Each lookup table holds the very float sums the dense path adds, so the
+results are byte for byte those of the dense train.
 """
 
 from dataclasses import dataclass
@@ -46,24 +71,6 @@ def qcfs(z, cfg):
 def qcfs_levels(z, cfg):
     """Integer level index per element (0..L); same rounding as qcfs."""
     return _level_buffer(z, cfg).astype(np.int64)
-
-
-def level_counts(values, cfg, atol=1e-9):
-    """Histogram of activation outputs over the level grid.
-
-    Counts how many elements equal k * theta / L for each k in 0..L. Raises
-    if any value is off the grid, which indicates an upstream bug rather
-    than bad data.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    step = cfg.theta / cfg.L
-    k = np.rint(values / step).astype(np.int64)
-    on_grid = (k >= 0) & (k <= cfg.L) & (np.abs(values - k * step) <= atol * max(cfg.theta, 1.0))
-    if not on_grid.all():
-        bad = values.ravel()[~on_grid.ravel()][0]
-        raise ValueError(f"activation value {bad!r} is not on the {cfg.L}-level grid "
-                         f"with threshold {cfg.theta}")
-    return np.bincount(k.ravel(), minlength=cfg.L + 1)
 
 
 @dataclass
@@ -103,19 +110,6 @@ def classification_map(logits):
     return ClassificationMap(probs=probs, argmax=logits.argmax(axis=1), undefined=undefined)
 
 
-def _matmul(graph, layer, x):
-    """Single-shot conv/fc layer with its bias and batch-norm applied."""
-    affine = layer_affine(graph, layer)
-    if layer.kind == "conv":
-        return kernels.conv2d(x, conv_params(graph, layer), affine=affine)
-    if x.ndim > 2:
-        x = x.reshape(x.shape[0], -1)
-    out = kernels.fully_connected(x, fc_weights(graph, layer))
-    if affine is not None:
-        out = kernels.fused_bn_affine(out, affine, out=out)
-    return out
-
-
 def input_batch(graph, x):
     """The input as a float64 (N, C, H, W) batch; one (C, H, W) image gets N = 1.
 
@@ -137,28 +131,119 @@ def input_batch(graph, x):
     return x
 
 
-def ann_forward(graph, x):
-    """Run the real-valued reference pass, capturing a full trace."""
+@dataclass(frozen=True)
+class SpikeTrain:
+    """T-stacked binary spikes scaled by a shared threshold."""
+
+    bits: np.ndarray          # bool, shape (T, N, ...)
+    theta_star: float
+
+    @property
+    def timesteps(self):
+        return self.bits.shape[0]
+
+    def dense(self):
+        return self.bits.astype(np.float64) * self.theta_star
+
+    def spike_counts(self):
+        return self.bits.sum(axis=0)
+
+
+def _fold(stack):
+    """A (T, N, ...) stack as its T*N rows."""
+    return stack.reshape((-1,) + stack.shape[2:])
+
+
+def _rows(value):
+    """A value as an array of T*N rows; a train is made dense."""
+    return _fold(value.dense()) if isinstance(value, SpikeTrain) else value
+
+
+def run_layer(graph, layer, srcs, affine=None):
+    """Run one conv, fc, pool or residual layer on values of T*N rows.
+
+    srcs holds the layer's input values in pred order: arrays of T*N rows
+    or SpikeTrains. affine is a matmul's BnAffine, already divided by T
+    when the layer is unrolled. Returns an array of T*N rows; a T-step
+    input gives T timestep outputs that sum to the single-shot layer of
+    the summed input.
+    """
+    kind = layer.kind
+    if kind == "residual_add":
+        a, b = srcs
+        if isinstance(a, SpikeTrain) and isinstance(b, SpikeTrain):
+            table = np.array([0.0, a.theta_star, b.theta_star, a.theta_star + b.theta_star])
+            index = np.multiply(b.bits, 2, dtype=np.uint8)
+            np.add(index, a.bits, out=index)
+            return table[_fold(index)]
+        return _rows(a) + _rows(b)
+    if kind == "fc":
+        x = _rows(srcs[0])
+        out = kernels.fully_connected(x.reshape(len(x), -1), fc_weights(graph, layer))
+        return out if affine is None else kernels.fused_bn_affine(out, affine, out=out)
+    if kind == "max_pool":
+        return kernels.max_pool2d(srcs[0], layer.window)
+    x, scale = srcs[0], None
+    if isinstance(x, SpikeTrain):
+        x, scale = _fold(x.bits), x.theta_star
+    if kind == "conv":
+        return kernels.conv2d(x, conv_params(graph, layer), scale=scale, affine=affine)
+    return kernels.avg_pool2d(x, layer.window, scale=scale)
+
+
+def forward(graph, x, activation, affines=None, record=None, keep=False):
+    """The graph walk of both passes. Returns (values, logits).
+
+    x goes through input_batch. An activation layer's value is
+    activation(layer, value, n), n being the batch size; every other layer
+    runs run_layer with its affine from affines (layer id -> BnAffine or
+    None), or the graph's own when affines is None. record(layer, value, n),
+    if given, sees each layer's value as soon as it is made. With keep set,
+    values maps every layer id to its value; otherwise each value is
+    dropped once its last consumer has run, so only a few are alive at
+    once. logits, shape (N, classes), is the mean of the output value over
+    its T timesteps.
+    """
     x = input_batch(graph, x)
-    outputs, pre, hists = {}, {}, {}
-    for layer in graph.layers:
+    n = len(x)
+    last_use = {} if keep else {p: i for i, l in enumerate(graph.layers) for p in l.preds}
+    values = {}
+    for i, layer in enumerate(graph.layers):
+        srcs = [values[p] for p in layer.preds]
+        for p in layer.preds:
+            if last_use.get(p) == i:  # free each value once its last consumer runs
+                del values[p]
         if layer.kind == "input":
             out = x
-        elif layer.is_matmul:
-            out = _matmul(graph, layer, outputs[layer.preds[0]])
-        elif layer.kind == "avg_pool":
-            out = kernels.avg_pool2d(outputs[layer.preds[0]], layer.window)
-        elif layer.kind == "max_pool":
-            out = kernels.max_pool2d(outputs[layer.preds[0]], layer.window)
-        elif layer.kind == "residual_add":
-            out = outputs[layer.preds[0]] + outputs[layer.preds[1]]
-        else:  # qcfs_act
-            z = outputs[layer.preds[0]]
-            cfg = layer.qcfs
-            out = _level_buffer(z, cfg)
-            pre[layer.id] = z
-            hists[layer.id] = np.bincount(out.astype(np.intp).ravel(), minlength=cfg.L + 1)
-            np.multiply(out, cfg.theta / cfg.L, out=out)
-        outputs[layer.id] = out
-    logits = outputs[graph.output_layer.id].reshape(x.shape[0], -1)
+        elif layer.kind == "qcfs_act":
+            out = activation(layer, srcs[0], n)
+        else:
+            affine = None
+            if layer.is_matmul:
+                affine = layer_affine(graph, layer) if affines is None else affines[layer.id]
+            out = run_layer(graph, layer, srcs, affine)
+        del srcs
+        if record is not None:
+            record(layer, out, n)
+        values[layer.id] = out
+        del out
+    final = _rows(values[graph.output_layer.id])
+    if len(final) > n:
+        final = final.reshape((-1, n) + final.shape[1:]).mean(axis=0)
+    return values, final.reshape(n, -1)
+
+
+def ann_forward(graph, x):
+    """Run the real-valued reference pass, capturing a full trace."""
+    pre, hists = {}, {}
+
+    def staircase(layer, z, n):
+        cfg = layer.qcfs
+        out = _level_buffer(z, cfg)
+        pre[layer.id] = z
+        hists[layer.id] = np.bincount(out.astype(np.intp).ravel(), minlength=cfg.L + 1)
+        np.multiply(out, cfg.theta / cfg.L, out=out)
+        return out
+
+    outputs, logits = forward(graph, x, staircase, keep=True)
     return LayerTrace(outputs=outputs, pre_activations=pre, histograms=hists, logits=logits)

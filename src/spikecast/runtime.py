@@ -6,7 +6,13 @@ matmul layer over the timesteps of its incoming spike train. The additive
 constants of an unrolled matmul (bias, batch mean, batch shift) are divided
 by the number of incoming timesteps so that the per-timestep outputs sum to
 the single-shot output; the multiplicative batch-norm factors are left
-alone.
+alone. convert does that split once per layer (BnAffine.scaled), and it
+happens nowhere else.
+
+snn_forward runs the graph walk of the reference pass (reference.forward):
+every layer but an activation runs reference.run_layer, on values whose T
+timesteps are folded into the batch axis as T*N rows, and only the
+activations differ. They become the integrate-and-fire layers below.
 
 A generic integrate-and-fire layer runs three stages per neuron, with the
 threshold theta_star = theta / L_out and the membrane starting at
@@ -33,28 +39,19 @@ The first activation after the real-valued input needs no settling: the
 preceding matmul runs once at full precision, the staircase activation is
 applied, and the resulting level index directly becomes the spike count.
 
-Spike trains are stored as a bit tensor plus the shared theta_star scalar,
-so the "every element is 0 or theta_star" guarantee is structural. Every
-consumer but a fully connected layer reads those bits or their counts, and
-builds no float64 copy of a whole train:
+A spike train (reference.SpikeTrain, also exported here) is a bit tensor
+plus the shared theta_star; see the reference module for how each layer
+reads one. A trace sums a train from its counts: a neuron with c spikes
+sums to theta_star added c times, looked up in a cumulative table by its
+count. That table holds the very float sums the dense path adds, so the
+sums are byte for byte those of the dense train.
 
-  conv          kernels.conv2d scales the bits into its patch buffer one
-                block at a time.
-  average pool  a 2 x 2 window's float sum depends only on its spike
-                count, so kernels.avg_pool2d looks each window up by count.
-  residual add  two trains sum to 0, theta_a, theta_b or theta_a + theta_b,
-                looked up by a + 2 b.
-  trace sums    a neuron with c spikes sums to theta_star added c times,
-                looked up in a cumulative table by its count.
-
-Each lookup table holds the very float sums the dense path adds, so the
-results are byte for byte those of the dense train. The integrate-and-fire
-layer runs stages 1 and 2 over chunks of 32K neurons, so its membranes and
-masks are chunk-sized, and stage 2 runs only on a chunk's neurons whose
-membrane can still move (below 0 or at threshold and above). Its counter is
-int16 whenever L_in plus the stage-2 steps fits that dtype and int64
-otherwise; IfStats.counter is int64 either way.
-The forward pass drops each layer's value as soon as its last consumer has
+The integrate-and-fire layer runs stages 1 and 2 over chunks of 32K
+neurons, so its membranes and masks are chunk-sized, and stage 2 runs only
+on a chunk's neurons whose membrane can still move (below 0 or at
+threshold and above). Its counter is int16 whenever L_in plus the stage-2
+steps fits that dtype and int64 otherwise; IfStats.counter is int64 either
+way. The walk drops each layer's value as soon as its last consumer has
 run, so only a few layers' values are alive at once.
 
 Converted models are immutable; the forward pass keeps all mutable neuron
@@ -65,31 +62,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .graph import conv_params, fc_weights, layer_affine
-from .reference import _matmul, ann_forward, input_batch, qcfs_levels
+from .graph import layer_affine
+from .reference import SpikeTrain, ann_forward, forward, qcfs_levels
 
 
 class ConversionError(ValueError):
     """Raised when a graph cannot be converted into a spiking model."""
-
-
-@dataclass(frozen=True)
-class SpikeTrain:
-    """T-stacked binary spikes scaled by a shared threshold."""
-
-    bits: np.ndarray          # bool, shape (T, N, ...)
-    theta_star: float
-
-    @property
-    def timesteps(self):
-        return self.bits.shape[0]
-
-    def dense(self):
-        return self.bits.astype(np.float64) * self.theta_star
-
-    def spike_counts(self):
-        return self.bits.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -316,73 +294,6 @@ def if_generic_layer(stack, plan, keep_counter=False):
     return SpikeTrain(bits=bits, theta_star=th), stats
 
 
-def _dense(value):
-    return value.dense() if isinstance(value, SpikeTrain) else np.asarray(value, dtype=np.float64)
-
-
-def unrolled_matmul(stack, params, affine=None, l_scale=None):
-    """Per-timestep matmul over an unrolled stack or spike train.
-
-    params is either ConvParams or a 2-D fully-connected weight matrix.
-    The additive affine constants are scaled by l_scale (default 1/T), so
-    the timestep outputs sum to the single-shot matmul of the summed stack.
-    A spike train feeds conv as bits and theta_star, never as a dense copy.
-    """
-    conv = isinstance(params, kernels.ConvParams)
-    if conv and isinstance(stack, SpikeTrain):
-        stack, scale = stack.bits, stack.theta_star
-    else:
-        stack, scale = _dense(stack), None
-    t = stack.shape[0]
-    if l_scale is None:
-        l_scale = 1.0 / t
-    folded = stack.reshape((t * stack.shape[1],) + stack.shape[2:])
-    if conv:
-        out = kernels.conv2d(folded, params, scale=scale, affine=affine, l_scale=l_scale)
-    else:
-        if folded.ndim > 2:
-            folded = folded.reshape(folded.shape[0], -1)
-        out = kernels.fully_connected(folded, params)
-        if affine is not None:
-            out = kernels.fused_bn_affine(out, affine, l_scale, out=out)
-    return out.reshape((t, stack.shape[1]) + out.shape[1:])
-
-
-def unrolled_residual_add(a, b):
-    """Elementwise per-timestep sum of two unrolled stacks.
-
-    Two spike trains are added from their bits: each sum is one of
-    0, theta_a, theta_b and theta_a + theta_b, looked up by a + 2 b.
-    """
-    t_a, t_b = (v.timesteps if isinstance(v, SpikeTrain) else len(v) for v in (a, b))
-    if t_a != t_b:
-        raise ConversionError(
-            f"residual branches carry unequal timestep counts ({t_a} vs {t_b})")
-    if isinstance(a, SpikeTrain) and isinstance(b, SpikeTrain):
-        table = np.array([0.0, a.theta_star, b.theta_star, a.theta_star + b.theta_star])
-        index = np.multiply(b.bits, 2, dtype=np.uint8)
-        np.add(index, a.bits, out=index)
-        return table[index]
-    return _dense(a) + _dense(b)
-
-
-def unrolled_avg_pool(stack, window):
-    """Per-timestep average pooling; the result is a plain unrolled stack.
-
-    Pooling a spike train yields fractional values, so the output is typed
-    as a float stack rather than a SpikeTrain; that is fine because only
-    matmul layers consume it and they just need the timestep sum preserved.
-    A spike train is pooled from its bits, never through a dense copy.
-    """
-    if isinstance(stack, SpikeTrain):
-        data, scale = stack.bits, stack.theta_star
-    else:
-        data, scale = _dense(stack), None
-    t, n = data.shape[0], data.shape[1]
-    out = kernels.avg_pool2d(data.reshape((t * n,) + data.shape[2:]), window, scale=scale)
-    return out.reshape((t, n) + out.shape[1:])
-
-
 # ---------------------------------------------------------------------------
 # whole-model execution
 
@@ -409,66 +320,32 @@ def _train_sum(train):
 def snn_forward(model, x, trace=None, keep_counters=False):
     """Run the converted model. Returns (logits, stats).
 
-    logits is the mean over the final stack's timesteps, shape
-    (N, classes). stats maps each integrate-and-fire layer id to its
-    IfStats. Pass an SnnTrace to capture per-layer sums and spike trains.
+    logits is the mean over the final value's timesteps, shape
+    (N, classes). stats maps each generic integrate-and-fire layer id to
+    its IfStats. Pass an SnnTrace to capture per-layer sums and spike trains.
     """
-    graph = model.graph
-    x = input_batch(graph, x)
-    last_use = {p: i for i, layer in enumerate(graph.layers) for p in layer.preds}
-    values, stats = {}, {}
-    for i, layer in enumerate(graph.layers):
-        srcs = [values[p] for p in layer.preds]
-        for p in layer.preds:
-            if last_use[p] == i:      # free each value once its last consumer runs
-                del values[p]
-        if layer.kind == "input":
-            out = x
-        elif layer.is_matmul:
-            if model.t_map[layer.id] is None:
-                out = _matmul(graph, layer, srcs[0])
-            else:
-                params = (conv_params(graph, layer) if layer.kind == "conv"
-                          else fc_weights(graph, layer))
-                out = unrolled_matmul(srcs[0], params, model.scaled_affines[layer.id],
-                                      l_scale=1.0)
-        elif layer.kind == "avg_pool":
-            if model.t_map[layer.id] is None:
-                out = kernels.avg_pool2d(srcs[0], layer.window)
-            else:
-                out = unrolled_avg_pool(srcs[0], layer.window)
-        elif layer.kind == "residual_add":
-            if model.t_map[layer.id] is None:
-                out = srcs[0] + srcs[1]
-            else:
-                out = unrolled_residual_add(*srcs)
-        elif layer.kind == "qcfs_act":
-            plan = model.if_plans[layer.id]
-            if plan.input_mode:
-                out = if_input_layer(srcs[0], layer.qcfs)
-            else:
-                out, st = if_generic_layer(_dense(srcs[0]), plan, keep_counter=keep_counters)
-                stats[layer.id] = st
-        else:
-            raise ConversionError(f"layer '{layer.id}': kind '{layer.kind}' not executable")
-        del srcs
-        values[layer.id] = out
-        if trace is not None:
-            if isinstance(out, SpikeTrain):
-                trace.sums[layer.id] = _train_sum(out)
-                trace.trains[layer.id] = out
-            elif model.t_map[layer.id] is not None:
-                trace.sums[layer.id] = out.sum(axis=0)
-            else:
-                trace.sums[layer.id] = out
-        del out
+    stats = {}
 
-    final = values[graph.output_layer.id]
-    if model.t_map[graph.output_layer.id] is None:
-        logits = _dense(final)
-    else:
-        logits = _dense(final).mean(axis=0)
-    logits = logits.reshape(x.shape[0], -1)
+    def integrate_and_fire(layer, value, n):
+        plan = model.if_plans[layer.id]
+        if plan.input_mode:
+            return if_input_layer(value, layer.qcfs)
+        stack = value.reshape((-1, n) + value.shape[1:])
+        train, stats[layer.id] = if_generic_layer(stack, plan, keep_counter=keep_counters)
+        return train
+
+    record = None
+    if trace is not None:
+        def record(layer, value, n):
+            if isinstance(value, SpikeTrain):
+                trace.sums[layer.id] = _train_sum(value)
+                trace.trains[layer.id] = value
+            elif len(value) == n:
+                trace.sums[layer.id] = value
+            else:
+                trace.sums[layer.id] = value.reshape((-1, n) + value.shape[1:]).sum(axis=0)
+
+    _, logits = forward(model.graph, x, integrate_and_fire, model.scaled_affines, record)
     return logits, stats
 
 

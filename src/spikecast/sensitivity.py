@@ -33,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reference import level_counts
-
 
 class MetricError(ValueError):
     """Raised when a statistic is undefined for the given histogram."""
@@ -61,17 +59,6 @@ class LevelHistogram:
     @property
     def level_values(self):
         return np.arange(self.L + 1) * (self.theta / self.L)
-
-
-def activation_histogram(values, cfg):
-    """Tally activation outputs into a LevelHistogram.
-
-    values must already sit on the level grid (they are activation
-    outputs); an off-grid value raises, since it indicates an upstream
-    bug.
-    """
-    counts = level_counts(values, cfg)
-    return LevelHistogram(counts=counts, L=cfg.L, theta=cfg.theta)
 
 
 def van_der_eijk_a(hist, alpha):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spikecast import cli
+from spikecast import energy as energy_model
 from spikecast.cli import main
 from spikecast.graph import init_random, parse_manifest
 from spikecast.runtime import SnnTrace, convert, snn_forward
@@ -181,6 +182,25 @@ class TestEnergy:
         out = capsys.readouterr().out
         assert code == 0
         assert "T_norm" in out and "4.19" in out
+
+    def test_golden_resnet18_t_norm_matches_literal_rows(self, capsys):
+        # T_norm reads only each matmul's fan-in and the matmul count; the
+        # literal rows give the same line as the zoo net the CLI uses
+        rows = energy_model.RESNET18_CIFAR_GOLDEN + energy_model.RESNET18_CIFAR_HEADS[:1]
+        dims = []
+        for name, in_d, out_d, _ in rows:
+            c_in, c_out = int(in_d.split("x")[0]), int(out_d.split("x")[0])
+            k = 1 if "Shortcut" in name or "FC" in name else 3
+            dims.append(energy_model.MatMulDims(name, "conv", c_in, c_out, k, k))
+        assert len(dims) == 21
+        zoo, _, _ = energy_model.dims_from_graph(energy_model.golden_graph("resnet18-cifar"))
+        assert sorted(d.fan_ops for d in dims) == sorted(d.fan_ops for d in zoo)
+        for steps in (1, 2, 4, 8, 16):
+            code = main(["energy", "--golden", "resnet18-cifar", "--L", str(steps)])
+            assert code == 0
+            line = capsys.readouterr().out.splitlines()[-1]
+            want = cli._fmt(energy_model.t_norm(dims, steps, 0.75))
+            assert line == f"T_norm (L={steps}, rate=0.75): {want}"
 
     def test_unknown_golden_target(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -224,12 +224,12 @@ class TestConv2d:
             bits = x > 0.0
             a = random_affine(rng, p.out_channels)
             plain, spiking = sliding_window_conv2d(x, p), sliding_window_conv2d(bits * 0.25, p)
-            for l_scale in (1.0, 1.0 / 3.0):
-                got = conv2d(x, p, affine=a, l_scale=l_scale)
+            for affine in (a, a.scaled(1.0 / 3.0)):
+                got = conv2d(x, p, affine=affine)
                 assert got.flags.c_contiguous
-                assert got.tobytes() == fused_bn_affine(plain, a, l_scale).tobytes()
-                got = conv2d(bits, p, scale=0.25, affine=a, l_scale=l_scale)
-                assert got.tobytes() == fused_bn_affine(spiking, a, l_scale).tobytes()
+                assert got.tobytes() == fused_bn_affine(plain, affine).tobytes()
+                got = conv2d(bits, p, scale=0.25, affine=affine)
+                assert got.tobytes() == fused_bn_affine(spiking, affine).tobytes()
 
     def test_affine_channel_mismatch(self):
         p = ConvParams(weights=np.ones((2, 1, 1, 1)))
@@ -295,14 +295,14 @@ class TestFusedBnAffine:
         eps = 1e-5
         a = BnAffine(gamma=np.array([2.0]), beta=np.array([1.0]), mu=np.array([3.0]),
                      sigma_sq=np.array([4.0 - eps]), bias=np.array([0.0]), epsilon=eps)
-        out = fused_bn_affine(np.full((1, 1, 1, 1), 5.0), a, l_scale=1.0)
+        out = fused_bn_affine(np.full((1, 1, 1, 1), 5.0), a)
         assert out[0, 0, 0, 0] == pytest.approx(3.0, abs=1e-12)
 
     def test_scaled_constants(self):
         eps = 1e-5
         a = BnAffine(gamma=np.array([2.0]), beta=np.array([1.0]), mu=np.array([3.0]),
                      sigma_sq=np.array([4.0 - eps]), bias=np.array([0.0]), epsilon=eps)
-        out = fused_bn_affine(np.full((1, 1, 1, 1), 5.0), a, l_scale=0.25)
+        out = fused_bn_affine(np.full((1, 1, 1, 1), 5.0), a.scaled(0.25))
         assert out[0, 0, 0, 0] == pytest.approx(4.5, abs=1e-12)
 
     def test_bytes_match_expression(self):
@@ -313,15 +313,15 @@ class TestFusedBnAffine:
                          bias=rng.uniform(-1, 1, 5))
             y = rng.uniform(-2, 2, size=shape)
             y_before = y.copy()
-            for l_scale in (1.0, 0.25, 1.0 / 3.0):
+            for s in (a, a.scaled(0.25), a.scaled(1.0 / 3.0)):
                 bshape = (1, 5) + (1,) * (y.ndim - 2)
-                denom = np.sqrt(a.sigma_sq + a.epsilon).reshape(bshape)
-                shift = (l_scale * (a.bias - a.mu)).reshape(bshape)
-                want = (a.gamma.reshape(bshape) * (y + shift) / denom
-                        + (l_scale * a.beta).reshape(bshape))
-                assert fused_bn_affine(y, a, l_scale).tobytes() == want.tobytes()
+                denom = np.sqrt(s.sigma_sq + s.epsilon).reshape(bshape)
+                shift = (s.bias - s.mu).reshape(bshape)
+                want = (s.gamma.reshape(bshape) * (y + shift) / denom
+                        + s.beta.reshape(bshape))
+                assert fused_bn_affine(y, s).tobytes() == want.tobytes()
                 z = y.copy()
-                assert fused_bn_affine(z, a, l_scale, out=z) is z
+                assert fused_bn_affine(z, s, out=z) is z
                 assert z.tobytes() == want.tobytes()
             assert y.tobytes() == y_before.tobytes()
 
@@ -334,15 +334,17 @@ class TestFusedBnAffine:
                      mu=f32(rng.uniform(-1, 1, 3)), sigma_sq=f32(rng.uniform(0.2, 2.0, 3)),
                      bias=f32(rng.uniform(-1, 1, 3)))
         y = f32(rng.uniform(-2, 2, size=(4, 3)))
-        shift = (0.5 * (a.bias - a.mu))[None]
-        want = a.gamma * (y + shift) / np.sqrt(a.sigma_sq + a.epsilon) + 0.5 * a.beta
-        got = fused_bn_affine(y, a, 0.5)
+        a = a.scaled(0.5)
+        assert a.bias.dtype == np.float32
+        shift = (a.bias - a.mu)[None]
+        want = a.gamma * (y + shift) / np.sqrt(a.sigma_sq + a.epsilon) + a.beta
+        got = fused_bn_affine(y, a)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()
         out = np.empty(y.shape)
-        assert fused_bn_affine(y, a, 0.5, out=out).tobytes() == want.tobytes()
+        assert fused_bn_affine(y, a, out=out).tobytes() == want.tobytes()
         with pytest.raises(KernelError, match="affine out"):
-            fused_bn_affine(y, a, 0.5, out=y)
+            fused_bn_affine(y, a, out=y)
 
     def test_bad_epsilon(self):
         with pytest.raises(KernelError, match="epsilon"):
@@ -360,8 +362,8 @@ class TestFusedBnAffine:
                          mu=rng.uniform(-1, 1, c), sigma_sq=rng.uniform(0.2, 2.0, c),
                          bias=rng.uniform(-1, 1, c))
             pieces = rng.uniform(-1, 1, size=(L, 2, c, 3, 3))
-            whole = fused_bn_affine(pieces.sum(axis=0), a, 1.0)
-            split = sum(fused_bn_affine(p, a, 1.0 / L) for p in pieces)
+            whole = fused_bn_affine(pieces.sum(axis=0), a)
+            split = sum(fused_bn_affine(p, a.scaled(1.0 / L)) for p in pieces)
             np.testing.assert_allclose(split, whole, atol=1e-4)
 
 

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from spikecast.graph import QcfsConfig, parse_manifest
-from spikecast.reference import (ann_forward, classification_map, level_counts,
-                                 qcfs, qcfs_levels)
+from spikecast.graph import QcfsConfig, init_random, parse_manifest
+from spikecast.kernels import max_pool2d
+from spikecast.reference import ann_forward, classification_map, qcfs, qcfs_levels
+
+from spikecast.zoo import toy_manifest
 
 from conftest import expression_levels
 
@@ -79,14 +81,6 @@ class TestQcfs:
                 assert qcfs_levels(arr, cfg).tobytes() == levels.astype(np.int64).tobytes()
                 assert qcfs(arr, cfg).tobytes() == (levels * (cfg.theta / cfg.L)).tobytes()
 
-    def test_histogram_conserves_count(self):
-        rng = np.random.default_rng(24)
-        cfg = QcfsConfig(L=4, theta=1.0)
-        out = qcfs(rng.uniform(-1, 2, size=500), cfg)
-        counts = level_counts(out, cfg)
-        assert counts.sum() == 500
-        assert len(counts) == 5
-
 
 class TestAnnForward:
     def test_hand_computed_single_path(self):
@@ -113,6 +107,38 @@ class TestAnnForward:
         assert trace.outputs["a"][0, 0, 0, 0] == pytest.approx(0.75, abs=1e-15)
         assert trace.logits[0, 0] == pytest.approx(2.25, abs=1e-12)
         assert "a" in trace.pre_activations and "a" in trace.histograms
+
+    def test_histograms_tally_every_level(self, toy_graph):
+        # one bin per level 0..L, every pre-activation element counted once,
+        # each in the bin of the level its output sits on
+        x = np.random.default_rng(26).uniform(0, 1, size=(3, 2, 8, 8))
+        trace = ann_forward(toy_graph, x)
+        for layer in toy_graph.qcfs_layers():
+            cfg, counts = layer.qcfs, trace.histograms[layer.id]
+            assert counts.shape == (cfg.L + 1,)
+            assert counts.sum() == trace.pre_activations[layer.id].size
+            levels = np.rint(trace.outputs[layer.id] / (cfg.theta / cfg.L)).astype(np.int64)
+            np.testing.assert_array_equal(counts, np.bincount(levels.ravel(),
+                                                              minlength=cfg.L + 1))
+        zero = ann_forward(toy_graph.with_weights(
+            {lid: {k: np.zeros_like(v) for k, v in arrs.items()}
+             for lid, arrs in toy_graph.weights.items()}), x)
+        for layer in toy_graph.qcfs_layers():
+            assert zero.histograms[layer.id][0] == zero.pre_activations[layer.id].size
+
+    def test_max_pool_graph(self):
+        # max_pool is valid on the reference path: its output is the pool
+        # of the layer before it, byte for byte
+        doc = json.loads(toy_manifest())
+        doc["layers"][3]["kind"] = "max_pool"
+        graph = init_random(parse_manifest(json.dumps(doc)), 42)
+        x = np.random.default_rng(27).uniform(0, 1, size=(3, 2, 8, 8))
+        trace = ann_forward(graph, x)
+        want = max_pool2d(trace.outputs["act1"], 2)
+        got = trace.outputs["pool1"]
+        assert got.shape == want.shape == (3, 6, 4, 4)
+        assert got.tobytes() == want.tobytes()
+        assert trace.logits.shape == (3, 4)
 
     def test_deterministic(self, toy_graph):
         x = np.random.default_rng(3).uniform(0, 1, size=(2, 2, 8, 8))

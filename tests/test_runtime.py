@@ -5,20 +5,25 @@ import numpy as np
 import pytest
 
 from spikecast import runtime
-from spikecast.graph import QcfsConfig, init_random, parse_manifest
-from spikecast.kernels import ConvParams
-from spikecast.reference import ann_forward, qcfs
+from spikecast.graph import (LayerSpec, ModelGraph, QcfsConfig, init_random,
+                             parse_manifest)
+from spikecast.kernels import BnAffine, ConvParams, conv2d, fully_connected, fused_bn_affine
+from spikecast.reference import LayerTrace, _fold, ann_forward, qcfs, run_layer
 from spikecast.runtime import (ConversionError, IfLayer, SnnTrace, SpikeTrain,
                                _train_sum, check_equivalence, convert,
-                               if_generic_layer, if_input_layer, snn_forward,
-                               unrolled_avg_pool, unrolled_matmul,
-                               unrolled_residual_add)
+                               if_generic_layer, if_input_layer, snn_forward)
 from spikecast.zoo import residual_block_manifest, resnet_manifest, toy_manifest
 
 from conftest import (full_array_if, mean_avg_pool2d, negative_weight_graph,
                       random_graph, step_train_sum, traced_peak_bytes)
 
 CHUNK = runtime._IF_CHUNK
+
+
+def lone_layer(kind, weight=None, **spec):
+    """A graph of one layer, for run_layer, and that layer."""
+    layer = LayerSpec("l", kind, **spec)
+    return ModelGraph("lone", 1, (layer,), {"l": {"weight": weight}}), layer
 
 
 def chain_manifest(l_first, l_second):
@@ -293,26 +298,24 @@ class TestGenericIfLayer:
 
 class TestUnrolledMatmul:
     def test_zero_train_leaves_constant_term(self):
-        from spikecast.kernels import BnAffine
         affine = BnAffine.bias_only(np.array([0.8, -0.4]))
-        w = np.zeros((2, 3))
+        graph, layer = lone_layer("fc", np.zeros((2, 3)))
         stack = np.zeros((4, 1, 3))
-        out = unrolled_matmul(stack, w, affine)
-        np.testing.assert_allclose(out.sum(axis=0), [[0.8, -0.4]], atol=1e-12)
+        out = run_layer(graph, layer, [_fold(stack)], affine.scaled(1.0 / 4))
+        np.testing.assert_allclose(out.reshape(4, 1, 2).sum(axis=0), [[0.8, -0.4]],
+                                   atol=1e-12)
 
     def test_single_timestep_is_plain_matmul(self):
-        from spikecast.kernels import BnAffine
         rng = np.random.default_rng(5)
         w = rng.uniform(-1, 1, size=(3, 4))
         affine = BnAffine.bias_only(rng.uniform(-1, 1, size=3))
         x = rng.uniform(-1, 1, size=(1, 2, 4))
-        out = unrolled_matmul(x, w, affine)
-        from spikecast.kernels import fully_connected, fused_bn_affine
-        want = fused_bn_affine(fully_connected(x[0], w), affine, 1.0)
-        np.testing.assert_allclose(out[0], want, atol=1e-12)
+        graph, layer = lone_layer("fc", w)
+        out = run_layer(graph, layer, [_fold(x)], affine)
+        want = fused_bn_affine(fully_connected(x[0], w), affine)
+        np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_sum_matches_single_shot(self):
-        from spikecast.kernels import BnAffine, conv2d, fused_bn_affine
         rng = np.random.default_rng(6)
         for _ in range(25):
             t = int(rng.choice([1, 2, 4, 8]))
@@ -326,30 +329,28 @@ class TestUnrolledMatmul:
                               bias=rng.uniform(-1, 1, c))
             train = SpikeTrain(bits=rng.random((t, 1, 2, 4, 4)) < 0.5,
                                theta_star=float(rng.uniform(0.1, 1.0)))
-            out = unrolled_matmul(train, p, affine)
-            want = fused_bn_affine(conv2d(train.dense().sum(axis=0), p), affine, 1.0)
-            np.testing.assert_allclose(out.sum(axis=0), want, atol=1e-4)
+            graph, layer = lone_layer("conv", p.weights, padding=(1, 1))
+            out = run_layer(graph, layer, [train], affine.scaled(1.0 / t))
+            want = fused_bn_affine(conv2d(train.dense().sum(axis=0), p), affine)
+            np.testing.assert_allclose(out.reshape((t, 1) + out.shape[1:]).sum(axis=0), want,
+                                       atol=1e-4)
+
+
+ADD = LayerSpec("add", "residual_add")
 
 
 class TestUnrolledResidualAdd:
     def test_zero_branch_is_identity(self):
-        a = np.random.default_rng(7).uniform(size=(3, 1, 2, 2, 2))
-        np.testing.assert_array_equal(unrolled_residual_add(a, np.zeros_like(a)), a)
+        a = _fold(np.random.default_rng(7).uniform(size=(3, 1, 2, 2, 2)))
+        np.testing.assert_array_equal(run_layer(None, ADD, [a, np.zeros_like(a)]), a)
 
     def test_sum_linearity(self):
         rng = np.random.default_rng(8)
         a = rng.uniform(size=(4, 1, 3))
         b = rng.uniform(size=(4, 1, 3))
-        out = unrolled_residual_add(a, b)
+        out = run_layer(None, ADD, [_fold(a), _fold(b)]).reshape(4, 1, 3)
         np.testing.assert_allclose(out.sum(axis=0), a.sum(axis=0) + b.sum(axis=0),
                                    atol=1e-12)
-
-    def test_timestep_mismatch(self):
-        with pytest.raises(ConversionError, match="unequal timestep"):
-            unrolled_residual_add(np.zeros((2, 1, 3)), np.zeros((4, 1, 3)))
-        with pytest.raises(ConversionError, match=r"unequal timestep counts \(2 vs 4\)"):
-            unrolled_residual_add(SpikeTrain(np.zeros((2, 1, 3), bool), 0.5),
-                                  SpikeTrain(np.zeros((4, 1, 3), bool), 0.5))
 
     def test_two_trains_add_by_lookup(self):
         # 0.1 + 0.7 rounds, so the table entry must be the float sum itself
@@ -357,9 +358,10 @@ class TestUnrolledResidualAdd:
         for theta_a, theta_b in ((0.1, 0.7), (1.0 / 3.0, 0.25), (0.5, 0.5)):
             a = SpikeTrain(rng.random((4, 2, 3, 5)) < 0.5, theta_a)
             b = SpikeTrain(rng.random((4, 2, 3, 5)) < 0.5, theta_b)
-            want = (a.dense() + b.dense()).tobytes()
-            assert unrolled_residual_add(a, b).tobytes() == want
-            assert unrolled_residual_add(a, b.dense()).tobytes() == want
+            want = _fold(a.dense() + b.dense())
+            got = run_layer(None, ADD, [a, b])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert run_layer(None, ADD, [a, _fold(b.dense())]).tobytes() == want.tobytes()
 
 
 class TestSnnForward:
@@ -432,9 +434,11 @@ class TestSnnForward:
         for theta in (0.1, 1.0 / 3.0, 0.7):
             train = SpikeTrain(rng.random((3, 2, 4, 6, 2)) < 0.5, theta)
             dense = train.dense()
-            want = mean_avg_pool2d(dense.reshape(6, 4, 6, 2)).reshape(3, 2, 4, 3, 1)
-            assert unrolled_avg_pool(train, 2).tobytes() == want.tobytes()
-            assert unrolled_avg_pool(dense, 2).tobytes() == want.tobytes()
+            want = mean_avg_pool2d(_fold(dense))
+            pool = LayerSpec("pool", "avg_pool", window=2)
+            got = run_layer(None, pool, [train])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert run_layer(None, pool, [_fold(dense)]).tobytes() == want.tobytes()
 
     def test_peak_well_below_all_intermediates(self):
         # at most a few values are alive at once: the peak is one layer's
@@ -516,3 +520,48 @@ class TestCheckEquivalence:
                             "inhibitory_spikes"}
         assert all(set(row) == {"id", "max_abs_dev", "rel_dev"}
                    for row in doc["per_layer"])
+
+
+class TestBenchmarkContract:
+    """What bench/ reads of the library: it times and keeps each pass by
+    wrapping runtime.ann_forward and runtime.snn_forward, and its checks
+    read these model and trace fields and rebuild both trace records."""
+
+    def test_check_equivalence_runs_each_pass_once(self, toy_graph, monkeypatch):
+        calls = []
+        ann, snn = runtime.ann_forward, runtime.snn_forward
+
+        def counting_ann(graph, x):
+            calls.append("ann")
+            return ann(graph, x)
+
+        def counting_snn(model, x, trace=None, keep_counters=False):
+            calls.append("snn")
+            return snn(model, x, trace=trace, keep_counters=keep_counters)
+
+        monkeypatch.setattr(runtime, "ann_forward", counting_ann)
+        monkeypatch.setattr(runtime, "snn_forward", counting_snn)
+        x = np.random.default_rng(28).uniform(0, 1, size=(2, 2, 8, 8))
+        report = check_equivalence(toy_graph, x)
+        assert sorted(calls) == ["ann", "snn"]
+        assert report.argmax_agreement == 1.0
+
+    def test_model_fields(self, toy_graph):
+        model = convert(toy_graph)
+        assert model.graph is toy_graph
+        for layer in toy_graph.qcfs_layers():
+            plan = model.if_plans[layer.id]
+            assert plan.l_out == layer.qcfs.L == model.t_map[layer.id]
+            assert plan.l_in == (model.t_map[layer.preds[0]] or layer.qcfs.L)
+        assert model.final_timesteps == model.t_map[toy_graph.output_layer.id] == 2
+
+    def test_trace_records_construct(self, toy_graph):
+        x = np.random.default_rng(29).uniform(0, 1, size=(2, 2, 8, 8))
+        ref = ann_forward(toy_graph, x)
+        copy = LayerTrace(outputs=ref.outputs, pre_activations=ref.pre_activations,
+                          histograms=ref.histograms, logits=ref.logits)
+        assert copy.outputs is ref.outputs and copy.histograms is ref.histograms
+        trace = SnnTrace()
+        snn_forward(convert(toy_graph), x, trace=trace)
+        rebuilt = SnnTrace(sums=trace.sums, trains=trace.trains)
+        assert rebuilt.sums is trace.sums and rebuilt.trains is trace.trains

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from spikecast.graph import QcfsConfig
-from spikecast.sensitivity import (LevelHistogram, MetricError,
-                                   activation_histogram, al_metric,
+from spikecast.sensitivity import (LevelHistogram, MetricError, al_metric,
                                    assign_layerwise_l, cluster_1d,
                                    clustering_sse, default_alpha,
                                    default_cluster_steps, kurtosis, skewness,
@@ -16,29 +15,6 @@ def hist(counts, L=None, theta=1.0):
     counts = np.asarray(counts)
     return LevelHistogram(counts=counts, L=len(counts) - 1 if L is None else L,
                           theta=theta)
-
-
-class TestHistogram:
-    def test_all_zero_activations(self):
-        cfg = QcfsConfig(L=4, theta=1.0)
-        h = activation_histogram(np.zeros(17), cfg)
-        np.testing.assert_array_equal(h.counts, [17, 0, 0, 0, 0])
-
-    def test_direct_tally(self):
-        cfg = QcfsConfig(L=4, theta=1.0)
-        h = activation_histogram(np.array([0.0, 0.25, 0.25, 1.0]), cfg)
-        np.testing.assert_array_equal(h.counts, [1, 2, 0, 0, 1])
-
-    def test_conservation(self):
-        cfg = QcfsConfig(L=8, theta=0.5)
-        values = np.arange(9) * (0.5 / 8)
-        h = activation_histogram(np.tile(values, 3), cfg)
-        assert h.n == 27
-
-    def test_off_grid_rejected(self):
-        cfg = QcfsConfig(L=4, theta=1.0)
-        with pytest.raises(ValueError, match="not on the 4-level grid"):
-            activation_histogram(np.array([0.3]), cfg)
 
 
 class TestAgreement:

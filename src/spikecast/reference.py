@@ -9,9 +9,10 @@ A boundary input landing exactly on a level edge, z = (k - 1/2) * theta/L,
 maps to level k (the floor argument hits the integer k exactly).
 
 The staircase is built in one float64 buffer: z * L, / theta, + 1/2,
-floor and clip run in place, in that order. ann_forward takes the level
-histogram from an integer cast of that buffer and then scales the same
-buffer by theta / L to get the activation output.
+floor and clip run in place, in that order. ann_forward casts that buffer
+to the narrowest unsigned integer that holds L (np.min_scalar_type(L)),
+takes the level histogram from those levels, and then scales the buffer
+by theta / L to get the activation output the next layers read.
 
 One walk, forward, runs a graph for both passes: input_batch, then every
 layer in graph order, then the logits. A value carries its timesteps folded
@@ -25,6 +26,13 @@ records every layer output plus, per activation layer, the pre-activation
 tensor and a histogram of the emitted levels; those histograms feed the
 layer-sensitivity metric. runtime.snn_forward runs integrate-and-fire
 layers instead.
+
+A trace holds as little as the values it reports need. LayerTrace.outputs
+is a TraceValues map: a non-activation output is stored as the array the
+walk made, and an activation output is kept as its integer levels plus
+theta / L. Reading an activation entry builds levels * theta / L as a new
+float64 array, the staircase's own final multiply, so its bytes are those
+of the activation value; every such read allocates the whole array.
 
 A SpikeTrain stores its spikes as a bit tensor plus the shared theta_star
 scalar, so the "every element is 0 or theta_star" guarantee is structural.
@@ -43,7 +51,9 @@ Each lookup table holds the very float sums the dense path adds, so the
 results are byte for byte those of the dense train.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -73,11 +83,38 @@ def qcfs_levels(z, cfg):
     return _level_buffer(z, cfg).astype(np.int64)
 
 
+class TraceValues(Mapping):
+    """A trace's read-only map of layer id -> array, in graph order.
+
+    An entry is stored or derived. A stored entry is the array itself and
+    is returned as it is. A derived entry keeps only what its array is
+    built from and builds the array on each read: every read allocates and
+    returns a fresh array, so writing into one changes no later read.
+    """
+
+    def __init__(self):
+        self._entries = {}    # layer id -> array, or a partial that builds it
+
+    def _put(self, key, value):
+        """Add an entry: an array to store, or a partial to call on each read."""
+        self._entries[key] = value
+
+    def __getitem__(self, key):
+        entry = self._entries[key]
+        return entry() if isinstance(entry, partial) else entry
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+
 @dataclass
 class LayerTrace:
     """Every layer output from one forward pass, plus activation detail."""
 
-    outputs: dict                 # layer id -> output array
+    outputs: Mapping              # layer id -> output array (TraceValues)
     pre_activations: dict         # activation layer id -> input array
     histograms: dict              # activation layer id -> level counts (L+1,)
     logits: np.ndarray            # (N, classes)
@@ -191,27 +228,26 @@ def run_layer(graph, layer, srcs, affine=None):
     return kernels.avg_pool2d(x, layer.window, scale=scale)
 
 
-def forward(graph, x, activation, affines=None, record=None, keep=False):
-    """The graph walk of both passes. Returns (values, logits).
+def forward(graph, x, activation, affines=None, record=None):
+    """The graph walk of both passes. Returns logits, shape (N, classes).
 
     x goes through input_batch. An activation layer's value is
     activation(layer, value, n), n being the batch size; every other layer
     runs run_layer with its affine from affines (layer id -> BnAffine or
     None), or the graph's own when affines is None. record(layer, value, n),
-    if given, sees each layer's value as soon as it is made. With keep set,
-    values maps every layer id to its value; otherwise each value is
-    dropped once its last consumer has run, so only a few are alive at
-    once. logits, shape (N, classes), is the mean of the output value over
-    its T timesteps.
+    if given, sees each layer's value as soon as it is made, and keeps
+    whatever it needs of it. The walk drops each value once its last
+    consumer has run, so only a few are alive at once. The logits are the
+    mean of the output value over its T timesteps.
     """
     x = input_batch(graph, x)
     n = len(x)
-    last_use = {} if keep else {p: i for i, l in enumerate(graph.layers) for p in l.preds}
+    last_use = {p: i for i, l in enumerate(graph.layers) for p in l.preds}
     values = {}
     for i, layer in enumerate(graph.layers):
         srcs = [values[p] for p in layer.preds]
         for p in layer.preds:
-            if last_use.get(p) == i:  # free each value once its last consumer runs
+            if last_use[p] == i:  # free each value once its last consumer runs
                 del values[p]
         if layer.kind == "input":
             out = x
@@ -230,20 +266,31 @@ def forward(graph, x, activation, affines=None, record=None, keep=False):
     final = _rows(values[graph.output_layer.id])
     if len(final) > n:
         final = final.reshape((-1, n) + final.shape[1:]).mean(axis=0)
-    return values, final.reshape(n, -1)
+    return final.reshape(n, -1)
+
+
+def _level_values(levels, step):
+    """Integer levels times theta / L, as a new float64 array."""
+    return np.multiply(levels, step, dtype=np.float64)
 
 
 def ann_forward(graph, x):
     """Run the real-valued reference pass, capturing a full trace."""
-    pre, hists = {}, {}
+    outputs, pre, hists = TraceValues(), {}, {}
 
     def staircase(layer, z, n):
         cfg = layer.qcfs
         out = _level_buffer(z, cfg)
+        levels = out.astype(np.min_scalar_type(cfg.L))
         pre[layer.id] = z
-        hists[layer.id] = np.bincount(out.astype(np.intp).ravel(), minlength=cfg.L + 1)
+        hists[layer.id] = np.bincount(levels.ravel(), minlength=cfg.L + 1)
+        outputs._put(layer.id, partial(_level_values, levels, cfg.theta / cfg.L))
         np.multiply(out, cfg.theta / cfg.L, out=out)
         return out
 
-    outputs, logits = forward(graph, x, staircase, keep=True)
+    def record(layer, value, n):
+        if layer.kind != "qcfs_act":
+            outputs._put(layer.id, value)
+
+    logits = forward(graph, x, staircase, record=record)
     return LayerTrace(outputs=outputs, pre_activations=pre, histograms=hists, logits=logits)

@@ -41,10 +41,14 @@ applied, and the resulting level index directly becomes the spike count.
 
 A spike train (reference.SpikeTrain, also exported here) is a bit tensor
 plus the shared theta_star; see the reference module for how each layer
-reads one. A trace sums a train from its counts: a neuron with c spikes
-sums to theta_star added c times, looked up in a cumulative table by its
-count. That table holds the very float sums the dense path adds, so the
-sums are byte for byte those of the dense train.
+reads one. SnnTrace.sums is a reference.TraceValues map: a layer whose
+value is a spike train keeps only the train, and reading its sum builds
+the sum from the train's counts on each read, so every such read
+allocates a new float64 array. A neuron with c spikes sums to theta_star
+added c times, looked up in a cumulative table by its count. That table
+holds the very float sums the dense path adds, so the sums are byte for
+byte those of the dense train. Conv, pool, fc and single-shot entries are
+stored arrays, returned as they are.
 
 The integrate-and-fire layer runs stages 1 and 2 over chunks of 32K
 neurons, so its membranes and masks are chunk-sized, and stage 2 runs only
@@ -58,12 +62,14 @@ Converted models are immutable; the forward pass keeps all mutable neuron
 state local to the call, so batches and models can be run concurrently.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .graph import layer_affine
-from .reference import SpikeTrain, ann_forward, forward, qcfs_levels
+from .reference import SpikeTrain, TraceValues, ann_forward, forward, qcfs_levels
 
 
 class ConversionError(ValueError):
@@ -301,9 +307,10 @@ def if_generic_layer(stack, plan, keep_counter=False):
 @dataclass
 class SnnTrace:
     """Optional capture of the spiking pass: per-layer timestep sums
-    (the quantity the layer invariant constrains) and the emitted trains."""
+    (the quantity the layer invariant constrains) and the emitted trains.
+    A train's sum is built from the train on each read of sums."""
 
-    sums: dict = field(default_factory=dict)
+    sums: Mapping = field(default_factory=TraceValues)
     trains: dict = field(default_factory=dict)
 
 
@@ -338,14 +345,14 @@ def snn_forward(model, x, trace=None, keep_counters=False):
     if trace is not None:
         def record(layer, value, n):
             if isinstance(value, SpikeTrain):
-                trace.sums[layer.id] = _train_sum(value)
+                trace.sums._put(layer.id, partial(_train_sum, value))
                 trace.trains[layer.id] = value
             elif len(value) == n:
-                trace.sums[layer.id] = value
+                trace.sums._put(layer.id, value)
             else:
-                trace.sums[layer.id] = value.reshape((-1, n) + value.shape[1:]).sum(axis=0)
+                trace.sums._put(layer.id, value.reshape((-1, n) + value.shape[1:]).sum(axis=0))
 
-    _, logits = forward(model.graph, x, integrate_and_fire, model.scaled_affines, record)
+    logits = forward(model.graph, x, integrate_and_fire, model.scaled_affines, record)
     return logits, stats
 
 

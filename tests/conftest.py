@@ -52,6 +52,19 @@ def traced_peak_bytes(call):
         tracemalloc.stop()
 
 
+def traced_held_bytes(make):
+    """Bytes that make()'s result still holds once make() has returned: what
+    tracemalloc sees freed when that result is dropped."""
+    tracemalloc.start()
+    try:
+        result = make()
+        held = tracemalloc.get_traced_memory()[0]
+        del result
+        return held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def naive_conv2d(x, weights, stride=(1, 1), padding=(0, 0)):
     """Loop reference convolution (independent oracle for the fast kernel)."""
     n, c, h, w = x.shape

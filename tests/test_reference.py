@@ -6,7 +6,8 @@ import pytest
 
 from spikecast.graph import QcfsConfig, init_random, parse_manifest
 from spikecast.kernels import max_pool2d
-from spikecast.reference import ann_forward, classification_map, qcfs, qcfs_levels
+from spikecast.reference import (_level_buffer, ann_forward, classification_map, qcfs,
+                                 qcfs_levels)
 
 from spikecast.zoo import toy_manifest
 
@@ -125,6 +126,30 @@ class TestAnnForward:
              for lid, arrs in toy_graph.weights.items()}), x)
         for layer in toy_graph.qcfs_layers():
             assert zero.histograms[layer.id][0] == zero.pre_activations[layer.id].size
+
+    @pytest.mark.parametrize("L", [1, 255, 256])
+    def test_levels_at_every_width(self, L):
+        # the trace keeps levels in np.min_scalar_type(L): uint8 up to
+        # L = 255 and uint16 from 256, where a uint8 store would wrap the
+        # top level to 0. Inputs sweep every level, the clipped ends included.
+        doc = {"name": "sweep", "classes": 2, "layers": [
+            {"id": "in", "kind": "input", "pred": [], "shape": [640, 1, 1]},
+            {"id": "fc", "kind": "fc", "pred": ["in"], "out_features": 640},
+            {"id": "act", "kind": "qcfs_act", "pred": ["fc"], "L": L, "theta": 0.9},
+            {"id": "head", "kind": "fc", "pred": ["act"], "out_features": 2},
+        ]}
+        graph = init_random(parse_manifest(json.dumps(doc)), 7)
+        identity = {"weight": np.eye(640, dtype=np.float32)}
+        graph = graph.with_weights(dict(graph.weights, fc=identity))
+        x = np.linspace(-0.1, 1.0, 2 * 640).reshape(2, 640, 1, 1)
+        trace = ann_forward(graph, x)
+        cfg = graph.layer("act").qcfs
+        levels = _level_buffer(trace.pre_activations["act"], cfg)
+        counts = trace.histograms["act"]
+        assert counts[0] > 0 and counts[L] > 0
+        assert trace.outputs["act"].tobytes() == (levels * (cfg.theta / cfg.L)).tobytes()
+        want = np.bincount(levels.astype(np.int64).ravel(), minlength=L + 1)
+        assert counts.dtype == want.dtype and counts.tobytes() == want.tobytes()
 
     def test_max_pool_graph(self):
         # max_pool is valid on the reference path: its output is the pool

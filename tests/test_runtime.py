@@ -1,5 +1,6 @@
 import json
 import warnings
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ from spikecast import runtime
 from spikecast.graph import (LayerSpec, ModelGraph, QcfsConfig, init_random,
                              parse_manifest)
 from spikecast.kernels import BnAffine, ConvParams, conv2d, fully_connected, fused_bn_affine
-from spikecast.reference import LayerTrace, _fold, ann_forward, qcfs, run_layer
+from spikecast.reference import LayerTrace, _fold, ann_forward, forward, qcfs, run_layer
 from spikecast.runtime import (ConversionError, IfLayer, SnnTrace, SpikeTrain,
                                _train_sum, check_equivalence, convert,
                                if_generic_layer, if_input_layer, snn_forward)
 from spikecast.zoo import residual_block_manifest, resnet_manifest, toy_manifest
 
 from conftest import (full_array_if, mean_avg_pool2d, negative_weight_graph,
-                      random_graph, step_train_sum, traced_peak_bytes)
+                      random_graph, step_train_sum, traced_held_bytes, traced_peak_bytes)
 
 CHUNK = runtime._IF_CHUNK
 
@@ -452,6 +453,101 @@ class TestSnnForward:
                    else trace.sums[layer.id].nbytes * (model.t_map[layer.id] or 1)
                    for layer in graph.layers)
         assert traced_peak_bytes(lambda: snn_forward(model, x)) < held / 2
+
+
+def contract_net(name):
+    """A net for the trace-map contract, and a batch of 3 inputs for it."""
+    if name == "toy":
+        graph = init_random(parse_manifest(toy_manifest()), 42)
+    elif name == "residual":     # merge adds the trains of act0 and act1
+        graph = init_random(parse_manifest(residual_block_manifest()), 3)
+    else:                         # fc after an input-mode activation
+        graph = negative_weight_graph()
+    x = np.random.default_rng(41).uniform(0, 1, size=(3,) + graph.input_layer.shape)
+    return graph, x
+
+
+def walked_outputs(graph, x):
+    """Every value of a staircase walk, kept as it is made: the reference
+    outputs as arrays, qcfs giving _level_buffer * theta / L in place."""
+    values = {}
+    forward(graph, x, lambda layer, z, n: qcfs(z, layer.qcfs),
+            record=lambda layer, value, n: values.__setitem__(layer.id, value))
+    return values
+
+
+def assert_trace_map(entries, ids, want, derived):
+    """entries maps ids, in order, to arrays equal to want's in dtype, shape
+    and bytes; an id in derived gets a fresh array on each read, any other
+    the one stored array."""
+    assert isinstance(entries, Mapping)
+    assert list(entries) == ids and len(entries) == len(ids)
+    assert all(lid in entries for lid in ids) and "absent" not in entries
+    assert [lid for lid, _ in entries.items()] == ids
+    for lid, got in entries.items():
+        assert (got.dtype, got.shape) == (want[lid].dtype, want[lid].shape), lid
+        assert got.tobytes() == want[lid].tobytes(), lid
+        if lid in derived:
+            got.fill(-1.0)
+            again = entries[lid]
+            assert again is not got and again.tobytes() == want[lid].tobytes(), lid
+        else:
+            assert entries[lid] is got, lid
+    with pytest.raises(TypeError):
+        entries[ids[0]] = want[ids[0]]
+
+
+class TestTraceMaps:
+    """LayerTrace.outputs and SnnTrace.sums: read-only maps in graph order
+    whose activation and train entries are built on each read."""
+
+    @pytest.mark.parametrize("net", ["toy", "residual", "input-mode-fc"])
+    def test_layer_trace_outputs(self, net):
+        graph, x = contract_net(net)
+        ref = ann_forward(graph, x)
+        acts = {layer.id for layer in graph.qcfs_layers()}
+        assert_trace_map(ref.outputs, [layer.id for layer in graph.layers],
+                         walked_outputs(graph, x), acts)
+
+    @pytest.mark.parametrize("net", ["toy", "residual", "input-mode-fc"])
+    def test_snn_trace_sums(self, net):
+        graph, x = contract_net(net)
+        trace = SnnTrace()
+        snn_forward(convert(graph), x, trace=trace)
+        assert set(trace.trains) == {layer.id for layer in graph.qcfs_layers()}
+        want = {lid: train.dense().sum(axis=0) for lid, train in trace.trains.items()}
+        for lid, total in trace.sums.items():
+            want.setdefault(lid, total)
+        if net == "residual":
+            dense = trace.trains["act0"].dense() + trace.trains["act1"].dense()
+            assert want["merge"].tobytes() == dense.sum(axis=0).tobytes()
+        assert_trace_map(trace.sums, [layer.id for layer in graph.layers], want,
+                         set(trace.trains))
+
+    def test_traces_hold_levels_and_bits(self):
+        # a LayerTrace holds its stored outputs plus one level item per
+        # activation element; an SnnTrace its stored sums plus train bits.
+        # Keeping float64 activation outputs or train sums breaks either bound.
+        graph = init_random(parse_manifest(conv_stack_manifest(depth=4, steps=4)), 17)
+        model = convert(graph)
+        x = np.random.default_rng(17).uniform(0, 1, size=(2, 3, 16, 16))
+        ref = ann_forward(graph, x)                 # also warms weight views and indices
+        trace = SnnTrace()
+        snn_forward(model, x, trace=trace)
+        slack = 32 << 10
+        stored = sum(ref.outputs[layer.id].nbytes for layer in graph.layers
+                     if layer.kind != "qcfs_act")
+        levels = sum(np.dtype(np.min_scalar_type(layer.qcfs.L)).itemsize
+                     * ref.pre_activations[layer.id].size for layer in graph.qcfs_layers())
+        assert traced_held_bytes(lambda: ann_forward(graph, x)) < stored + levels + slack
+
+        def spiking_trace():
+            held = SnnTrace()
+            snn_forward(model, x, trace=held)
+            return held
+        stored = sum(trace.sums[lid].nbytes for lid in trace.sums if lid not in trace.trains)
+        bits = sum(train.bits.nbytes for train in trace.trains.values())
+        assert traced_held_bytes(spiking_trace) < stored + bits + slack
 
 
 class TestCheckEquivalence:

@@ -6,7 +6,7 @@ and on the parent's, and compares the two summary lines:
     python3 tools/digest.py                      # the tree holding this file
     python3 tools/digest.py --repo ../parent     # another checkout
     python3 tools/digest.py --list               # one line per digest
-    python3 tools/digest.py --peaks              # also each VGG pass's peak
+    python3 tools/digest.py --peaks              # also each VGG pass's peak and held bytes
 
 The set holds one SHA-256 per array or record: the logits; every
 LayerTrace output, pre-activation and histogram; every SnnTrace sum and
@@ -18,8 +18,11 @@ tests/conftest.random_graph) and the 8 level-edge probes. Every pass runs
 twice, so warm caches are covered as well as cold ones.
 
 With --peaks, every VGG pass also prints the tracemalloc peak it reached
-above the bytes held when it started; the ``report`` pass is one
-check_equivalence on warm caches. Tracing changes no digest.
+above the bytes held when it started, and the bytes its returned trace
+(LayerTrace or SnnTrace; the report for ``report``) still holds once the
+pass is over, so held and transient memory can be told apart. The
+``report`` pass is one check_equivalence on warm caches. Tracing changes
+no digest.
 """
 
 import argparse
@@ -88,6 +91,7 @@ def ann_pass(sc, d, name, graph, x):
     for lid in ref.pre_activations:
         d.add(f"{name}/ann/pre/{lid}", ref.pre_activations[lid])
         d.add(f"{name}/ann/hist/{lid}", ref.histograms[lid])
+    return ref
 
 
 def snn_pass(sc, d, name, model, x):
@@ -104,6 +108,7 @@ def snn_pass(sc, d, name, model, x):
               [list(st.stage_steps), st.stage1_spikes, st.stage2_excitatory,
                st.stage2_inhibitory, st.emitted_spikes, st.elements, st.timesteps])
         d.add(f"{name}/snn/counter/{lid}", st.counter)
+    return trace
 
 
 def report(sc, d, name, graph, x, model):
@@ -112,19 +117,24 @@ def report(sc, d, name, graph, x, model):
     rep["per_layer"] = [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
                         for row in rep["per_layer"]]
     d.add(f"{name}/report", {k: v.hex() if isinstance(v, float) else v for k, v in rep.items()})
+    return rep
 
 
 def peak_of(show, label, fn, *args):
     """fn(*args); with show set, print the tracemalloc peak fn reached above
-    the bytes held when it started."""
+    the bytes held when it started, and the bytes its result holds: what is
+    freed when the result is dropped."""
     if not show:
         fn(*args)
         return
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        print(f"peak {label} {(tracemalloc.get_traced_memory()[1] - base) / 1e6:.2f} MB")
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+        del result
+        held -= tracemalloc.get_traced_memory()[0]
+        print(f"peak {label} {(peak - base) / 1e6:.2f} MB held {held / 1e6:.2f} MB")
     finally:
         tracemalloc.stop()
 
@@ -168,7 +178,8 @@ def main(argv=None):
                         help="checkout to digest (default: the one holding this tool)")
     parser.add_argument("--list", action="store_true", help="print every digest")
     parser.add_argument("--peaks", action="store_true",
-                        help="print the tracemalloc peak of each VGG pass")
+                        help="print the tracemalloc peak of each VGG pass and the "
+                             "bytes its trace holds after it")
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
     if not (repo / "src" / "spikecast").is_dir():

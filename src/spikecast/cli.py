@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Subcommands
-  convert      write the spiking bundle: manifest, source weights and plan
+  convert      write the spiking bundle: the manifest and its weight blobs
   check-equiv  certify reference/spiking agreement on seeded random inputs
   al-metric    per-layer sensitivity statistics, clustering and step hints
   energy       op counts, overhead-weighted timesteps and energy ratios
 
-Exit codes are stable: 0 success, 1 check failed, 2 invalid input or model.
+Exit codes are stable: 0 success, 1 check failed, 2 invalid input or model,
+or a file that cannot be read or written.
 Reports are written as canonical JSON (sorted keys, floats at 6 significant
 digits) plus a CSV sibling where a flat table makes sense, so identical
 configurations produce byte-identical files.
@@ -24,18 +25,16 @@ import numpy as np
 
 from . import energy as energy_model
 from . import runtime, sensitivity
-from .graph import (GraphError, init_random, load_weights, parse_manifest,
-                    save_weights, serialize_manifest)
-from .kernels import KernelError
+from .graph import init_random, load_weights, parse_manifest, save_weights, serialize_manifest
 from .reference import ann_forward
-from .runtime import ConversionError, convert, snn_forward
+from .runtime import convert, snn_forward
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 
 
-class CliError(Exception):
+class CliError(ValueError):
     pass
 
 
@@ -79,11 +78,9 @@ def write_csv(path, header, rows):
 
 
 def _load_model(args, need_weights=True):
-    try:
-        text = Path(args.manifest).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read manifest: {exc}")
-    graph = parse_manifest(text)
+    if not args.manifest:
+        raise CliError(f"{args.command} needs --manifest")
+    graph = parse_manifest(Path(args.manifest).read_text())
     if not need_weights:
         return graph
     if bool(args.weights) == (args.seed is not None):
@@ -124,30 +121,12 @@ def _config_echo(args, extra=None):
 
 
 def cmd_convert(args):
+    if not args.out:
+        raise CliError("convert needs --out")
     graph = _load_model(args)
     model = convert(graph)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    layers = []
-    for layer in graph.layers:
-        entry = {"id": layer.id, "kind": layer.kind}
-        t = model.t_map[layer.id]
-        entry["timesteps"] = 1 if t is None else t
-        if layer.id in model.if_plans:
-            plan = model.if_plans[layer.id]
-            entry.update(theta_star=plan.theta_star, l_in=plan.l_in,
-                         l_out=plan.l_out, input_mode=plan.input_mode)
-        if layer.is_matmul:
-            t_in = model.t_map[layer.preds[0]]
-            entry["constant_scale"] = 1.0 if t_in is None else 1.0 / t_in
-        layers.append(entry)
-    write_json(out / "model.json", {
-        "source": graph.name,
-        "classes": graph.classes,
-        "layers": layers,
-        "config": _config_echo(args),
-    })
     (out / "manifest.json").write_text(serialize_manifest(graph) + "\n")
     save_weights(graph, out)
     print(f"wrote spiking bundle to {out} "
@@ -245,7 +224,7 @@ def _measured_rates(model, sources, inputs):
     snn_forward(model, inputs, trace=trace)
     rates = {lid: int(np.count_nonzero(train.bits)) / train.bits[0].size
              for lid, train in trace.trains.items()}
-    mean_rate = float(np.mean(list(rates.values()))) if rates else 0.75
+    mean_rate = float(np.mean(list(rates.values()))) if rates else energy_model.ASSUMED_SPIKE_RATE
     return [max(rates.get(src, mean_rate), 1e-12) for src in sources]
 
 
@@ -262,7 +241,8 @@ def cmd_energy(args):
         if args.out:
             write_csv(args.out, ["layer", "input", "output", "macs"], rows)
         if args.L is not None and isinstance(steps, int):
-            rate = 0.75 if args.rate in (None, "measured") else float(args.rate)
+            rate = (energy_model.ASSUMED_SPIKE_RATE if args.rate in (None, "measured")
+                    else float(args.rate))
             dims, _, _ = energy_model.dims_from_graph(energy_model.golden_graph(args.golden))
             tn = energy_model.t_norm(dims, steps, rate)
             print(f"T_norm (L={steps}, rate={_fmt(rate)}): {_fmt(tn)}")
@@ -277,7 +257,7 @@ def cmd_energy(args):
         rates = _measured_rates(convert(graph), sources, _load_inputs(args, graph))
         rate_label = "measured"
     else:
-        rates = float(args.rate) if args.rate else 0.75
+        rates = float(args.rate) if args.rate else energy_model.ASSUMED_SPIKE_RATE
         rate_label = "assumed"
     if args.L is None:
         steps = graph_steps
@@ -290,10 +270,8 @@ def cmd_energy(args):
             for i, L in zip(paired, steps):
                 expanded[i] = L
             steps = expanded
-    report = energy_model.build_report(dims, steps, spike_rate=rates,
-                                       precision=args.precision, rate_label=rate_label)
-    report["config"] = _config_echo(args, {"L": steps, "rate": rate_label,
-                                           "precision": args.precision})
+    report = energy_model.build_report(dims, steps, spike_rate=rates, rate_label=rate_label)
+    report["config"] = _config_echo(args, {"L": steps, "rate": rate_label})
     agg = report["aggregates"]
     for key in ("t_norm", "t_eff"):
         if key in agg:
@@ -359,8 +337,8 @@ def build_parser():
                    help="print a built-in reference op-count table")
     p.add_argument("--L", help="uniform step or comma-separated layerwise vector")
     p.add_argument("--rate", default=None,
-                   help="'measured' or a spike-rate value (default 0.75)")
-    p.add_argument("--precision", choices=("fp32", "int8"), default="fp32")
+                   help="'measured' or a spike-rate value "
+                        f"(default {energy_model.ASSUMED_SPIKE_RATE})")
     p.set_defaults(func=cmd_energy)
     return parser
 
@@ -370,8 +348,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, GraphError, ConversionError, KernelError,
-            sensitivity.MetricError, energy_model.EnergyModelError, ValueError) as exc:
+    except (ValueError, OSError) as exc:     # every spikecast error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

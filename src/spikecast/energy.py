@@ -23,7 +23,8 @@ plain one runs L, giving the per-layer overhead ratio
     T_norm = mean_l(r_E^l) * T          (uniform quantization step)
     T_eff  = mean_l(r_E^l * T^l)        (layerwise steps, T^l = L^l)
 
-averaged over all matmul layers, with the default rate assumption 0.75.
+averaged over all matmul layers, with the default rate assumption 0.75
+(ASSUMED_SPIKE_RATE).
 
 For the aggregate overhead ratio the integrate-and-fire work is costed as
 narrow integer additions (int8 add energy) by default: the membrane and
@@ -73,6 +74,9 @@ ENERGY = {
     "fp32": EnergyCost(add=0.9, mul=3.7, mac=4.6),
     "int8": EnergyCost(add=0.03, mul=0.2, mac=0.23),
 }
+
+# Total spikes per neuron assumed where no rate is measured or given.
+ASSUMED_SPIKE_RATE = 0.75
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,18 @@ def r_e_layer(L, rp):
     return (1.0 + (5 * L - 2) * rp) / (1.0 + L * rp)
 
 
-def t_norm(layers, T, spike_rate=0.75):
+def _step_vector(layers, l_steps):
+    """l_steps as one step per matmul layer: a uniform int is broadcast, a
+    vector must have one entry per layer."""
+    if isinstance(l_steps, (int, np.integer)):
+        return [int(l_steps)] * len(layers)
+    if len(l_steps) != len(layers):
+        raise EnergyModelError(
+            f"step vector has {len(l_steps)} entries for {len(layers)} matmul layers")
+    return list(l_steps)
+
+
+def t_norm(layers, T, spike_rate=ASSUMED_SPIKE_RATE):
     """Overhead-weighted timestep count at a uniform quantization step.
 
     Defined as t_eff with the uniform step vector, so the two collapse to
@@ -153,12 +168,10 @@ def t_norm(layers, T, spike_rate=0.75):
     return t_eff(layers, [T] * len(layers), spike_rate)
 
 
-def t_eff(layers, l_vector, spike_rate=0.75):
+def t_eff(layers, l_vector, spike_rate=ASSUMED_SPIKE_RATE):
     """Overhead-weighted timestep count with layerwise steps T^l = L^l."""
-    if len(l_vector) != len(layers):
-        raise EnergyModelError(
-            f"layerwise step vector has {len(l_vector)} entries for {len(layers)} matmul layers")
-    terms = [r_e_layer(L, r_prime(d, spike_rate)) * L for d, L in zip(layers, l_vector)]
+    terms = [r_e_layer(L, r_prime(d, spike_rate)) * L
+             for d, L in zip(layers, _step_vector(layers, l_vector))]
     return float(np.mean(terms))
 
 
@@ -185,7 +198,7 @@ def ann_snn_energy_ratio(a, b, c, precision="fp32"):
     return a * e.mac / denom
 
 
-def overall_r_e(layers, l_steps, spike_rate=0.75,
+def overall_r_e(layers, l_steps, spike_rate=ASSUMED_SPIKE_RATE,
                 matmul_energy=ENERGY["fp32"].add,
                 if_energy=ENERGY["int8"].add,
                 first_layer_macs=True,
@@ -200,13 +213,8 @@ def overall_r_e(layers, l_steps, spike_rate=0.75,
     """
     if not layers:
         raise EnergyModelError("empty model")
-    if isinstance(l_steps, (int, np.integer)):
-        l_steps = [int(l_steps)] * len(layers)
-    if len(l_steps) != len(layers):
-        raise EnergyModelError(
-            f"step vector has {len(l_steps)} entries for {len(layers)} matmul layers")
     num = den = 0.0
-    for i, (d, L) in enumerate(zip(layers, l_steps)):
+    for i, (d, L) in enumerate(zip(layers, _step_vector(layers, l_steps))):
         if first_layer_macs and i == 0:
             e_ac = d.macs * mac_energy
         else:
@@ -362,18 +370,14 @@ def golden_table(name):
 # report assembly
 
 
-def build_report(layers, l_steps, spike_rate=0.75, precision="fp32", rate_label=None):
+def build_report(layers, l_steps, spike_rate=ASSUMED_SPIKE_RATE, rate_label=None):
     """Per-layer op counts and ratios plus the aggregate figures.
 
     l_steps is a uniform int or a vector aligned with the matmul layers.
     spike_rate is a scalar assumption or a per-matmul vector of measured
     rates; rate_label records which mode produced the numbers.
     """
-    uniform = isinstance(l_steps, (int, np.integer))
-    steps = [int(l_steps)] * len(layers) if uniform else [int(v) for v in l_steps]
-    if len(steps) != len(layers):
-        raise EnergyModelError(
-            f"step vector has {len(steps)} entries for {len(layers)} matmul layers")
+    steps = _step_vector(layers, l_steps)
     rates = ([float(spike_rate)] * len(layers) if np.isscalar(spike_rate)
              else [float(v) for v in spike_rate])
     if len(rates) != len(layers):
@@ -409,9 +413,8 @@ def build_report(layers, l_steps, spike_rate=0.75, precision="fp32", rate_label=
         "energy_ratio_fp32": ann_snn_energy_ratio(1.0, mean_rate, first_fraction, "fp32"),
         "energy_ratio_int8": ann_snn_energy_ratio(1.0, mean_rate, first_fraction, "int8"),
         "rate_mode": rate_label or ("assumed" if np.isscalar(spike_rate) else "measured"),
-        "precision": precision,
     }
-    if uniform:
+    if isinstance(l_steps, (int, np.integer)):
         aggregates["t_norm"] = t_norm(layers, int(l_steps), mean_rate)
     else:
         aggregates["t_eff"] = t_eff(layers, steps, mean_rate)

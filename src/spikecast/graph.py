@@ -122,10 +122,6 @@ class ModelGraph:
     def qcfs_layers(self):
         return [l for l in self.layers if l.kind == "qcfs_act"]
 
-    def quantization_steps(self):
-        """Layerwise L vector, in graph order."""
-        return [l.qcfs.L for l in self.qcfs_layers()]
-
     @property
     def input_layer(self):
         return next(l for l in self.layers if l.kind == "input")
@@ -142,12 +138,23 @@ class ModelGraph:
 # parsing
 
 
-def _as_pair(value, layer_id, name):
-    if isinstance(value, int):
-        return (value, value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return (int(value[0]), int(value[1]))
-    _fail(layer_id, f"field '{name}' must be an int or a pair")
+def _as_pair(value, layer_id, name, low):
+    pair = (value, value) if isinstance(value, int) else value
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        _fail(layer_id, f"field '{name}' must be an int or a pair")
+    pair = (int(pair[0]), int(pair[1]))
+    if min(pair) < low:
+        _fail(layer_id, f"field '{name}' must be >= {low}, got {value}")
+    return pair
+
+
+def _positive(entry, layer_id, name):
+    if name not in entry:
+        _fail(layer_id, f"'{entry['kind']}' layer needs '{name}'")
+    value = int(entry[name])
+    if value < 1:
+        _fail(layer_id, f"field '{name}' must be positive, got {value}")
+    return value
 
 
 def _parse_layer(entry):
@@ -160,14 +167,17 @@ def _parse_layer(entry):
         shape = entry.get("shape")
         if not (isinstance(shape, (list, tuple)) and len(shape) == 3):
             _fail(lid, "input layer needs 'shape': [C, H, W]")
-        return LayerSpec(lid, kind, preds, shape=tuple(int(v) for v in shape))
+        shape = tuple(int(v) for v in shape)
+        if min(shape) < 1:
+            _fail(lid, f"input shape must be positive, got {list(shape)}")
+        return LayerSpec(lid, kind, preds, shape=shape)
     if kind == "conv":
         return LayerSpec(
             lid, kind, preds,
-            out_channels=int(entry["out_channels"]),
-            kernel=_as_pair(entry.get("kernel", 1), lid, "kernel"),
-            stride=_as_pair(entry.get("stride", 1), lid, "stride"),
-            padding=_as_pair(entry.get("padding", 0), lid, "padding"),
+            out_channels=_positive(entry, lid, "out_channels"),
+            kernel=_as_pair(entry.get("kernel", 1), lid, "kernel", 1),
+            stride=_as_pair(entry.get("stride", 1), lid, "stride", 1),
+            padding=_as_pair(entry.get("padding", 0), lid, "padding", 0),
             has_bias=bool(entry.get("bias", False)),
             has_bn=bool(entry.get("batch_norm", False)),
             epsilon=float(entry.get("epsilon", 1e-5)),
@@ -175,13 +185,13 @@ def _parse_layer(entry):
     if kind == "fc":
         return LayerSpec(
             lid, kind, preds,
-            out_channels=int(entry["out_features"]),
+            out_channels=_positive(entry, lid, "out_features"),
             has_bias=bool(entry.get("bias", False)),
             has_bn=bool(entry.get("batch_norm", False)),
             epsilon=float(entry.get("epsilon", 1e-5)),
         )
     if kind in ("avg_pool", "max_pool"):
-        return LayerSpec(lid, kind, preds, window=int(entry["window"]))
+        return LayerSpec(lid, kind, preds, window=_positive(entry, lid, "window"))
     if kind == "qcfs_act":
         if "L" not in entry or "theta" not in entry:
             _fail(lid, "activation layer needs 'L' and 'theta'")
@@ -279,7 +289,7 @@ def _infer_shapes(layers):
                 if len(in_shape) != 3:
                     _fail(layer.id, "pool requires a spatial (C, H, W) input")
                 c, h, w = in_shape
-                if layer.window < 1 or h % layer.window or w % layer.window:
+                if h % layer.window or w % layer.window:
                     _fail(layer.id, f"pool window {layer.window} does not divide {h}x{w}")
                 out_shape = (c, h // layer.window, w // layer.window)
             elif layer.kind == "residual_add":

@@ -373,7 +373,7 @@ def _window_sums(x00, x01, x10, x11, one_column):
     return out
 
 
-def avg_pool2d(x, window, stride=None, scale=None):
+def avg_pool2d(x, window, scale=None):
     """Non-overlapping k x k mean pooling; H and W must tile exactly.
 
     With scale given, x is a bool spike tensor and the input pooled is
@@ -385,10 +385,7 @@ def avg_pool2d(x, window, stride=None, scale=None):
     _check(x.ndim == 4, "pool input must be 4-D, got shape {}", x.shape)
     _check(scale is None or x.dtype == np.bool_,
            "a scaled pool input must be a bool spike tensor, got {}", x.dtype)
-    k = window[0] if isinstance(window, (tuple, list)) else int(window)
-    if stride is not None:
-        s = stride[0] if isinstance(stride, (tuple, list)) else int(stride)
-        _check(s == k, "avg-pool stride must equal its window")
+    k = int(window)
     n, c, h, w = x.shape
     _check(h % k == 0 and w % k == 0,
            "pool window {} does not divide input {}x{}", k, h, w)
@@ -424,7 +421,7 @@ def max_pool2d(x, window):
     with the timestep sum, so converted spiking models reject it.
     """
     _check(x.ndim == 4, "pool input must be 4-D, got shape {}", x.shape)
-    k = window[0] if isinstance(window, (tuple, list)) else int(window)
+    k = int(window)
     n, c, h, w = x.shape
     _check(h % k == 0 and w % k == 0,
            "pool window {} does not divide input {}x{}", k, h, w)

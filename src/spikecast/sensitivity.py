@@ -53,10 +53,6 @@ class LevelHistogram:
             raise MetricError("histogram counts must be non-negative")
 
     @property
-    def n(self):
-        return int(np.sum(self.counts))
-
-    @property
     def level_values(self):
         return np.arange(self.L + 1) * (self.theta / self.L)
 
@@ -123,12 +119,13 @@ def kurtosis(hist):
     return float(coeff * s4 / k2 ** 2)
 
 
+def _composite(a, g, k):
+    return a * (g ** 2 + 1.0) * k
+
+
 def al_metric(hist, alpha):
     """Composite sensitivity M = A * (g^2 + 1) * K."""
-    a = van_der_eijk_a(hist, alpha)
-    g = skewness(hist)
-    k = kurtosis(hist)
-    return a * (g * g + 1.0) * k
+    return _composite(van_der_eijk_a(hist, alpha), skewness(hist), kurtosis(hist))
 
 
 def default_alpha(total_layers, k=0.5):
@@ -233,6 +230,14 @@ class LayerMetrics:
     flag: str = ""
 
 
+def _clusters_by_mean(metrics, assignments):
+    """Cluster ids in increasing order of their mean metric."""
+    ids = sorted(set(int(c) for c in assignments))
+    means = {c: float(np.mean([m for m, a in zip(metrics, assignments) if a == c]))
+             for c in ids}
+    return sorted(ids, key=lambda c: means[c])
+
+
 def assign_layerwise_l(metrics, assignments, cluster_l):
     """Map cluster ids to quantization steps, layer by layer.
 
@@ -241,14 +246,10 @@ def assign_layerwise_l(metrics, assignments, cluster_l):
     non-increasing as the cluster mean metric grows; a violation is
     allowed but warned about.
     """
-    assignments = np.asarray(assignments)
-    ids = sorted(set(int(c) for c in assignments))
-    missing = [c for c in ids if c not in cluster_l]
+    ranked = _clusters_by_mean(metrics, assignments)
+    missing = [c for c in sorted(ranked) if c not in cluster_l]
     if missing:
         raise MetricError(f"no quantization step chosen for cluster(s) {missing}")
-    means = {c: float(np.mean([m for m, a in zip(metrics, assignments) if a == c]))
-             for c in ids}
-    ranked = sorted(ids, key=lambda c: means[c])
     for low, high in zip(ranked, ranked[1:]):
         if cluster_l[high] > cluster_l[low]:
             warnings.warn(
@@ -260,15 +261,11 @@ def assign_layerwise_l(metrics, assignments, cluster_l):
 
 def default_cluster_steps(metrics, assignments):
     """Power-of-two ladder: highest-metric cluster gets L=1, then 2, 4, ..."""
-    assignments = np.asarray(assignments)
-    ids = sorted(set(int(c) for c in assignments))
-    means = {c: float(np.mean([m for m, a in zip(metrics, assignments) if a == c]))
-             for c in ids}
-    ranked = sorted(ids, key=lambda c: means[c], reverse=True)
-    return {c: 2 ** rank for rank, c in enumerate(ranked)}
+    ranked = _clusters_by_mean(metrics, assignments)
+    return {c: 2 ** rank for rank, c in enumerate(reversed(ranked))}
 
 
-def analyze_trace(trace, graph, alpha=None, chi=1, cluster_l=None):
+def analyze_trace(trace, graph, alpha=None, chi=1):
     """Per-activation-layer metric report from a forward-pass trace.
 
     Degenerate layers (constant activations, too few samples) are flagged
@@ -287,7 +284,7 @@ def analyze_trace(trace, graph, alpha=None, chi=1, cluster_l=None):
             row.agreement = van_der_eijk_a(hist, alpha)
             row.skew = skewness(hist)
             row.kurt = kurtosis(hist)
-            row.metric = row.agreement * (row.skew ** 2 + 1.0) * row.kurt
+            row.metric = _composite(row.agreement, row.skew, row.kurt)
         except MetricError as exc:
             row.flag = str(exc)
         rows.append(row)
@@ -296,10 +293,10 @@ def analyze_trace(trace, graph, alpha=None, chi=1, cluster_l=None):
     if usable:
         if chi > len(usable):
             raise MetricError(f"cannot split {len(usable)} usable layers into {chi} clusters")
-        assignments = cluster_1d([r.metric for r in usable], chi)
-        if cluster_l is None:
-            cluster_l = default_cluster_steps([r.metric for r in usable], assignments)
-        steps = assign_layerwise_l([r.metric for r in usable], assignments, cluster_l)
+        metrics = [r.metric for r in usable]
+        assignments = cluster_1d(metrics, chi)
+        steps = assign_layerwise_l(metrics, assignments,
+                                   default_cluster_steps(metrics, assignments))
         for row, cid, step in zip(usable, assignments, steps):
             row.cluster = int(cid)
             row.assigned_L = step

@@ -1,5 +1,6 @@
 """Shared builders: small manifests, random model generation, naive oracles."""
 
+import itertools
 import json
 import tracemalloc
 
@@ -238,3 +239,32 @@ def negative_weight_graph():
                  "bias": np.array([0.3, 0.1], dtype=np.float32)},
     }
     return graph.with_weights(weights)
+
+
+def probe_graph(seed):
+    """in(3x1x1) -> identity fc -> act (L=10) -> fc with float32 weights
+    rounded to multiples of 0.1 -> act (L=2) -> 2-class head.
+
+    On level_grid, seeds 0 and 2-5 put between 1 and 23 of fc2's outputs
+    exactly on a level edge of act2 (1/4 or 3/4), where floating point is
+    least forgiving; seeds 1, 6 and 7 put none there."""
+    doc = {"name": "level-edge", "classes": 2, "layers": [
+        {"id": "in", "kind": "input", "pred": [], "shape": [3, 1, 1]},
+        {"id": "fc1", "kind": "fc", "pred": ["in"], "out_features": 3},
+        {"id": "act1", "kind": "qcfs_act", "pred": ["fc1"], "L": 10, "theta": 1.0},
+        {"id": "fc2", "kind": "fc", "pred": ["act1"], "out_features": 3},
+        {"id": "act2", "kind": "qcfs_act", "pred": ["fc2"], "L": 2, "theta": 1.0},
+        {"id": "head", "kind": "fc", "pred": ["act2"], "out_features": 2, "bias": True},
+    ]}
+    graph = init_random(parse_manifest(json.dumps(doc)), seed)
+    w = dict(graph.weights)
+    w["fc1"] = {"weight": np.eye(3, dtype=np.float32)}
+    fc2 = np.asarray(w["fc2"]["weight"], dtype=np.float64)
+    w["fc2"] = {"weight": (np.round(fc2 * 10.0) / 10.0).astype(np.float32)}
+    return graph.with_weights(w)
+
+
+def level_grid():
+    """All 11^3 inputs with each channel in {0, 0.1, ..., 1}."""
+    grid = np.array(list(itertools.product(range(11), repeat=3)), dtype=np.float64)
+    return grid.reshape(-1, 3, 1, 1) / 10.0

@@ -7,7 +7,7 @@ import pytest
 from spikecast import cli
 from spikecast import energy as energy_model
 from spikecast.cli import main
-from spikecast.graph import init_random, parse_manifest
+from spikecast.graph import init_random, load_weights, parse_manifest
 from spikecast.runtime import SnnTrace, convert, snn_forward
 from spikecast.zoo import toy_manifest, vgg16_manifest
 
@@ -25,15 +25,29 @@ def read_tree(root):
 
 class TestConvert:
     def test_bundle_records_thresholds(self, toy_manifest_path, tmp_path, capsys):
+        # the bundle is the manifest plus its blobs; convert derives the plan
         out = tmp_path / "bundle"
         code = main(["convert", "--manifest", toy_manifest_path, "--seed", "7",
                      "--out", str(out)])
         assert code == 0
-        doc = json.loads((out / "model.json").read_text())
-        plans = {l["id"]: l for l in doc["layers"] if "theta_star" in l}
-        assert plans["act1"]["theta_star"] == pytest.approx(0.25)
-        assert plans["act2"]["theta_star"] == pytest.approx(0.35)
-        assert (out / "conv1.f32").exists()
+        assert sorted(read_tree(out)) == ["conv1.f32", "conv2.f32", "head.f32",
+                                          "manifest.json"]
+        graph = load_weights(parse_manifest((out / "manifest.json").read_text()), out)
+        plans = convert(graph).if_plans
+        assert plans["act1"].theta_star == pytest.approx(0.25)
+        assert plans["act2"].theta_star == pytest.approx(0.35)
+
+    def test_missing_out_exits_2(self, toy_manifest_path, capsys):
+        assert main(["convert", "--manifest", toy_manifest_path, "--seed", "7"]) == 2
+        assert "convert needs --out" in capsys.readouterr().err
+
+    def test_out_onto_a_file_exits_2(self, toy_manifest_path, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["convert", "--manifest", toy_manifest_path, "--seed", "7",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_max_pool_exits_2(self, tmp_path, capsys):
         doc = json.loads(toy_manifest())
@@ -121,6 +135,31 @@ class TestCheckEquiv:
         assert code == 2
         assert "input layer 'in': input contains non-finite values" in capsys.readouterr().err
         assert not caught
+
+    def test_missing_manifest_exits_2(self, capsys):
+        assert main(["check-equiv", "--seed", "3"]) == 2
+        assert "check-equiv needs --manifest" in capsys.readouterr().err
+
+    def test_missing_input_blob_exits_2(self, toy_manifest_path, tmp_path, capsys):
+        code = main(["check-equiv", "--manifest", toy_manifest_path, "--seed", "3",
+                     "--inputs", str(tmp_path / "missing.f32")])
+        assert code == 2
+        assert "missing.f32" in capsys.readouterr().err
+
+    def test_out_in_missing_directory_exits_2(self, toy_manifest_path, tmp_path, capsys):
+        code = main(["check-equiv", "--manifest", toy_manifest_path, "--seed", "3",
+                     "--n", "2", "--out", str(tmp_path / "nowhere" / "r.json")])
+        assert code == 2
+        assert "nowhere" in capsys.readouterr().err
+
+    def test_manifest_field_error_exits_2(self, tmp_path, capsys):
+        doc = json.loads(toy_manifest())
+        doc["layers"][1]["out_channels"] = 0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["check-equiv", "--manifest", str(path), "--seed", "3"])
+        assert code == 2
+        assert "layer 'conv1': field 'out_channels' must be positive" in capsys.readouterr().err
 
     def test_report_bytes_deterministic(self, toy_manifest_path, tmp_path):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
@@ -252,3 +291,68 @@ class TestEnergy:
         assert rates["conv2"] == pytest.approx(want["act1"], rel=1e-5)
         assert rates["head"] == pytest.approx(want["act2"], rel=1e-5)
         assert rates["conv1"] == pytest.approx((want["act1"] + want["act2"]) / 2, rel=1e-5)
+
+
+def canonical(doc):
+    """A report as write_json lays it out."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestReportBytes:
+    """Pinned reports of fixed configurations; the manifest path is relative,
+    so the config echo is too."""
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "toy.json").write_text(toy_manifest())
+
+        def run(*argv):
+            assert main(list(argv)) == 0
+            return tmp_path
+        return run
+
+    def test_energy_report(self, run):
+        out = run("energy", "--manifest", "toy.json", "--L", "2,1", "--rate", "0.6",
+                  "--out", "energy.json")
+        row = {"kind": "conv", "snn_macs": 0, "spike_rate": 0.6}
+        assert (out / "energy.json").read_text() == canonical({
+            "aggregates": {"energy_ratio_fp32": 1.54921, "energy_ratio_int8": 1.58788,
+                           "first_layer_fraction": 0.598338, "mean_spike_rate": 0.6,
+                           "overall_r_e": 1.00217, "rate_mode": "assumed",
+                           "t_eff": 2.07913, "total_ann_macs": 11552},
+            "config": {"L": [2, 1, 2], "manifest": "toy.json", "rate": "assumed"},
+            "per_layer": [
+                {**row, "L": 2, "ann_macs": 6912, "layer": "conv1", "r_e": 1.46875,
+                 "r_prime": 0.0925926, "snn_acs": 0.0, "snn_macs": 6912,
+                 "threshold_mults": 0.0},
+                {**row, "L": 1, "ann_macs": 4320, "layer": "conv2", "r_e": 1.05988,
+                 "r_prime": 0.0308642, "snn_acs": 2592.0, "threshold_mults": 48.0},
+                {**row, "L": 2, "ann_macs": 320, "kind": "fc", "layer": "head",
+                 "r_e": 1.12, "r_prime": 0.0208333, "snn_acs": 192.0,
+                 "threshold_mults": 2.4},
+            ]})
+        assert (out / "energy.csv").read_text() == (
+            "layer,kind,L,spike_rate,ann_macs,snn_acs,threshold_mults,r_prime,r_e\n"
+            "conv1,conv,2,0.6,6912,0,0,0.0925926,1.46875\n"
+            "conv2,conv,1,0.6,4320,2592,48,0.0308642,1.05988\n"
+            "head,fc,2,0.6,320,192,2.4,0.0208333,1.12\n")
+
+    def test_al_metric_report(self, run):
+        out = run("al-metric", "--manifest", "toy.json", "--seed", "5", "--n", "8",
+                  "--chi", "2", "--out", "al.json")
+        assert (out / "al.json").read_text() == canonical({
+            "config": {"alpha": 0.166667, "chi": 2, "images": 8, "manifest": "toy.json",
+                       "seed": 5},
+            "layers": [
+                {"agreement": 0.5, "assigned_L": 2, "cluster": 0, "flag": "",
+                 "kurtosis": 1.71788, "layer": "act1", "metric": 0.874321,
+                 "skewness": 0.133818},
+                {"agreement": 1.0, "assigned_L": 1, "cluster": 1, "flag": "",
+                 "kurtosis": 62.5031, "layer": "act2", "metric": 3858.34,
+                 "skewness": 7.79297},
+            ]})
+        assert (out / "al.csv").read_text() == (
+            "layer,A,g,kurtosis,M,cluster,assigned_L\n"
+            "act1,0.5,0.133818,1.71788,0.874321,0,2\n"
+            "act2,1,7.79297,62.5031,3858.34,1,1\n")

@@ -42,7 +42,7 @@ class TestParse:
         assert kinds.count("avg_pool") == 5
         assert kinds.count("qcfs_act") == 15
         assert len(g.matmul_layers()) == 16
-        assert g.quantization_steps() == [4] * 15
+        assert [l.qcfs.L for l in g.qcfs_layers()] == [4] * 15
 
     def test_residual_arity_error(self):
         doc = small_manifest()
@@ -82,6 +82,30 @@ class TestParse:
             QcfsConfig(L=0, theta=1.0)
         with pytest.raises(GraphError, match="threshold"):
             QcfsConfig(L=4, theta=0.0)
+
+    @pytest.mark.parametrize("index, field, value, match", [
+        (1, "out_channels", None, "'c1': 'conv' layer needs 'out_channels'"),
+        (1, "out_channels", 0, "'c1': field 'out_channels' must be positive, got 0"),
+        (1, "out_channels", -2, "'c1': field 'out_channels' must be positive, got -2"),
+        (3, "out_features", None, "'f1': 'fc' layer needs 'out_features'"),
+        (3, "out_features", 0, "'f1': field 'out_features' must be positive, got 0"),
+        (4, "window", None, "'p': 'avg_pool' layer needs 'window'"),
+        (4, "window", -2, "'p': field 'window' must be positive, got -2"),
+        (1, "kernel", 0, "'c1': field 'kernel' must be >= 1, got 0"),
+        (1, "stride", [1, 0], r"'c1': field 'stride' must be >= 1, got \[1, 0\]"),
+        (1, "padding", -1, "'c1': field 'padding' must be >= 0, got -1"),
+        (0, "shape", [3, -4, 4], r"'in': input shape must be positive, got \[3, -4, 4\]"),
+    ])
+    def test_missing_or_non_positive_field(self, index, field, value, match):
+        doc = small_manifest()
+        doc["layers"].append({"id": "p", "kind": "avg_pool", "pred": ["a1"], "window": 2})
+        doc["layers"][3]["pred"] = ["p"]
+        if value is None:
+            del doc["layers"][index][field]
+        else:
+            doc["layers"][index][field] = value
+        with pytest.raises(GraphError, match="layer " + match):
+            parse_manifest(json.dumps(doc))
 
     def test_standalone_bn_is_fused(self):
         doc = small_manifest()

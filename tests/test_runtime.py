@@ -15,8 +15,9 @@ from spikecast.runtime import (ConversionError, IfLayer, SnnTrace, SpikeTrain,
                                if_generic_layer, if_input_layer, snn_forward)
 from spikecast.zoo import residual_block_manifest, resnet_manifest, toy_manifest
 
-from conftest import (full_array_if, mean_avg_pool2d, negative_weight_graph,
-                      random_graph, step_train_sum, traced_held_bytes, traced_peak_bytes)
+from conftest import (full_array_if, level_grid, mean_avg_pool2d, negative_weight_graph,
+                      probe_graph, random_graph, step_train_sum, traced_held_bytes,
+                      traced_peak_bytes)
 
 CHUNK = runtime._IF_CHUNK
 
@@ -603,6 +604,17 @@ class TestCheckEquivalence:
                 scale = float(np.max(np.abs(ann_out)))
                 assert row.max_abs_dev.hex() == dev.hex()
                 assert row.rel_dev.hex() == (dev / scale if scale > 0 else dev).hex()
+
+    @pytest.mark.parametrize("seed", [
+        pytest.param(seed, marks=pytest.mark.xfail(
+            strict=True, reason="level-edge fault (ROADMAP item 1): the spiking "
+                                "path lands one level below the reference on ties"))
+        if seed in (0, 2, 3, 4, 5) else seed
+        for seed in range(8)])
+    def test_level_edge_probe_agrees(self, seed):
+        rep = check_equivalence(probe_graph(seed), level_grid())
+        assert rep.argmax_agreement == 1.0
+        assert rep.max_rel_dev <= 1e-4
 
     def test_instances_counts_batch_rows(self, toy_graph):
         images = list(np.random.default_rng(17).uniform(0, 1, size=(3, 2, 8, 8)))

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,17 @@ class TestTraceAnalysis:
         trace = ann_forward(g, np.ones((3, 2, 8, 8)))
         rows = analyze_trace(trace, g, alpha=0.1, chi=1)
         assert all(r.flag for r in rows)
+
+    def test_unoccupied_bins_warn_once_per_layer(self, toy_graph):
+        from spikecast.reference import ann_forward
+        from spikecast.sensitivity import analyze_trace
+        x = np.random.default_rng(54).uniform(0, 1, size=(8, 2, 8, 8))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = analyze_trace(ann_forward(toy_graph, x), toy_graph, alpha=0.99, chi=1)
+        assert [r.agreement for r in rows] == [1.0, 1.0]
+        assert [str(w.message) for w in caught] == [
+            "no histogram bin reaches the occupancy threshold; reporting agreement = 1"] * 2
 
     def test_random_model_report(self, toy_graph):
         from spikecast.reference import ann_forward

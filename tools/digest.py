@@ -14,8 +14,10 @@ spike train; every IfStats count and counter; and every
 check_equivalence report. The runs are VGG-16/CIFAR-10 at L=4 with batch
 1, the layerwise mixed steps at batch 8, ann_forward at L=4 with batch 32,
 the acceptance gate's 200 models (seed 20240813, from
-tests/conftest.random_graph) and the 8 level-edge probes. Every pass runs
-twice, so warm caches are covered as well as cold ones.
+tests/conftest.random_graph) and the 8 level-edge probes
+(tests/conftest.probe_graph on tests/conftest.level_grid). Every pass runs
+twice, so warm caches are covered as well as cold ones. A checkout given by
+--repo must have these three builders in its tests/conftest.py.
 
 With --peaks, every VGG pass also prints the tracemalloc peak it reached
 above the bytes held when it started, and the bytes its returned trace
@@ -27,7 +29,6 @@ no digest.
 
 import argparse
 import hashlib
-import itertools
 import json
 import sys
 import tracemalloc
@@ -56,31 +57,6 @@ class Digests:
     def summary(self):
         total = hashlib.sha256("\n".join(self.lines).encode()).hexdigest()
         return f"{len(self.lines)} digests, sha256 {total}"
-
-
-def probe_graph(sc, seed):
-    """in(3x1x1) -> identity fc -> act (L=10) -> fc with float32 weights
-    rounded to multiples of 0.1 -> act (L=2) -> 2-class head."""
-    doc = {"name": "level-edge", "classes": 2, "layers": [
-        {"id": "in", "kind": "input", "pred": [], "shape": [3, 1, 1]},
-        {"id": "fc1", "kind": "fc", "pred": ["in"], "out_features": 3},
-        {"id": "act1", "kind": "qcfs_act", "pred": ["fc1"], "L": 10, "theta": 1.0},
-        {"id": "fc2", "kind": "fc", "pred": ["act1"], "out_features": 3},
-        {"id": "act2", "kind": "qcfs_act", "pred": ["fc2"], "L": 2, "theta": 1.0},
-        {"id": "head", "kind": "fc", "pred": ["act2"], "out_features": 2, "bias": True},
-    ]}
-    graph = sc.graph.init_random(sc.graph.parse_manifest(json.dumps(doc)), seed)
-    w = dict(graph.weights)
-    w["fc1"] = {"weight": np.eye(3, dtype=np.float32)}
-    fc2 = np.asarray(w["fc2"]["weight"], dtype=np.float64)
-    w["fc2"] = {"weight": (np.round(fc2 * 10.0) / 10.0).astype(np.float32)}
-    return graph.with_weights(w)
-
-
-def level_grid():
-    """All 11^3 inputs with each channel in {0, 0.1, ..., 1}."""
-    grid = np.array(list(itertools.product(range(11), repeat=3)), dtype=np.float64)
-    return grid.reshape(-1, 3, 1, 1) / 10.0
 
 
 def ann_pass(sc, d, name, graph, x):
@@ -147,7 +123,7 @@ def both_passes(sc, d, name, graph, x, peaks=False):
     peak_of(peaks, f"{name}/report", report, sc, d, name, graph, x, model)
 
 
-def collect(sc, random_graph, peaks=False):
+def collect(sc, fixtures, peaks=False):
     d = Digests()
     rng = np.random.default_rng(3)
     for name, steps, batch in (("vgg16-b1", 4, 1), ("vgg16-mixed-b8", MIXED_STEPS, 8)):
@@ -163,12 +139,12 @@ def collect(sc, random_graph, peaks=False):
 
     gate = np.random.default_rng(GATE_SEED)
     for i in range(GATE_MODELS):
-        graph = random_graph(gate)
+        graph = fixtures.random_graph(gate)
         x = gate.uniform(0.0, 1.0, size=(GATE_BATCH,) + graph.input_layer.shape)
         both_passes(sc, d, f"gate{i}", graph, x)
-    grid = level_grid()
+    grid = fixtures.level_grid()
     for seed in PROBES:
-        both_passes(sc, d, f"probe{seed}", probe_graph(sc, seed), grid)
+        both_passes(sc, d, f"probe{seed}", fixtures.probe_graph(seed), grid)
     return d
 
 
@@ -185,11 +161,11 @@ def main(argv=None):
     if not (repo / "src" / "spikecast").is_dir():
         parser.error(f"{repo} holds no src/spikecast")
     sys.path[:0] = [str(repo / "src"), str(repo / "tests")]
+    import conftest
     import spikecast as sc
     import spikecast.zoo  # noqa: F401  (not exported by the package)
-    from conftest import random_graph
 
-    d = collect(sc, random_graph, args.peaks)
+    d = collect(sc, conftest, args.peaks)
     if args.list:
         print("\n".join(d.lines))
     print(d.summary())

@@ -11,8 +11,8 @@ ratio under fp32 and int8 per-op energies.
 """
 
 from spikecast.energy import (ann_snn_energy_ratio, dims_from_graph,
-                              golden_table, overall_r_e, qcfs_paired,
-                              r_e_layer, r_prime, t_eff, t_norm)
+                              golden_table, overall_r_e, r_e_layer, r_prime,
+                              t_eff, t_norm)
 from spikecast.graph import parse_manifest
 from spikecast.zoo import resnet_manifest, vgg16_manifest
 
@@ -46,7 +46,7 @@ print(f"  vgg16/224px, uniform L=16: T_norm = {t_norm(vgg16_imagenet, 16):.3f}")
 print(f"  resnet34,    uniform L=8 : T_norm = {t_norm(resnet34_imagenet, 8):.3f}")
 
 steps = [4, 4, 4, 1, 4, 4, 4, 1, 4, 1, 1, 1, 1, 1, 1, 1, 4]
-layers = qcfs_paired(resnet18_cifar)
+layers = [d for d in resnet18_cifar if d.paired]
 print(f"  resnet18, layerwise {steps}:")
 print(f"      T_eff = {t_eff(layers, steps):.3f} "
       f"(vs {t_norm(layers, 8):.3f} at uniform L=8)")

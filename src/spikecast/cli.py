@@ -99,6 +99,8 @@ def _load_inputs(args, graph):
         if raw.size == 0 or raw.size % per:
             raise CliError(f"input blob holds {raw.size} floats, not a multiple of {per}")
         return raw.reshape((-1,) + shape)
+    if args.n < 1:
+        raise CliError(f"--n must be at least 1, got {args.n}")
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(np.uint64(seed) + 0x5EED)
     return rng.uniform(0.0, 1.0, size=(args.n,) + shape)
@@ -168,8 +170,6 @@ def cmd_check_equiv(args):
 def cmd_al_metric(args):
     graph = _load_model(args)
     inputs = _load_inputs(args, graph)
-    if inputs.shape[0] < 1:
-        raise CliError("need at least one calibration image")
     alpha = args.alpha
     if alpha is None:
         k = args.alpha_k if args.alpha_k is not None else 0.5
@@ -213,6 +213,25 @@ def _parse_steps(text):
     return values[0] if len(values) == 1 else values
 
 
+def _layerwise_steps(steps, dims, graph_steps):
+    """A --L vector as one step per matmul layer.
+
+    A vector with one entry per activation layer sets the steps of the
+    matmuls that feed one; unpaired matmuls keep the timestep count they
+    actually run at.
+    """
+    if len(steps) == len(dims):
+        return steps
+    paired = [i for i, d in enumerate(dims) if d.paired]
+    if len(steps) != len(paired):
+        raise CliError(f"--L has {len(steps)} entries; give one per matmul layer "
+                       f"({len(dims)}) or one per activation layer ({len(paired)})")
+    expanded = list(graph_steps)
+    for i, L in zip(paired, steps):
+        expanded[i] = L
+    return expanded
+
+
 def _measured_rates(model, sources, inputs):
     """Per-matmul spike rate of the train each matmul consumes, as emitted
     spikes per neuron (IfStats.spike_rate for a generic layer).
@@ -232,6 +251,19 @@ def cmd_energy(args):
     steps = _parse_steps(args.L)
     if args.golden:
         rows, totals = energy_model.golden_table(args.golden)
+        timesteps = None
+        if args.L is not None:
+            rate = (energy_model.ASSUMED_SPIKE_RATE if args.rate in (None, "measured")
+                    else float(args.rate))
+            dims, graph_steps, _ = energy_model.dims_from_graph(
+                energy_model.golden_graph(args.golden))
+            if isinstance(steps, int):
+                tn = energy_model.t_norm(dims, steps, rate)
+                timesteps = f"T_norm (L={steps}, rate={_fmt(rate)}): {_fmt(tn)}"
+            else:
+                te = energy_model.t_eff(dims, _layerwise_steps(steps, dims, graph_steps), rate)
+                label = ",".join(map(str, steps))
+                timesteps = f"T_eff (L={label}, rate={_fmt(rate)}): {_fmt(te)}"
         print(f"{'Layer':34} {'Input':>14} {'Output':>14} {'#MACs':>16}")
         for name, in_d, out_d, macs in rows:
             printed = "-" if macs is None else f"{macs:,}"
@@ -240,12 +272,8 @@ def cmd_energy(args):
             print(f"Total Operations ({head}): {total:,}")
         if args.out:
             write_csv(args.out, ["layer", "input", "output", "macs"], rows)
-        if args.L is not None and isinstance(steps, int):
-            rate = (energy_model.ASSUMED_SPIKE_RATE if args.rate in (None, "measured")
-                    else float(args.rate))
-            dims, _, _ = energy_model.dims_from_graph(energy_model.golden_graph(args.golden))
-            tn = energy_model.t_norm(dims, steps, rate)
-            print(f"T_norm (L={steps}, rate={_fmt(rate)}): {_fmt(tn)}")
+        if timesteps:
+            print(timesteps)
         return EXIT_OK
 
     if not args.manifest:
@@ -262,14 +290,7 @@ def cmd_energy(args):
     if args.L is None:
         steps = graph_steps
     elif not isinstance(steps, int):
-        paired = [i for i, d in enumerate(dims) if d.paired]
-        if len(steps) == len(paired) and len(paired) != len(dims):
-            # vector written per activation layer; unpaired matmuls keep the
-            # timestep count they actually run at
-            expanded = list(graph_steps)
-            for i, L in zip(paired, steps):
-                expanded[i] = L
-            steps = expanded
+        steps = _layerwise_steps(steps, dims, graph_steps)
     report = energy_model.build_report(dims, steps, spike_rate=rates, rate_label=rate_label)
     report["config"] = _config_echo(args, {"L": steps, "rate": rate_label})
     agg = report["aggregates"]

@@ -27,12 +27,11 @@ averaged over all matmul layers, with the default rate assumption 0.75
 (ASSUMED_SPIKE_RATE).
 
 For the aggregate overhead ratio the integrate-and-fire work is costed as
-narrow integer additions (int8 add energy) by default: the membrane and
-counter updates are threshold-unit compare/add steps, not wide float
+narrow integer additions (int8 add energy): the membrane and counter
+updates are threshold-unit compare/add steps, not wide float
 accumulations. Costing them at the full float32 add rate would be an
 overestimate (it would put the aggregate overhead near 1.6% for a typical
-16-layer conv stack instead of the observed ~0.1%); the per-op energies
-are explicit arguments so either convention can be computed.
+16-layer conv stack instead of the observed ~0.1%).
 
 Energy-per-operation constants (45nm CMOS):
 
@@ -175,11 +174,6 @@ def t_eff(layers, l_vector, spike_rate=ASSUMED_SPIKE_RATE):
     return float(np.mean(terms))
 
 
-def qcfs_paired(layers):
-    """Matmul layers that feed an activation (for layerwise-step vectors)."""
-    return [d for d in layers if d.paired]
-
-
 def ann_snn_energy_ratio(a, b, c, precision="fp32"):
     """Energy_ANN / Energy_SNN from normalized op counts.
 
@@ -198,28 +192,24 @@ def ann_snn_energy_ratio(a, b, c, precision="fp32"):
     return a * e.mac / denom
 
 
-def overall_r_e(layers, l_steps, spike_rate=ASSUMED_SPIKE_RATE,
-                matmul_energy=ENERGY["fp32"].add,
-                if_energy=ENERGY["int8"].add,
-                first_layer_macs=True,
-                mac_energy=ENERGY["fp32"].mac):
+def overall_r_e(layers, l_steps, spike_rate=ASSUMED_SPIKE_RATE):
     """Aggregate staged-vs-plain spiking energy ratio.
 
     Sums per-layer accumulate energy plus (5L-2) (staged) or L (plain)
     per-timestep IF unit energies. l_steps is a uniform int or a per-matmul
-    vector. The default costs matmul accumulates as fp32 adds and IF
-    updates as int8 adds (see module docstring); pass equal energies to
-    reduce a single-layer model exactly to r_e_layer.
+    vector. The first layer is costed as fp32 MACs, the other matmul
+    accumulates as fp32 adds and IF updates as int8 adds (see module
+    docstring).
     """
     if not layers:
         raise EnergyModelError("empty model")
     num = den = 0.0
     for i, (d, L) in enumerate(zip(layers, _step_vector(layers, l_steps))):
-        if first_layer_macs and i == 0:
-            e_ac = d.macs * mac_energy
+        if i == 0:
+            e_ac = d.macs * ENERGY["fp32"].mac
         else:
-            e_ac = d.macs * spike_rate * matmul_energy
-        e_if = d.if_units * if_energy
+            e_ac = d.macs * spike_rate * ENERGY["fp32"].add
+        e_if = d.if_units * ENERGY["int8"].add
         num += e_ac + (5 * L - 2) * e_if
         den += e_ac + L * e_if
     return num / den

@@ -27,7 +27,6 @@ import numpy as np
 from .kernels import BnAffine, ConvParams, conv_output_hw
 
 MATMUL_KINDS = ("conv", "fc")
-KINDS = ("input", "conv", "fc", "avg_pool", "max_pool", "qcfs_act", "residual_add")
 
 
 class GraphError(ValueError):
@@ -69,7 +68,7 @@ class LayerSpec:
     has_bias: bool = False
     has_bn: bool = False
     epsilon: float = 1e-5
-    # avg_pool / max_pool
+    # avg_pool
     window: int = 0
     # qcfs_act
     qcfs: QcfsConfig = None
@@ -190,8 +189,11 @@ def _parse_layer(entry):
             has_bn=bool(entry.get("batch_norm", False)),
             epsilon=float(entry.get("epsilon", 1e-5)),
         )
-    if kind in ("avg_pool", "max_pool"):
+    if kind == "avg_pool":
         return LayerSpec(lid, kind, preds, window=_positive(entry, lid, "window"))
+    if kind == "max_pool":
+        _fail(lid, "unsupported nonlinearity (max_pool): a max does not commute with "
+                   "the timestep sum, so it has no exact spiking counterpart")
     if kind == "qcfs_act":
         if "L" not in entry or "theta" not in entry:
             _fail(lid, "activation layer needs 'L' and 'theta'")
@@ -285,7 +287,7 @@ def _infer_shapes(layers):
                 out_shape = (layer.out_channels, h_o, w_o)
             elif layer.kind == "fc":
                 out_shape = (layer.out_channels,)
-            elif layer.kind in ("avg_pool", "max_pool"):
+            elif layer.kind == "avg_pool":
                 if len(in_shape) != 3:
                     _fail(layer.id, "pool requires a spatial (C, H, W) input")
                 c, h, w = in_shape
@@ -369,7 +371,7 @@ def serialize_manifest(graph):
         elif l.kind == "fc":
             entry.update(out_features=l.out_channels, bias=l.has_bias,
                          batch_norm=l.has_bn, epsilon=l.epsilon)
-        elif l.kind in ("avg_pool", "max_pool"):
+        elif l.kind == "avg_pool":
             entry["window"] = l.window
         elif l.kind == "qcfs_act":
             entry.update(L=l.qcfs.L, theta=l.qcfs.theta)

@@ -413,17 +413,3 @@ def avg_pool2d(x, window, scale=None):
     _check_finite(table, "pool output")
     return table[count]
 
-
-def max_pool2d(x, window):
-    """Non-overlapping k x k max pooling.
-
-    Only valid on the real-valued reference path; max does not commute
-    with the timestep sum, so converted spiking models reject it.
-    """
-    _check(x.ndim == 4, "pool input must be 4-D, got shape {}", x.shape)
-    k = int(window)
-    n, c, h, w = x.shape
-    _check(h % k == 0 and w % k == 0,
-           "pool window {} does not divide input {}x{}", k, h, w)
-    return x.reshape(n, c, h // k, k, w // k, k).max(axis=(3, 5))
-

@@ -120,33 +120,6 @@ class LayerTrace:
     logits: np.ndarray            # (N, classes)
 
 
-@dataclass
-class ClassificationMap:
-    """Per-class score shares f(c) = z[c] / sum(z), plus the argmax.
-
-    The argmax is computed on the raw scores, independent of the
-    normalization, with ties broken toward the lowest class index. When
-    the scores sum to zero the shares are meaningless; those rows are
-    flagged instead of raising.
-    """
-
-    probs: np.ndarray             # (N, classes)
-    argmax: np.ndarray            # (N,)
-    undefined: np.ndarray         # (N,) bool
-
-
-def classification_map(logits):
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    if logits.shape[1] < 1:
-        raise ValueError("classification map needs at least one class")
-    totals = logits.sum(axis=1)
-    undefined = totals == 0.0
-    safe = np.where(undefined, 1.0, totals)
-    probs = logits / safe[:, None]
-    probs[undefined] = np.nan
-    return ClassificationMap(probs=probs, argmax=logits.argmax(axis=1), undefined=undefined)
-
-
 def input_batch(graph, x):
     """The input as a float64 (N, C, H, W) batch; one (C, H, W) image gets N = 1.
 
@@ -218,8 +191,6 @@ def run_layer(graph, layer, srcs, affine=None):
         x = _rows(srcs[0])
         out = kernels.fully_connected(x.reshape(len(x), -1), fc_weights(graph, layer))
         return out if affine is None else kernels.fused_bn_affine(out, affine, out=out)
-    if kind == "max_pool":
-        return kernels.max_pool2d(srcs[0], layer.window)
     x, scale = srcs[0], None
     if isinstance(x, SpikeTrain):
         x, scale = _fold(x.bits), x.theta_star

@@ -125,18 +125,13 @@ def timestep_map(graph):
     """Timestep count of every layer's output (None = single-shot real values).
 
     Reads only the graph's structure, so it needs no weights. Raises
-    ConversionError for max-pool layers (the max over unrolled timesteps
-    does not commute with their sum, so there is no exact spiking
-    counterpart) and for residual merges whose branches arrive with
+    ConversionError for residual merges whose branches arrive with
     different timestep counts.
     """
     t_map = {}
     for layer in graph.layers:
         if layer.kind == "input":
             t_map[layer.id] = None
-        elif layer.kind == "max_pool":
-            raise ConversionError(
-                f"layer '{layer.id}': unsupported nonlinearity in certified path (max_pool)")
         elif layer.kind == "qcfs_act":
             t_map[layer.id] = layer.qcfs.L
         elif layer.kind == "residual_add":

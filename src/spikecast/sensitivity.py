@@ -21,7 +21,9 @@ The composite sensitivity metric is M = A * (g^2 + 1) * K; a larger M
 means the layer's level usage is more concentrated and the quantization
 step can be reduced further. Layers are then grouped by an exact 1-D
 k-means (dynamic programming over contiguous runs of the sorted metric
-values), and each group is mapped to a chosen quantization step.
+values), and each group gets a power-of-two quantization step: of chi
+groups, the one with the largest metrics gets L = 1, the next L = 2, and
+the smallest L = 2^(chi-1).
 
 Statistics are computed on the level values k * theta / L; both g and K
 are invariant under positive rescaling of those values, so using level
@@ -57,6 +59,11 @@ class LevelHistogram:
         return np.arange(self.L + 1) * (self.theta / self.L)
 
 
+def _check_alpha(alpha):
+    if not 0.0 < alpha < 1.0:
+        raise MetricError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def van_der_eijk_a(hist, alpha):
     """Agreement A = 1 - (S-1)/(K-1) with occupancy threshold alpha.
 
@@ -66,8 +73,7 @@ def van_der_eijk_a(hist, alpha):
     (no dominant level at all, treated as maximally compressible) with a
     warning.
     """
-    if not 0.0 < alpha < 1.0:
-        raise MetricError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     counts = np.asarray(hist.counts, dtype=np.float64)
     k = counts.size
     if k < 2:
@@ -121,11 +127,6 @@ def kurtosis(hist):
 
 def _composite(a, g, k):
     return a * (g ** 2 + 1.0) * k
-
-
-def al_metric(hist, alpha):
-    """Composite sensitivity M = A * (g^2 + 1) * K."""
-    return _composite(van_der_eijk_a(hist, alpha), skewness(hist), kurtosis(hist))
 
 
 def default_alpha(total_layers, k=0.5):
@@ -204,16 +205,6 @@ def cluster_1d(values, chi):
     return assignments
 
 
-def clustering_sse(values, assignments):
-    """Within-cluster sum of squared deviations for a given assignment."""
-    values = np.asarray(values, dtype=np.float64)
-    total = 0.0
-    for cid in np.unique(assignments):
-        member = values[assignments == cid]
-        total += float(np.sum((member - member.mean()) ** 2))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # report assembly
 
@@ -230,53 +221,20 @@ class LayerMetrics:
     flag: str = ""
 
 
-def _clusters_by_mean(metrics, assignments):
-    """Cluster ids in increasing order of their mean metric."""
-    ids = sorted(set(int(c) for c in assignments))
-    means = {c: float(np.mean([m for m, a in zip(metrics, assignments) if a == c]))
-             for c in ids}
-    return sorted(ids, key=lambda c: means[c])
-
-
-def assign_layerwise_l(metrics, assignments, cluster_l):
-    """Map cluster ids to quantization steps, layer by layer.
-
-    cluster_l maps each cluster id to its chosen step. A larger metric
-    means the layer tolerates a smaller step, so the mapping should be
-    non-increasing as the cluster mean metric grows; a violation is
-    allowed but warned about.
-    """
-    ranked = _clusters_by_mean(metrics, assignments)
-    missing = [c for c in sorted(ranked) if c not in cluster_l]
-    if missing:
-        raise MetricError(f"no quantization step chosen for cluster(s) {missing}")
-    for low, high in zip(ranked, ranked[1:]):
-        if cluster_l[high] > cluster_l[low]:
-            warnings.warn(
-                f"cluster {high} has the larger metric but was mapped to a larger "
-                f"quantization step ({cluster_l[high]} > {cluster_l[low]}); higher-metric "
-                f"clusters usually take the smaller step", stacklevel=2)
-    return [int(cluster_l[int(a)]) for a in assignments]
-
-
-def default_cluster_steps(metrics, assignments):
-    """Power-of-two ladder: highest-metric cluster gets L=1, then 2, 4, ..."""
-    ranked = _clusters_by_mean(metrics, assignments)
-    return {c: 2 ** rank for rank, c in enumerate(reversed(ranked))}
-
-
 def analyze_trace(trace, graph, alpha=None, chi=1):
     """Per-activation-layer metric report from a forward-pass trace.
 
     Degenerate layers (constant activations, too few samples) are flagged
     and excluded from clustering; the others still get metrics, a cluster
-    and an assigned step.
+    and an assigned step. Cluster ids rank the clusters by metric (see
+    cluster_1d), so the top cluster gets L = 1, the next L = 2, then 4, ...
+    An alpha outside (0, 1) raises MetricError for the whole report.
     """
-    qcfs_layers = graph.qcfs_layers()
     if alpha is None:
         alpha = default_alpha(len(graph.matmul_layers()))
+    _check_alpha(alpha)
     rows = []
-    for layer in qcfs_layers:
+    for layer in graph.qcfs_layers():
         hist = LevelHistogram(counts=trace.histograms[layer.id],
                               L=layer.qcfs.L, theta=layer.qcfs.theta)
         row = LayerMetrics(layer_id=layer.id)
@@ -293,13 +251,9 @@ def analyze_trace(trace, graph, alpha=None, chi=1):
     if usable:
         if chi > len(usable):
             raise MetricError(f"cannot split {len(usable)} usable layers into {chi} clusters")
-        metrics = [r.metric for r in usable]
-        assignments = cluster_1d(metrics, chi)
-        steps = assign_layerwise_l(metrics, assignments,
-                                   default_cluster_steps(metrics, assignments))
-        for row, cid, step in zip(usable, assignments, steps):
-            row.cluster = int(cid)
-            row.assigned_L = step
+        for row, cluster in zip(usable, cluster_1d([r.metric for r in usable], chi)):
+            row.cluster = int(cluster)
+            row.assigned_L = 2 ** (chi - 1 - row.cluster)
     return rows
 
 

@@ -40,6 +40,16 @@ def resnet34_imagenet():
                                     imagenet_stem=True))
 
 
+def clustering_sse(values, assignments):
+    """Within-cluster sum of squared deviations for a given assignment."""
+    values = np.asarray(values, dtype=np.float64)
+    total = 0.0
+    for cid in np.unique(assignments):
+        member = values[assignments == cid]
+        total += float(np.sum((member - member.mean()) ** 2))
+    return total
+
+
 def traced_peak_bytes(call):
     """Peak bytes that tracemalloc sees allocated during call(), above the
     bytes already held when it starts."""

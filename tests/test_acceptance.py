@@ -18,11 +18,11 @@ from spikecast.graph import QcfsConfig
 from spikecast.kernels import ConvParams, avg_pool2d, conv2d, fully_connected
 from spikecast.reference import ann_forward, qcfs
 from spikecast.runtime import SnnTrace, convert, snn_forward
-from spikecast.sensitivity import (LevelHistogram, cluster_1d, clustering_sse,
-                                   kurtosis, skewness, van_der_eijk_a)
+from spikecast.sensitivity import (LevelHistogram, cluster_1d, kurtosis, skewness,
+                                   van_der_eijk_a)
 
-from conftest import (negative_weight_graph, random_graph, resnet34_imagenet,
-                      vgg16_cifar, vgg16_imagenet)
+from conftest import (clustering_sse, negative_weight_graph, random_graph,
+                      resnet34_imagenet, vgg16_cifar, vgg16_imagenet)
 from test_sensitivity import brute_force_sse
 
 N_MODELS = 200

@@ -200,6 +200,22 @@ class TestAlMetric:
                      "--n", "4", "--chi", "9"])
         assert code == 2
 
+    @pytest.mark.parametrize("option", [["--alpha", "1.5"], ["--alpha-k", "-1"]])
+    def test_alpha_out_of_range_exits_2(self, toy_manifest_path, capsys, option):
+        code = main(["al-metric", "--manifest", toy_manifest_path, "--seed", "5",
+                     "--n", "4", *option])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "alpha must lie in (0, 1)" in err
+
+    @pytest.mark.parametrize("command", ["check-equiv", "al-metric"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_one_exits_2(self, toy_manifest_path, capsys, command, n):
+        code = main([command, "--manifest", toy_manifest_path, "--seed", "5", "--n", n])
+        assert code == 2
+        assert f"--n must be at least 1, got {n}" in capsys.readouterr().err
+
 
 class TestEnergy:
     def test_golden_vgg16_cifar(self, capsys):
@@ -240,6 +256,28 @@ class TestEnergy:
             line = capsys.readouterr().out.splitlines()[-1]
             want = cli._fmt(energy_model.t_norm(dims, steps, 0.75))
             assert line == f"T_norm (L={steps}, rate=0.75): {want}"
+
+    def test_golden_layerwise_t_eff_line(self, capsys):
+        dims, graph_steps, _ = energy_model.dims_from_graph(
+            energy_model.golden_graph("vgg16-cifar"))
+        per_act = [1, 1, 2, 2, 2, 2, 2, 2, 4, 4, 4, 4, 4, 4, 8]
+        # one step per matmul, or one per activation with the unpaired head
+        # keeping the step it runs at
+        for steps, l_vector in ((per_act + [8], per_act + [8]),
+                                (per_act, per_act + graph_steps[-1:])):
+            label = ",".join(map(str, steps))
+            code = main(["energy", "--golden", "vgg16-cifar", "--L", label])
+            assert code == 0
+            line = capsys.readouterr().out.splitlines()[-1]
+            want = cli._fmt(energy_model.t_eff(dims, l_vector, 0.75))
+            assert line == f"T_eff (L={label}, rate=0.75): {want}"
+
+    def test_golden_step_vector_of_other_length_exits_2(self, capsys):
+        code = main(["energy", "--golden", "vgg16-cifar", "--L", "2,1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "--L has 2 entries" in err
 
     def test_unknown_golden_target(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,8 +6,8 @@ import pytest
 from spikecast.energy import (ENERGY, EnergyModelError, MatMulDims,
                               RESNET18_CIFAR_GOLDEN, ann_snn_energy_ratio,
                               build_report, dims_from_graph, golden_table,
-                              op_counts, overall_r_e, qcfs_paired, r_e_layer,
-                              r_prime, t_eff, t_norm)
+                              op_counts, overall_r_e, r_e_layer, r_prime, t_eff,
+                              t_norm)
 from spikecast.graph import parse_manifest
 from spikecast.zoo import resnet_manifest
 
@@ -138,8 +138,8 @@ class TestTimesteps:
 
     def test_paired_subset(self):
         # every matmul except the head feeds an activation in the VGG stack
-        assert len(qcfs_paired(vgg16_cifar(10))) == 15
-        assert len(qcfs_paired(resnet34_imagenet())) == 33
+        assert sum(d.paired for d in vgg16_cifar(10)) == 15
+        assert sum(d.paired for d in resnet34_imagenet()) == 33
 
 
 class TestEnergyRatio:
@@ -190,12 +190,6 @@ class TestOverallRatio:
         value = overall_r_e(vgg16_cifar(10), 4, spike_rate=0.75)
         assert 1.000 <= value <= 1.01
 
-    def test_single_layer_reduces_to_r_e_layer(self):
-        d = MatMulDims("x", "conv", 3, 64, 3, 3, 32, 32)
-        got = overall_r_e([d], 4, spike_rate=0.75,
-                          matmul_energy=1.0, if_energy=1.0, first_layer_macs=False)
-        assert got == pytest.approx(r_e_layer(4, r_prime(d, 0.75)), rel=1e-12)
-
     def test_empty_model(self):
         with pytest.raises(EnergyModelError, match="empty"):
             overall_r_e([], 4)
@@ -214,7 +208,7 @@ class TestReport:
         assert report["per_layer"][1]["snn_macs"] == 0
 
     def test_layerwise_report(self):
-        layers = qcfs_paired(vgg16_cifar(10))
+        layers = [d for d in vgg16_cifar(10) if d.paired]
         steps = [2, 1, 2, 1, 2, 1, 1, 1, 1, 1, 4, 4, 2, 4, 4]
         report = build_report(layers, steps)
         assert report["aggregates"]["t_eff"] == pytest.approx(
@@ -254,7 +248,7 @@ class TestReport:
         # though the golden table rows are stored literally
         total = sum(d.macs for d in resnet18_cifar())
         assert total > 0
-        assert len(qcfs_paired(resnet18_cifar())) == 17
+        assert sum(d.paired for d in resnet18_cifar()) == 17
 
 
 class TestGoldenTables:

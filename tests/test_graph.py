@@ -71,6 +71,15 @@ class TestParse:
         with pytest.raises(GraphError, match="must directly follow"):
             parse_manifest(json.dumps(doc))
 
+    def test_max_pool_rejected(self):
+        # a max does not commute with the timestep sum: no spiking counterpart
+        doc = small_manifest()
+        doc["layers"].insert(3, {"id": "p", "kind": "max_pool", "pred": ["a1"],
+                                 "window": 2})
+        doc["layers"][4]["pred"] = ["p"]
+        with pytest.raises(GraphError, match="layer 'p': unsupported nonlinearity"):
+            parse_manifest(json.dumps(doc))
+
     def test_missing_activation_params(self):
         doc = small_manifest()
         del doc["layers"][2]["L"]

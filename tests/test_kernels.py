@@ -7,8 +7,7 @@ import pytest
 
 from spikecast import kernels
 from spikecast.kernels import (BnAffine, ConvParams, KernelError, avg_pool2d,
-                               conv2d, fully_connected, fused_bn_affine,
-                               max_pool2d)
+                               conv2d, fully_connected, fused_bn_affine)
 
 from conftest import (mean_avg_pool2d, naive_conv2d, sliding_window_conv2d,
                       traced_peak_bytes)
@@ -441,10 +440,6 @@ class TestPooling:
         bound = out_bytes * 9 // 8 + 32 * 16 * 16 * 8 + (1 << 16)
         assert traced_peak_bytes(lambda: avg_pool2d(bits, 2, scale=0.25)) < bound
         assert traced_peak_bytes(lambda: avg_pool2d(x, 2)) < bound
-
-    def test_max_pool(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        assert max_pool2d(x, 2)[0, 0, 0, 0] == 4.0
 
 
 class TestLinearity:

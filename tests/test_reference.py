@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from spikecast.graph import QcfsConfig, init_random, parse_manifest
-from spikecast.kernels import max_pool2d
-from spikecast.reference import (_level_buffer, ann_forward, classification_map, qcfs,
-                                 qcfs_levels)
-
-from spikecast.zoo import toy_manifest
+from spikecast.reference import _level_buffer, ann_forward, qcfs, qcfs_levels
 
 from conftest import expression_levels
 
@@ -151,20 +147,6 @@ class TestAnnForward:
         want = np.bincount(levels.astype(np.int64).ravel(), minlength=L + 1)
         assert counts.dtype == want.dtype and counts.tobytes() == want.tobytes()
 
-    def test_max_pool_graph(self):
-        # max_pool is valid on the reference path: its output is the pool
-        # of the layer before it, byte for byte
-        doc = json.loads(toy_manifest())
-        doc["layers"][3]["kind"] = "max_pool"
-        graph = init_random(parse_manifest(json.dumps(doc)), 42)
-        x = np.random.default_rng(27).uniform(0, 1, size=(3, 2, 8, 8))
-        trace = ann_forward(graph, x)
-        want = max_pool2d(trace.outputs["act1"], 2)
-        got = trace.outputs["pool1"]
-        assert got.shape == want.shape == (3, 6, 4, 4)
-        assert got.tobytes() == want.tobytes()
-        assert trace.logits.shape == (3, 4)
-
     def test_deterministic(self, toy_graph):
         x = np.random.default_rng(3).uniform(0, 1, size=(2, 2, 8, 8))
         a = ann_forward(toy_graph, x)
@@ -189,27 +171,3 @@ class TestAnnForward:
                 ann_forward(toy_graph, x)
         assert not caught
 
-
-class TestClassificationMap:
-    def test_symmetric(self):
-        cm = classification_map(np.array([[1.0, 1.0]]))
-        np.testing.assert_allclose(cm.probs, [[0.5, 0.5]])
-        assert cm.argmax[0] == 0            # tie broken toward the lowest index
-
-    def test_normalization(self):
-        cm = classification_map(np.array([[3.0, 1.0]]))
-        np.testing.assert_allclose(cm.probs, [[0.75, 0.25]])
-        assert cm.argmax[0] == 0
-        assert not cm.undefined[0]
-
-    def test_zero_sum_flagged(self):
-        cm = classification_map(np.array([[0.0, 0.0]]))
-        assert cm.undefined[0]
-        assert cm.argmax[0] == 0
-        assert np.isnan(cm.probs[0]).all()
-
-    def test_positive_rows_sum_to_one(self):
-        rng = np.random.default_rng(31)
-        logits = rng.uniform(0.1, 5.0, size=(50, 7))
-        cm = classification_map(logits)
-        np.testing.assert_allclose(cm.probs.sum(axis=1), 1.0, atol=1e-6)

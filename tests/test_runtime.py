@@ -75,13 +75,6 @@ class TestConvert:
         np.testing.assert_allclose(scaled.beta, 0.5)
         np.testing.assert_allclose(scaled.mu, 2.0)
 
-    def test_max_pool_rejected(self):
-        doc = json.loads(toy_manifest())
-        doc["layers"][3]["kind"] = "max_pool"
-        g = init_random(parse_manifest(json.dumps(doc)), 0)
-        with pytest.raises(ConversionError, match="unsupported nonlinearity"):
-            convert(g)
-
     def test_mixed_step_plan(self):
         g = init_random(parse_manifest(chain_manifest(2, 4)), 0)
         model = convert(g)

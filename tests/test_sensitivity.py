@@ -1,21 +1,40 @@
 import itertools
+import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from spikecast.graph import QcfsConfig
-from spikecast.sensitivity import (LevelHistogram, MetricError, al_metric,
-                                   assign_layerwise_l, cluster_1d,
-                                   clustering_sse, default_alpha,
-                                   default_cluster_steps, kurtosis, skewness,
+from spikecast.graph import parse_manifest
+from spikecast.sensitivity import (LevelHistogram, MetricError, analyze_trace,
+                                   cluster_1d, default_alpha, kurtosis, skewness,
                                    van_der_eijk_a)
+
+from conftest import clustering_sse
 
 
 def hist(counts, L=None, theta=1.0):
     counts = np.asarray(counts)
     return LevelHistogram(counts=counts, L=len(counts) - 1 if L is None else L,
                           theta=theta)
+
+
+def histogram_rows(histograms, alpha=0.1, chi=1):
+    """analyze_trace over a chain with one activation layer per histogram,
+    each with L = len(counts) - 1."""
+    layers = [{"id": "in", "kind": "input", "pred": [], "shape": [1, 1, 1]}]
+    prev = "in"
+    for i, counts in enumerate(histograms):
+        layers += [{"id": f"fc{i}", "kind": "fc", "pred": [prev], "out_features": 1},
+                   {"id": f"act{i}", "kind": "qcfs_act", "pred": [f"fc{i}"],
+                    "L": len(counts) - 1, "theta": 1.0}]
+        prev = f"act{i}"
+    layers.append({"id": "head", "kind": "fc", "pred": [prev], "out_features": 2})
+    graph = parse_manifest(json.dumps({"name": "hist", "classes": 2, "layers": layers}))
+    trace = SimpleNamespace(histograms={f"act{i}": np.asarray(counts)
+                                        for i, counts in enumerate(histograms)})
+    return analyze_trace(trace, graph, alpha=alpha, chi=chi)
 
 
 class TestAgreement:
@@ -94,8 +113,8 @@ class TestMoments:
 
 class TestAlMetric:
     def test_zero_agreement_kills_metric(self):
-        h = hist([5, 5, 5, 5])                      # all bins busy -> A = 0
-        assert al_metric(h, 0.1) == 0.0
+        [row] = histogram_rows([[5, 5, 5, 5]])      # all bins busy -> A = 0
+        assert row.metric == 0.0
 
     def test_composite_fixture(self):
         a = van_der_eijk_a(hist([10, 0, 5, 0, 0]), 0.1)
@@ -106,7 +125,8 @@ class TestAlMetric:
     def test_zero_skew_reduces_to_a_times_k(self):
         h = hist([2, 6, 2])
         a = van_der_eijk_a(h, 0.05)
-        assert al_metric(h, 0.05) == pytest.approx(a * kurtosis(h), rel=1e-12)
+        [row] = histogram_rows([[2, 6, 2]], alpha=0.05)
+        assert row.metric == pytest.approx(a * kurtosis(h), rel=1e-12)
 
 
 def brute_force_sse(values, chi):
@@ -159,28 +179,13 @@ class TestClustering:
 
 
 class TestAssignment:
-    def test_mapping(self):
-        metrics = [20.0, 19.0, 1.0, 2.0]
-        assignments = cluster_1d(metrics, 2)
-        steps = assign_layerwise_l(metrics, assignments, {0: 4, 1: 1})
-        assert steps == [1, 1, 4, 4]
-
-    def test_missing_cluster(self):
-        with pytest.raises(MetricError, match="no quantization step"):
-            assign_layerwise_l([1.0, 9.0], np.array([0, 1]), {0: 4})
-
-    def test_inverted_mapping_warns(self):
-        metrics = [20.0, 1.0]
-        assignments = cluster_1d(metrics, 2)
-        with pytest.warns(UserWarning, match="higher-metric"):
-            assign_layerwise_l(metrics, assignments, {0: 1, 1: 4})
-
     def test_default_ladder(self):
-        metrics = [20.0, 19.0, 1.0, 2.0, 10.0]
-        assignments = cluster_1d(metrics, 3)
-        ladder = default_cluster_steps(metrics, assignments)
-        steps = assign_layerwise_l(metrics, assignments, ladder)
-        assert steps == [1, 1, 4, 4, 2]
+        # metrics about 1165, 1165, 7.6, 6.5 and 374: three clusters, and
+        # the highest-metric one gets the smallest step
+        rows = histogram_rows([[95, 2, 1, 1, 1], [1, 1, 1, 2, 95], [60, 20, 10, 5, 5],
+                               [50, 30, 10, 5, 5], [90, 5, 3, 1, 1]], chi=3)
+        assert [r.cluster for r in rows] == [2, 2, 0, 0, 1]
+        assert [r.assigned_L for r in rows] == [1, 1, 4, 4, 2]
 
 
 class TestTraceAnalysis:

@@ -77,12 +77,13 @@ def write_csv(path, header, rows):
     Path(path).write_text(buf.getvalue())
 
 
-def _load_model(args, need_weights=True):
+def _load_graph(args):
     if not args.manifest:
         raise CliError(f"{args.command} needs --manifest")
-    graph = parse_manifest(Path(args.manifest).read_text())
-    if not need_weights:
-        return graph
+    return parse_manifest(Path(args.manifest).read_text())
+
+
+def _add_weights(args, graph):
     if bool(args.weights) == (args.seed is not None):
         raise CliError("provide exactly one of --weights or --seed")
     if args.weights:
@@ -125,7 +126,7 @@ def _config_echo(args, extra=None):
 def cmd_convert(args):
     if not args.out:
         raise CliError("convert needs --out")
-    graph = _load_model(args)
+    graph = _add_weights(args, _load_graph(args))
     model = convert(graph)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -141,7 +142,7 @@ def cmd_convert(args):
 
 
 def cmd_check_equiv(args):
-    graph = _load_model(args)
+    graph = _add_weights(args, _load_graph(args))
     inputs = _load_inputs(args, graph)
     report = runtime.check_equivalence(graph, inputs)
     doc = report.to_dict()
@@ -168,12 +169,16 @@ def cmd_check_equiv(args):
 
 
 def cmd_al_metric(args):
-    graph = _load_model(args)
-    inputs = _load_inputs(args, graph)
+    graph = _load_graph(args)
     alpha = args.alpha
     if alpha is None:
         k = args.alpha_k if args.alpha_k is not None else 0.5
         alpha = sensitivity.default_alpha(len(graph.matmul_layers()), k)
+    # check the settings before drawing weights and running the batch
+    sensitivity._check_alpha(alpha)
+    sensitivity._check_chi(args.chi)
+    graph = _add_weights(args, graph)
+    inputs = _load_inputs(args, graph)
     trace = ann_forward(graph, inputs)
     rows = sensitivity.analyze_trace(trace, graph, alpha=alpha, chi=args.chi)
     table = sensitivity.report_rows(rows)
@@ -213,23 +218,20 @@ def _parse_steps(text):
     return values[0] if len(values) == 1 else values
 
 
-def _layerwise_steps(steps, dims, graph_steps):
+def _layerwise_steps(steps, dims, graph):
     """A --L vector as one step per matmul layer.
 
-    A vector with one entry per activation layer sets the steps of the
-    matmuls that feed one; unpaired matmuls keep the timestep count they
-    actually run at.
+    A vector with one entry per activation layer, in graph order, sets the
+    activations' steps, and each matmul takes its step as
+    energy.dims_from_graph assigns it.
     """
     if len(steps) == len(dims):
         return steps
-    paired = [i for i, d in enumerate(dims) if d.paired]
-    if len(steps) != len(paired):
+    acts = [l.id for l in graph.qcfs_layers()]
+    if len(steps) != len(acts):
         raise CliError(f"--L has {len(steps)} entries; give one per matmul layer "
-                       f"({len(dims)}) or one per activation layer ({len(paired)})")
-    expanded = list(graph_steps)
-    for i, L in zip(paired, steps):
-        expanded[i] = L
-    return expanded
+                       f"({len(dims)}) or one per activation layer ({len(acts)})")
+    return energy_model.dims_from_graph(graph, dict(zip(acts, steps)))[1]
 
 
 def _measured_rates(model, sources, inputs):
@@ -255,13 +257,13 @@ def cmd_energy(args):
         if args.L is not None:
             rate = (energy_model.ASSUMED_SPIKE_RATE if args.rate in (None, "measured")
                     else float(args.rate))
-            dims, graph_steps, _ = energy_model.dims_from_graph(
-                energy_model.golden_graph(args.golden))
+            graph = energy_model.golden_graph(args.golden)
+            dims = energy_model.dims_from_graph(graph)[0]
             if isinstance(steps, int):
                 tn = energy_model.t_norm(dims, steps, rate)
                 timesteps = f"T_norm (L={steps}, rate={_fmt(rate)}): {_fmt(tn)}"
             else:
-                te = energy_model.t_eff(dims, _layerwise_steps(steps, dims, graph_steps), rate)
+                te = energy_model.t_eff(dims, _layerwise_steps(steps, dims, graph), rate)
                 label = ",".join(map(str, steps))
                 timesteps = f"T_eff (L={label}, rate={_fmt(rate)}): {_fmt(te)}"
         print(f"{'Layer':34} {'Input':>14} {'Output':>14} {'#MACs':>16}")
@@ -279,9 +281,10 @@ def cmd_energy(args):
     if not args.manifest:
         raise CliError("energy needs --golden or --manifest")
     measured = args.rate == "measured"
-    graph = _load_model(args, need_weights=measured)
+    graph = _load_graph(args)
     dims, graph_steps, sources = energy_model.dims_from_graph(graph)
     if measured:
+        graph = _add_weights(args, graph)
         rates = _measured_rates(convert(graph), sources, _load_inputs(args, graph))
         rate_label = "measured"
     else:
@@ -290,7 +293,7 @@ def cmd_energy(args):
     if args.L is None:
         steps = graph_steps
     elif not isinstance(steps, int):
-        steps = _layerwise_steps(steps, dims, graph_steps)
+        steps = _layerwise_steps(steps, dims, graph)
     report = energy_model.build_report(dims, steps, spike_rate=rates, rate_label=rate_label)
     report["config"] = _config_echo(args, {"L": steps, "rate": rate_label})
     agg = report["aggregates"]

@@ -219,20 +219,22 @@ def overall_r_e(layers, l_steps, spike_rate=ASSUMED_SPIKE_RATE):
 # geometry from graphs
 
 
-def dims_from_graph(graph):
+def dims_from_graph(graph, act_steps=None):
     """Per-matmul geometry, step and source activation, in graph order.
 
     Returns three aligned lists: MatMulDims, steps and source ids. A matmul
     is paired with the activation it feeds, directly or through residual
     adds of which it is the first predecessor, so a block's second conv is
-    paired and its projection shortcut is not. A paired matmul's step is
-    that activation's L; an unpaired one's is the timestep count it runs
-    at (1 on the real-valued input). Its source is the activation whose
-    train it consumes, followed back through pools and residual adds by
-    their first predecessor, or None where it consumes the image. Needs no
-    weights; raises ConversionError where runtime.timestep_map does.
+    paired and its projection shortcut is not. Its source is the activation
+    whose train it consumes, followed back through pools and residual adds
+    by their first predecessor, or None where it consumes the image. Its
+    step is the L of the activation it feeds, or else of its source (1 on
+    the image). act_steps, {activation id: L}, overrides the manifest's L.
+    Needs no weights; raises ConversionError where runtime.timestep_map does.
     """
-    t_map = timestep_map(graph)
+    timestep_map(graph)     # rejects residual merges of unequal timestep counts
+    steps_of = {l.id: l.qcfs.L for l in graph.qcfs_layers()}
+    steps_of.update(act_steps or {})
     source, fed = {}, {}
     for layer in graph.layers:
         if layer.kind == "input":
@@ -242,16 +244,16 @@ def dims_from_graph(graph):
             feeder = graph.layer(layer.preds[0])
             while feeder.kind == "residual_add":
                 feeder = graph.layer(feeder.preds[0])
-            fed.setdefault(feeder.id, layer.qcfs.L)
+            fed.setdefault(feeder.id, layer.id)
         else:
             source[layer.id] = source[layer.preds[0]]
     dims, steps, sources = [], [], []
     for layer in graph.matmul_layers():
-        L = fed.get(layer.id)
+        act = fed.get(layer.id, source[layer.id])
         # an fc layer has kernel (1, 1) and no spatial output dims
         dims.append(MatMulDims(layer.id, layer.kind, layer.in_channels, layer.out_channels,
-                               *layer.kernel, *layer.out_shape[1:], paired=L is not None))
-        steps.append(L if L is not None else t_map[layer.id] or 1)
+                               *layer.kernel, *layer.out_shape[1:], paired=layer.id in fed))
+        steps.append(1 if act is None else steps_of[act])
         sources.append(source[layer.id])
     return dims, steps, sources
 

@@ -9,13 +9,11 @@ folded into their predecessor at parse time.
 Graphs are immutable after construction (nothing here mutates a parsed
 graph in place); concurrent readers are safe.
 
-The execution paths read weights through float64 views (``conv_params``,
-``fc_weights``, ``layer_affine``). Each graph casts a layer's view once, on
-first use, and holds it for its own lifetime, so a graph that has run a pass
-also holds a float64 copy of every weight (about 270 MB for VGG-16/CIFAR).
-The views are read-only. Weight arrays must not be mutated in place after a
-pass, since the views would no longer match them; build a new graph with
-``with_weights`` instead, which starts with no views.
+A graph stores each weight field once, as a read-only float64 array
+(about 270 MB for VGG-16/CIFAR), and both passes read those very arrays.
+Blob values are float32, so the widening is exact. Construction keeps an
+array that is already read-only float64 and owns its data, and copies
+anything else, so a caller's arrays are never frozen or shared.
 """
 
 import json
@@ -110,7 +108,9 @@ class ModelGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {l.id: l for l in self.layers})
-        object.__setattr__(self, "_views", {})   # (view kind, layer id) -> view
+        object.__setattr__(self, "weights", {
+            lid: {name: _stored(a) for name, a in arrays.items()}
+            for lid, arrays in self.weights.items()})
 
     def layer(self, layer_id):
         return self._by_id[layer_id]
@@ -131,6 +131,19 @@ class ModelGraph:
 
     def with_weights(self, weights):
         return replace(self, weights=weights)
+
+
+def _stored(array):
+    """array as a read-only float64 array that nothing else can write."""
+    if (isinstance(array, np.ndarray) and array.dtype == np.float64
+            and not array.flags.writeable and array.flags.owndata):
+        return array
+    return _frozen(np.array(array, dtype=np.float64))
+
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +433,8 @@ def load_weights(graph, blob_dir):
         arrays = {}
         for name, shape in fields:
             count = int(np.prod(shape))
-            arrays[name] = raw[offset:offset + count].reshape(shape).copy()
+            arrays[name] = _frozen(raw[offset:offset + count].reshape(shape)
+                                   .astype(np.float64))
             offset += count
         weights[layer.id] = arrays
     return graph.with_weights(weights)
@@ -437,8 +451,9 @@ def save_weights(graph, blob_dir):
         np.concatenate(parts).tofile(blob_dir / f"{layer.id}.f32")
 
 
-# Values per uniform draw in init_random: bounds the float64 temporary.
-_DRAW_CHUNK = 1 << 20
+# Values per uniform draw in init_random; small enough that a chunk's
+# float64 draw and its float32 rounding stay in cache.
+_DRAW_CHUNK = 1 << 16
 
 
 def init_random(graph, seed):
@@ -446,11 +461,13 @@ def init_random(graph, seed):
 
     Uses numpy's PCG64 generator; layers are visited in graph order and
     fields are drawn in blob order, so a given (graph, seed) pair always
-    produces bit-identical float32 weights. Batch-norm fields use fixed
-    generic ranges: gamma in [0.5, 1.5], beta and mean in [-0.5, 0.5],
-    variance in [0.25, 1.0]. A field is drawn in chunks of _DRAW_CHUNK
-    values straight into its float32 array; uniform draws consume the
-    stream one value at a time, so the chunks give the bytes of one draw.
+    produces bit-identical weights: rng.uniform(low, high, size) rounded to
+    float32, as a blob holds it, and stored as float64. Batch-norm fields
+    use fixed generic ranges: gamma in [0.5, 1.5], beta and mean in
+    [-0.5, 0.5], variance in [0.25, 1.0]. A field is drawn in chunks of
+    _DRAW_CHUNK values straight into its float64 array with uniform's own
+    formula, low + (high - low) * next double, one stream value per draw;
+    each chunk is then rounded through a float32 buffer.
     """
     rng = np.random.default_rng(np.uint64(seed))
     weights = {}
@@ -468,70 +485,37 @@ def init_random(graph, seed):
                 low, high = 0.25, 1.0
             else:  # beta, mu
                 low, high = -0.5, 0.5
-            arrays[name] = np.empty(shape, dtype=np.float32)
-            flat = arrays[name].reshape(-1)
+            field = np.empty(shape)
+            flat = field.reshape(-1)
+            rounded = np.empty(min(flat.size, _DRAW_CHUNK), dtype=np.float32)
             for lo in range(0, flat.size, _DRAW_CHUNK):
-                flat[lo:lo + _DRAW_CHUNK] = rng.uniform(
-                    low, high, size=min(_DRAW_CHUNK, flat.size - lo))
+                part, buf = flat[lo:lo + _DRAW_CHUNK], rounded[:flat.size - lo]
+                rng.random(out=part)
+                part *= high - low
+                part += low
+                buf[...] = part
+                part[...] = buf
+            arrays[name] = _frozen(field)
         weights[layer.id] = arrays
     return graph.with_weights(weights)
 
 
 # ---------------------------------------------------------------------------
-# typed views used by the execution paths
-#
-# Each view is built once per graph, on first use, and kept in the graph's
-# private cache; every later pass gets the same objects. Their arrays are
-# float64 copies of the stored weights with writing disabled, so a view can
-# never alias a caller's array. Two threads that miss at the same time both
-# build identical views and keep whichever setdefault stored first.
-
-
-def _view(graph, kind, layer, build):
-    key = (kind, layer.id)
-    try:
-        return graph._views[key]
-    except KeyError:
-        return graph._views.setdefault(key, build())
-
-
-def _float64(array):
-    out = np.array(array, dtype=np.float64)     # always a copy
-    out.flags.writeable = False
-    return out
+# typed records used by the execution paths; they wrap the stored arrays
 
 
 def conv_params(graph, layer):
-    return _view(graph, "conv", layer, lambda: ConvParams(
-        weights=_float64(graph.weights[layer.id]["weight"]),
-        stride=layer.stride, padding=layer.padding))
-
-
-def fc_weights(graph, layer):
-    return _view(graph, "fc", layer, lambda: _float64(graph.weights[layer.id]["weight"]))
+    return ConvParams(weights=graph.weights[layer.id]["weight"],
+                      stride=layer.stride, padding=layer.padding)
 
 
 def layer_affine(graph, layer):
     """BnAffine for a matmul layer, or None when it has neither bias nor BN."""
-    return _view(graph, "affine", layer, lambda: _build_affine(graph, layer))
-
-
-def _build_affine(graph, layer):
-    arrays = graph.weights[layer.id]
     if not layer.has_bias and not layer.has_bn:
         return None
-    c = layer.out_channels
-    bias = _float64(arrays["bias"]) if layer.has_bias else _float64(np.zeros(c))
+    arrays = graph.weights[layer.id]
+    bias = arrays["bias"] if layer.has_bias else np.zeros(layer.out_channels)
     if layer.has_bn:
-        return BnAffine(
-            gamma=_float64(arrays["gamma"]),
-            beta=_float64(arrays["beta"]),
-            mu=_float64(arrays["mu"]),
-            sigma_sq=_float64(arrays["sigma_sq"]),
-            bias=bias,
-            epsilon=layer.epsilon,
-        )
-    affine = BnAffine.bias_only(bias, epsilon=layer.epsilon)
-    for array in (affine.gamma, affine.beta, affine.mu, affine.sigma_sq):
-        array.flags.writeable = False
-    return affine
+        return BnAffine(gamma=arrays["gamma"], beta=arrays["beta"], mu=arrays["mu"],
+                        sigma_sq=arrays["sigma_sq"], bias=bias, epsilon=layer.epsilon)
+    return BnAffine.bias_only(bias, epsilon=layer.epsilon)

@@ -139,27 +139,25 @@ class BnAffine:
 
     def __post_init__(self):
         _check(self.epsilon > 0, "batch-norm epsilon must be positive")
-        _check(np.all(self.sigma_sq >= 0), "batch-norm variance must be non-negative")
+        # a record is built per matmul per pass, so these checks stay cheap:
+        # the array method and lazy messages, not np.all and f-strings
+        _check((self.sigma_sq >= 0).all(), "batch-norm variance must be non-negative")
         n = self.gamma.shape[0]
         for name in ("beta", "mu", "sigma_sq", "bias"):
-            _check(getattr(self, name).shape == (n,), f"affine field {name} must have length {n}")
+            _check(getattr(self, name).shape == (n,), "affine field {} must have length {}",
+                   name, n)
 
     @classmethod
     def identity(cls, channels, epsilon=1e-5):
-        # sigma_sq = 1 - eps makes the denominator exactly 1.0
-        return cls(
-            gamma=np.ones(channels),
-            beta=np.zeros(channels),
-            mu=np.zeros(channels),
-            sigma_sq=np.full(channels, 1.0 - epsilon),
-            bias=np.zeros(channels),
-            epsilon=epsilon,
-        )
+        return cls.bias_only(np.zeros(channels), epsilon)
 
     @classmethod
     def bias_only(cls, bias, epsilon=1e-5):
-        out = cls.identity(bias.shape[0], epsilon)
-        return cls(out.gamma, out.beta, out.mu, out.sigma_sq, np.asarray(bias, dtype=float), epsilon)
+        # sigma_sq = 1 - eps makes the denominator exactly 1.0
+        c = bias.shape[0]
+        return cls(gamma=np.ones(c), beta=np.zeros(c), mu=np.zeros(c),
+                   sigma_sq=np.full(c, 1.0 - epsilon), bias=np.asarray(bias, dtype=float),
+                   epsilon=epsilon)
 
     def scaled(self, factor):
         """Return a copy with the additive constants multiplied by factor.

@@ -58,7 +58,7 @@ from functools import partial
 import numpy as np
 
 from . import kernels
-from .graph import conv_params, fc_weights, layer_affine
+from .graph import conv_params, layer_affine
 
 
 def _level_buffer(z, cfg):
@@ -189,7 +189,7 @@ def run_layer(graph, layer, srcs, affine=None):
         return _rows(a) + _rows(b)
     if kind == "fc":
         x = _rows(srcs[0])
-        out = kernels.fully_connected(x.reshape(len(x), -1), fc_weights(graph, layer))
+        out = kernels.fully_connected(x.reshape(len(x), -1), graph.weights[layer.id]["weight"])
         return out if affine is None else kernels.fused_bn_affine(out, affine, out=out)
     x, scale = srcs[0], None
     if isinstance(x, SpikeTrain):

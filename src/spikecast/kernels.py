@@ -2,19 +2,21 @@
 
 Minimal deterministic numpy kernels used by both the real-valued reference
 path and the unrolled spiking path: cross-correlation convolution,
-fully-connected product, fused batch-norm affine, and average and max
-pooling. Both passes call them the same way: an unrolled layer's T
+fully-connected product, fused batch-norm affine, and average pooling.
+Both passes call them the same way: an unrolled layer's T
 timesteps arrive folded into the batch axis as T*N rows, and its affine
 comes already divided by T (BnAffine.scaled, applied in conversion), so no
 kernel knows how many timesteps its rows hold.
 
 All kernels are pure functions: they never mutate their arguments and
 return freshly allocated arrays, so they are safe to call concurrently
-across batch elements or layers. The one exception is the out argument of
-fused_bn_affine, which callers point at a matmul output they own. The only
-shared state is conv2d's cache of patch-gather indices, which holds
-read-only arrays keyed by geometry (take reads the writeable grid each one
-is a flat view of, because it copies a read-only index; nothing writes it).
+across batch elements or layers. The exceptions are the out argument of
+fused_bn_affine, which callers point at a matmul output they own, and
+conv2d's consumer, which gets each block of the output in place of an
+output array (see "Blocks"). The only shared state is conv2d's cache of
+patch-gather indices, which holds read-only arrays keyed by geometry (take
+reads the writeable grid each one is a flat view of, because it copies a
+read-only index; nothing writes it).
 
 Accumulation order: a convolution is lowered to the matrix product
 ``cols @ flat_w.T``. ``cols`` is a C-contiguous (N*H_o*W_o, C*K_h*K_w)
@@ -29,10 +31,14 @@ be bitwise equal to earlier versions.
 
 Blocks: when the whole patch matrix would exceed ``_PATCH_BLOCK_BYTES``
 (8 MiB), conv2d splits the batch into balanced blocks of whole images and
-runs the same product once per block through one reused patch buffer. It
-takes the fewest blocks that fit the budget, but never so many that a
-block's product falls below ``_BLOCK_MIN_MACS`` (4e6 multiply-adds,
-rows * C_out * taps): a conv with few output channels gets fewer, larger
+runs the same product once per block through one reused patch buffer.
+Each finished block goes into the output or, when conv2d is given a
+consumer, to consumer(lo, block) through one reused block buffer, and no
+output is built; the spiking pass streams a conv's blocks this way into
+the integrate-and-fire layer that reads them. conv2d takes the fewest
+blocks that fit the budget, but never so many that a block's product
+falls below ``_BLOCK_MIN_MACS`` (4e6 multiply-adds, rows * C_out * taps):
+a conv with few output channels gets fewer, larger
 blocks than the budget asks for. A row's result does not depend on how
 many other rows share its product as long as BLAS picks the same kernel,
 so blocking leaves every byte unchanged. Blocks must stay large for that:
@@ -50,11 +56,11 @@ splitting it changed bits in 77 of 80 cases.
 
 Epilogues run in the buffer that holds their data. conv2d applies a
 batch-norm affine per block: the first add reads the block's product
-through its NCHW transposed view and writes the output block, so the
-transpose costs no copy of its own, and the multiply, divide and add
-follow in place. These are the IEEE operations of fused_bn_affine in the
-same order, and tests/test_kernels.py pins the bytes against conv followed
-by fused_bn_affine.
+through its NCHW transposed view and writes the block, in the output or
+in a consumer's block buffer, so the transpose costs no copy of its own,
+and the multiply, divide and add follow in place. These are the IEEE
+operations of fused_bn_affine in the same order, and tests/test_kernels.py
+pins the bytes against conv followed by fused_bn_affine.
 
 Pooling order: avg_pool2d adds a 2 x 2 window from four strided slices in
 the order numpy's mean over the 6-D window view uses, (x00 + x01) +
@@ -230,13 +236,20 @@ def _block_count(n, patch_entries, c_out, itemsize):
     return max(1, min(by_budget, by_floor))
 
 
-def conv2d(x, params, scale=None, affine=None):
+def conv2d(x, params, scale=None, affine=None, consumer=None):
     """2-D cross-correlation of an (N, C, H, W) batch with ConvParams.
 
     With scale given, x is a bool spike tensor and the input convolved is
     x * scale; the float64 input is only ever built one block at a time.
     With affine given, the result is fused_bn_affine(conv, affine),
     applied one block at a time in the output buffer.
+
+    With consumer given, no output is built: each finished block of rows
+    lo..lo + m, affine applied and checked finite, goes to consumer(lo,
+    block) in row order, through one reused block buffer that the consumer
+    may overwrite but must not keep. The return value is then a read-only
+    zero-stride array of the output's shape and dtype that holds no data,
+    so a caller that reads the result's geometry sees the output's.
     """
     _check(x.ndim == 4, "conv input must be 4-D, got shape {}", x.shape)
     _check(scale is None or x.dtype == np.bool_,
@@ -263,7 +276,7 @@ def conv2d(x, params, scale=None, affine=None):
     cols = np.empty((size, index.size), dtype=dtype)
     # the border of the padded buffer is zeroed once; blocks only overwrite its interior
     xp = np.zeros((size, c, h_p, w_p), dtype=dtype) if p_h or p_w or scale is not None else None
-    out = None
+    out = None      # the output, or with a consumer the block buffer
     for lo, hi in zip(edges[:-1], edges[1:]):
         m = hi - lo
         if xp is None:
@@ -281,17 +294,23 @@ def conv2d(x, params, scale=None, affine=None):
                 out=cols[:m].reshape(m, h_o * w_o, taps), mode="clip")
         part = cols[:m].reshape(m * h_o * w_o, taps) @ flat_w.T
         if out is None:
-            out = np.empty((n, c_out, h_o, w_o), dtype=np.result_type(part, *terms))
+            out = np.empty((n if consumer is None else size, c_out, h_o, w_o),
+                           dtype=np.result_type(part, *terms))
         # the product's NCHW transposed view is read straight into the output
         # block, by a copy or by the affine's first op
-        block, part = out[lo:hi], part.reshape(m, h_o, w_o, c_out).transpose(0, 3, 1, 2)
+        block = out[lo:hi] if consumer is None else out[:m]
+        part = part.reshape(m, h_o, w_o, c_out).transpose(0, 3, 1, 2)
         if affine is None:
             block[...] = part
         else:
             _affine_into(part, terms, block)
         del part        # freed before the next block's product is allocated
         _check_finite(block, "conv output")
-    return out
+        if consumer is not None:
+            consumer(lo, block)
+    if consumer is None:
+        return out
+    return np.broadcast_to(np.zeros((), dtype=out.dtype), (n, c_out, h_o, w_o))
 
 
 def fully_connected(x, weights):

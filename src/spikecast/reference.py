@@ -21,11 +21,14 @@ timestep-major, and a single-shot (N, ...) value is just T = 1. Every conv,
 fc, pool and residual layer runs through run_layer, whatever its T; an
 unrolled matmul's affine arrives already divided by T (runtime.convert does
 that split, through BnAffine.scaled). The two passes differ only in what an
-activation does and what they record. ann_forward applies the staircase and
-records every layer output plus, per activation layer, the pre-activation
-tensor and a histogram of the emitted levels; those histograms feed the
+activation does, what they record and which matmuls they stream.
+ann_forward applies the staircase, streams nothing, and records every
+layer output plus, per activation layer, the pre-activation tensor and a
+histogram of the emitted levels; those histograms feed the
 layer-sensitivity metric. runtime.snn_forward runs integrate-and-fire
-layers instead.
+layers instead, and a conv or fc layer that feeds only a generic one with
+more than one input timestep hands it its row blocks as run_layer makes
+them (see forward), so its T*N-row output is never built.
 
 A trace holds as little as the values it reports need. LayerTrace.outputs
 is a TraceValues map: a non-activation output is stored as the array the
@@ -51,6 +54,7 @@ Each lookup table holds the very float sums the dense path adds, so the
 results are byte for byte those of the dense train.
 """
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
@@ -169,7 +173,7 @@ def _rows(value):
     return _fold(value.dense()) if isinstance(value, SpikeTrain) else value
 
 
-def run_layer(graph, layer, srcs, affine=None):
+def run_layer(graph, layer, srcs, affine=None, consumer=None):
     """Run one conv, fc, pool or residual layer on values of T*N rows.
 
     srcs holds the layer's input values in pred order: arrays of T*N rows
@@ -177,6 +181,11 @@ def run_layer(graph, layer, srcs, affine=None):
     when the layer is unrolled. Returns an array of T*N rows; a T-step
     input gives T timestep outputs that sum to the single-shot layer of
     the summed input.
+
+    A conv or fc layer given consumer builds no output and returns None:
+    its finished blocks of rows go to consumer(lo, block) in row order,
+    conv's as kernels.conv2d makes them and fc's small output as one block.
+    The consumer may overwrite a block but must not keep it.
     """
     kind = layer.kind
     if kind == "residual_add":
@@ -190,16 +199,32 @@ def run_layer(graph, layer, srcs, affine=None):
     if kind == "fc":
         x = _rows(srcs[0])
         out = kernels.fully_connected(x.reshape(len(x), -1), graph.weights[layer.id]["weight"])
-        return out if affine is None else kernels.fused_bn_affine(out, affine, out=out)
+        del x           # a dense train is freed before the consumer runs
+        if affine is not None:
+            kernels.fused_bn_affine(out, affine, out=out)
+        if consumer is None:
+            return out
+        consumer(0, out)
+        return None
     x, scale = srcs[0], None
     if isinstance(x, SpikeTrain):
         x, scale = _fold(x.bits), x.theta_star
     if kind == "conv":
-        return kernels.conv2d(x, conv_params(graph, layer), scale=scale, affine=affine)
+        out = kernels.conv2d(x, conv_params(graph, layer), scale=scale, affine=affine,
+                             consumer=consumer)
+        return out if consumer is None else None
     return kernels.avg_pool2d(x, layer.window, scale=scale)
 
 
-def forward(graph, x, activation, affines=None, record=None):
+def _named(layer, fn, *args, **kwargs):
+    """fn(*args, **kwargs), a KernelError re-raised with the layer's id."""
+    try:
+        return fn(*args, **kwargs)
+    except kernels.KernelError as err:
+        raise kernels.KernelError(f"layer '{layer.id}': {err}") from err
+
+
+def forward(graph, x, activation, affines=None, record=None, streamed=()):
     """The graph walk of both passes. Returns logits, shape (N, classes).
 
     x goes through input_batch. An activation layer's value is
@@ -210,10 +235,26 @@ def forward(graph, x, activation, affines=None, record=None):
     whatever it needs of it. The walk drops each value once its last
     consumer has run, so only a few are alive at once. The logits are the
     mean of the output value over its T timesteps.
+
+    streamed holds the ids of activation layers that read their input
+    block by block. A conv or fc layer whose only consumer is such an
+    activation is deferred to it: the walk does not run the matmul, and
+    the activation's value is instead a functools.partial of run_layer;
+    calling it with consumer=... runs the matmul and hands its finished
+    row blocks to the consumer.
+    The matmul's value is never made, so record does not see it. The
+    reference pass streams nothing; the spiking pass streams every generic
+    integrate-and-fire layer with more than one input timestep.
+
+    A KernelError raised by a layer, deferred or not, is re-raised with a
+    message that starts with the layer's id.
     """
     x = input_batch(graph, x)
     n = len(x)
     last_use = {p: i for i, l in enumerate(graph.layers) for p in l.preds}
+    uses = Counter(p for l in graph.layers for p in l.preds)
+    deferred = {l.preds[0] for l in graph.layers if l.id in streamed
+                and uses[l.preds[0]] == 1 and graph.layer(l.preds[0]).is_matmul}
     values = {}
     for i, layer in enumerate(graph.layers):
         srcs = [values[p] for p in layer.preds]
@@ -228,9 +269,12 @@ def forward(graph, x, activation, affines=None, record=None):
             affine = None
             if layer.is_matmul:
                 affine = layer_affine(graph, layer) if affines is None else affines[layer.id]
-            out = run_layer(graph, layer, srcs, affine)
+            if layer.id in deferred:
+                out = partial(_named, layer, run_layer, graph, layer, srcs, affine)
+            else:
+                out = _named(layer, run_layer, graph, layer, srcs, affine)
         del srcs
-        if record is not None:
+        if record is not None and layer.id not in deferred:
             record(layer, out, n)
         values[layer.id] = out
         del out

@@ -48,14 +48,28 @@ allocates a new float64 array. A neuron with c spikes sums to theta_star
 added c times, looked up in a cumulative table by its count. That table
 holds the very float sums the dense path adds, so the sums are byte for
 byte those of the dense train. Conv, pool, fc and single-shot entries are
-stored arrays, returned as they are.
+stored arrays, returned as they are; a streamed matmul's entry is the
+running sum its integrate-and-fire layer kept.
 
-The integrate-and-fire layer runs stages 1 and 2 over chunks of 32K
-neurons, so its membranes and masks are chunk-sized, and stage 2 runs only
-on a chunk's neurons whose membrane can still move (below 0 or at
-threshold and above). Its counter is int16 whenever L_in plus the stage-2
-steps fits that dtype and int64 otherwise; IfStats.counter is int64 either
-way. The walk drops each layer's value as soon as its last consumer has
+Stage 1 reads its input one timestep at a time, so a generic layer with
+L_in > 1 whose input is a conv or fc layer feeding nothing else never
+sees that layer's (L_in*N, ...) output: the walk defers the matmul to the
+activation, which hands it a consumer, and each block of rows the matmul
+finishes goes straight into stage 1 (_StreamedIf). Stage 1 then holds
+one membrane and one counter per neuron of a timestep and, when a trace
+is recorded, the running timestep sum that becomes the matmul's entry
+in SnnTrace.sums. Every other generic layer (after a residual add, or
+with L_in = 1) gets its input as a stack, and if_generic_layer runs
+stages 1 and 2 over chunks of 32K neurons, so its membranes and masks are
+chunk-sized. Both paths run the one stage-1 step, _integrate, so a neuron
+sees the same IEEE operations in the same order either way. Stage 2 runs
+only on neurons whose membrane can still move (below 0 or at threshold
+and above).
+
+The counter is int16 whenever L_in plus the stage-2 steps fits that dtype
+and int64 otherwise. IfStats keeps it, when asked, in that dtype as
+IfStats.counts; IfStats.counter widens it to int64 on each read, as a new
+array. The walk drops each layer's value as soon as its last consumer has
 run, so only a few layers' values are alive at once.
 
 Converted models are immutable; the forward pass keeps all mutable neuron
@@ -99,11 +113,18 @@ class IfStats:
     emitted_spikes: int
     elements: int              # neurons times batch
     timesteps: int             # emitted train length
-    counter: np.ndarray = None # per-neuron net spike count after stage 2
+    counts: np.ndarray = None  # per-neuron net spike count after stage 2, in
+                               # the layer's counter dtype (int16 or int64)
 
     @property
     def spike_rate(self):
         return self.emitted_spikes / self.elements
+
+    @property
+    def counter(self):
+        """counts widened to int64, built as a new array on each read; None
+        unless the counters were kept."""
+        return None if self.counts is None else self.counts.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -196,27 +217,6 @@ def if_input_layer(x, cfg):
     return SpikeTrain(bits=bits, theta_star=cfg.theta / cfg.L)
 
 
-def _settle(mem, count, th, steps):
-    """Stage 2 on 1-D membranes and counters, in place; returns the
-    (excitatory, inhibitory) spike totals."""
-    fire = np.empty(mem.shape, dtype=bool)
-    inhib = np.empty(mem.shape, dtype=bool)
-    excitatory = inhibitory = 0
-    for _ in range(steps):
-        # th > 0, so a firing membrane is never negative: fire and inhib are
-        # disjoint. The masked add leaves a -0.0 membrane -0.0, where adding
-        # th * 0.0 would give +0.0; no comparison can see the sign of a zero.
-        np.greater_equal(mem, th, out=fire)
-        np.less(mem, 0.0, out=inhib)
-        count += fire
-        count -= inhib
-        np.add(mem, th, out=mem, where=inhib)
-        np.subtract(mem, th, out=mem, where=fire)
-        excitatory += int(np.count_nonzero(fire))
-        inhibitory += int(np.count_nonzero(inhib))
-    return excitatory, inhibitory
-
-
 # Neurons per chunk of the integrate-and-fire layer: its membranes and masks
 # stay in cache over all steps, and no float temporary spans the layer.
 _IF_CHUNK = 1 << 15
@@ -226,6 +226,78 @@ def _counter_dtype(l_in, stage2_steps):
     """int16 when every counter fits it, else int64: a counter moves by at
     most one per step, so it stays within +-(l_in + stage2_steps)."""
     return np.int16 if l_in + stage2_steps <= np.iinfo(np.int16).max else np.int64
+
+
+def _stage2_steps(plan):
+    return max(plan.l_in, plan.l_out) - 1
+
+
+def _integrate(mem, count, x, th, fire, drop):
+    """One stage-1 timestep on a span of neurons, in place.
+
+    x enters the membranes mem; a membrane at th or above fires, adds one
+    to its count and soft-resets by th. fire and drop are scratch of mem's
+    length, and drop may be x itself. Subtracting th * fire from every
+    membrane is exact where nothing fires (x - 0.0 is x, a -0.0 included)
+    and runs much faster than a subtract masked by fire.
+    """
+    mem += x
+    np.greater_equal(mem, th, out=fire)
+    count += fire
+    np.multiply(fire, th, out=drop)
+    mem -= drop
+
+
+def _settle(mem, count, th, steps):
+    """Stage 2 on a span of membranes and counters, in place; returns the
+    (excitatory, inhibitory) spike totals.
+
+    A membrane in [0, th) neither fires nor inhibits, so it never moves:
+    the steps run on the span's other neurons only.
+    """
+    if not steps:
+        return 0, 0
+    moving = np.flatnonzero((mem < 0.0) | (mem >= th))
+    mem, moved = mem[moving], count[moving]
+    fire = np.empty(mem.shape, dtype=bool)
+    inhib = np.empty(mem.shape, dtype=bool)
+    excitatory = inhibitory = 0
+    for _ in range(steps):
+        # th > 0, so a firing membrane is never negative: fire and inhib are
+        # disjoint. The masked add leaves a -0.0 membrane -0.0, where adding
+        # th * 0.0 would give +0.0; no comparison can see the sign of a zero.
+        np.greater_equal(mem, th, out=fire)
+        np.less(mem, 0.0, out=inhib)
+        moved += fire
+        moved -= inhib
+        np.add(mem, th, out=mem, where=inhib)
+        np.subtract(mem, th, out=mem, where=fire)
+        excitatory += int(np.count_nonzero(fire))
+        inhibitory += int(np.count_nonzero(inhib))
+    count[moving] = moved
+    return excitatory, inhibitory
+
+
+def _emit(plan, count, shape, spikes, keep_counter):
+    """Stage 3 from the counters left by stage 2 (count, flat, clipped in
+    place): the emitted train and the layer's IfStats. spikes holds the
+    stage 1, stage 2 excitatory and stage 2 inhibitory totals."""
+    kept = count.reshape(shape).copy() if keep_counter else None
+    emit = np.clip(count, 0, plan.l_out, out=count)
+    ticks = np.arange(1, plan.l_out + 1, dtype=emit.dtype)[:, None]
+    bits = (ticks <= emit).reshape((plan.l_out,) + shape)
+    stats = IfStats(
+        layer_id=plan.layer_id,
+        stage_steps=(plan.l_in, _stage2_steps(plan), plan.l_out),
+        stage1_spikes=spikes[0],
+        stage2_excitatory=spikes[1],
+        stage2_inhibitory=spikes[2],
+        emitted_spikes=int(emit.sum()),
+        elements=count.size,
+        timesteps=plan.l_out,
+        counts=kept,
+    )
+    return SpikeTrain(bits=bits, theta_star=plan.theta_star), stats
 
 
 def if_generic_layer(stack, plan, keep_counter=False):
@@ -241,58 +313,88 @@ def if_generic_layer(stack, plan, keep_counter=False):
             f"layer '{plan.layer_id}': expected {plan.l_in} input timesteps, "
             f"got {stack.shape[0]}")
     th = plan.theta_star
-    shape = stack.shape[1:]
     flat = stack.reshape(plan.l_in, -1)
     size = flat.shape[1]
-    stage2_steps = max(plan.l_in, plan.l_out) - 1
-    count = np.zeros(size, dtype=_counter_dtype(plan.l_in, stage2_steps))
+    steps = _stage2_steps(plan)
+    count = np.zeros(size, dtype=_counter_dtype(plan.l_in, steps))
 
     # Stages 1 and 2 run chunk by chunk; a neuron's steps are the same IEEE
-    # operations in the same order as on the whole layer. Stage 1 subtracts
-    # th * fire from every membrane, which is exact where nothing fires
-    # (x - 0.0 is x, a -0.0 included) and runs much faster than a subtract
-    # masked by fire.
+    # operations in the same order as on the whole layer.
     width = min(size, _IF_CHUNK)
-    mem_buf, fire_buf, drop_buf = np.empty(width), np.empty(width, dtype=bool), np.empty(width)
-    stage1_spikes = excitatory = inhibitory = 0
+    mem_buf, fire, drop = np.empty(width), np.empty(width, dtype=bool), np.empty(width)
+    spikes = [0, 0, 0]
     for lo in range(0, size, _IF_CHUNK):
         hi = min(lo + _IF_CHUNK, size)
-        mem, fire, drop = mem_buf[:hi - lo], fire_buf[:hi - lo], drop_buf[:hi - lo]
-        part = count[lo:hi]
+        mem, part = mem_buf[:hi - lo], count[lo:hi]
         mem.fill(th / 2.0)
         for t in range(plan.l_in):
-            mem += flat[t, lo:hi]
-            np.greater_equal(mem, th, out=fire)
-            part += fire
-            np.multiply(fire, th, out=drop)
-            mem -= drop
-        stage1_spikes += int(part.sum())
-        if stage2_steps:
-            # a membrane in [0, th) neither fires nor inhibits, so it never
-            # moves: stage 2 runs on the chunk's other neurons only
-            moving = np.flatnonzero((mem < 0.0) | (mem >= th))
-            moved = part[moving]
-            e, i = _settle(mem[moving], moved, th, stage2_steps)
-            part[moving] = moved
-            excitatory += e
-            inhibitory += i
+            _integrate(mem, part, flat[t, lo:hi], th, fire[:hi - lo], drop[:hi - lo])
+        spikes[0] += int(part.sum())
+        e, i = _settle(mem, part, th, steps)
+        spikes[1] += e
+        spikes[2] += i
+    return _emit(plan, count, stack.shape[1:], spikes, keep_counter)
 
-    counter = count.astype(np.int64).reshape(shape) if keep_counter else None
-    emit = np.clip(count, 0, plan.l_out, out=count)
-    ticks = np.arange(1, plan.l_out + 1, dtype=emit.dtype)[:, None]
-    bits = (ticks <= emit).reshape((plan.l_out,) + shape)
-    stats = IfStats(
-        layer_id=plan.layer_id,
-        stage_steps=(plan.l_in, stage2_steps, plan.l_out),
-        stage1_spikes=stage1_spikes,
-        stage2_excitatory=excitatory,
-        stage2_inhibitory=inhibitory,
-        emitted_spikes=int(emit.sum()),
-        elements=size,
-        timesteps=plan.l_out,
-        counter=counter,
-    )
-    return SpikeTrain(bits=bits, theta_star=th), stats
+
+class _StreamedIf:
+    """A generic integrate-and-fire layer fed block by block by its unrolled
+    matmul, in place of the (L_in, N, ...) stack: the consumer that
+    run_layer hands the matmul's finished row blocks to.
+
+    Row r of the matmul's L_in*N rows is image r % N of timestep r // N,
+    and blocks arrive in row order, so every neuron gets its timesteps in
+    order and runs the very _integrate steps of if_generic_layer. It holds
+    one membrane and one counter per neuron of a timestep and, with
+    keep_sum, the running timestep sum: zeros, then each slice added in
+    turn, which is numpy's axis-0 sum of the C-contiguous stack (a stack
+    of -0.0 sums to +0.0). A block is the matmul's scratch, so once read
+    it serves as the step's drop buffer. finish runs stages 2 and 3.
+    """
+
+    def __init__(self, plan, n, keep_sum):
+        self.plan, self.n, self.keep_sum = plan, n, keep_sum
+        self.count = self.sum = None
+
+    def _start(self, block):
+        self.shape = (self.n,) + block.shape[1:]
+        size = self.n * block[0].size
+        steps = _stage2_steps(self.plan)
+        self.mem = np.full(size, self.plan.theta_star / 2.0)
+        self.count = np.zeros(size, dtype=_counter_dtype(self.plan.l_in, steps))
+        self.fire = np.empty(min(size, _IF_CHUNK), dtype=bool)
+        if self.keep_sum:
+            self.sum = np.zeros(size)
+
+    def __call__(self, lo, block):
+        if self.count is None:
+            self._start(block)
+        n, th, per = self.n, self.plan.theta_star, block[0].size
+        flat = block.reshape(-1)
+        r, end = lo, lo + len(block)
+        while r < end:              # one span per timestep the block holds
+            i = r % n
+            rows = min(n - i, end - r)
+            src = flat[(r - lo) * per:(r - lo + rows) * per]
+            for a in range(0, len(src), _IF_CHUNK):
+                x = src[a:a + _IF_CHUNK]
+                span = slice(i * per + a, i * per + a + len(x))
+                if self.sum is not None:
+                    self.sum[span] += x
+                _integrate(self.mem[span], self.count[span], x, th, self.fire[:len(x)], x)
+            r += rows
+
+    def finish(self, keep_counter):
+        """Stages 2 and 3 once every row has arrived: (train, IfStats)."""
+        plan = self.plan
+        steps = _stage2_steps(plan)
+        spikes = [int(self.count.sum()), 0, 0]
+        for lo in range(0, self.count.size, _IF_CHUNK):
+            e, i = _settle(self.mem[lo:lo + _IF_CHUNK], self.count[lo:lo + _IF_CHUNK],
+                           plan.theta_star, steps)
+            spikes[1] += e
+            spikes[2] += i
+        self.mem = None         # emission needs only the counters
+        return _emit(plan, self.count, self.shape, spikes, keep_counter)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +429,20 @@ def snn_forward(model, x, trace=None, keep_counters=False):
     its IfStats. Pass an SnnTrace to capture per-layer sums and spike trains.
     """
     stats = {}
+    streamed = {lid for lid, plan in model.if_plans.items()
+                if not plan.input_mode and plan.l_in > 1}
 
     def integrate_and_fire(layer, value, n):
         plan = model.if_plans[layer.id]
         if plan.input_mode:
             return if_input_layer(value, layer.qcfs)
+        if isinstance(value, partial):      # the deferred matmul: stream its blocks
+            layer_in = _StreamedIf(plan, n, keep_sum=trace is not None)
+            value(consumer=layer_in)
+            if trace is not None:
+                trace.sums._put(layer.preds[0], layer_in.sum.reshape(layer_in.shape))
+            train, stats[layer.id] = layer_in.finish(keep_counters)
+            return train
         stack = value.reshape((-1, n) + value.shape[1:])
         train, stats[layer.id] = if_generic_layer(stack, plan, keep_counter=keep_counters)
         return train
@@ -347,7 +458,7 @@ def snn_forward(model, x, trace=None, keep_counters=False):
             else:
                 trace.sums._put(layer.id, value.reshape((-1, n) + value.shape[1:]).sum(axis=0))
 
-    logits = forward(model.graph, x, integrate_and_fire, model.scaled_affines, record)
+    logits = forward(model.graph, x, integrate_and_fire, model.scaled_affines, record, streamed)
     return logits, stats
 
 
@@ -387,6 +498,20 @@ class EquivalenceReport:
         }
 
 
+def _deviation(layer_id, ann_out, snn_sum):
+    """The LayerDeviation of a spiking timestep sum from the reference
+    output: max |snn_sum - ann_out|, absolute and over max |ann_out|."""
+    ann_out = np.asarray(ann_out, dtype=np.float64)
+    snn_sum = np.asarray(snn_sum, dtype=np.float64)
+    ann_out = ann_out.reshape(snn_sum.shape)
+    dev = scale = 0.0
+    if ann_out.size:
+        diff = np.subtract(snn_sum, ann_out)
+        dev = float(np.abs(diff, out=diff).max())
+        scale = max(float(ann_out.max()), -float(ann_out.min()))
+    return LayerDeviation(layer_id, dev, dev / scale if scale > 0 else dev)
+
+
 def check_equivalence(graph, inputs, model=None):
     """Run both passes on a batch and report per-layer deviations.
 
@@ -401,18 +526,10 @@ def check_equivalence(graph, inputs, model=None):
     snn_trace = SnnTrace()
     logits_snn, stats = snn_forward(model, inputs, trace=snn_trace)
 
-    per_layer = []
-    for layer in graph.layers:
-        ann_out = np.asarray(trace.outputs[layer.id], dtype=np.float64)
-        snn_sum = np.asarray(snn_trace.sums[layer.id], dtype=np.float64)
-        ann_out = ann_out.reshape(snn_sum.shape)
-        dev = scale = 0.0
-        if ann_out.size:
-            diff = np.subtract(snn_sum, ann_out)
-            dev = float(np.abs(diff, out=diff).max())
-            scale = max(float(ann_out.max()), -float(ann_out.min()))
-        rel = dev / scale if scale > 0 else dev
-        per_layer.append(LayerDeviation(layer.id, dev, rel))
+    # each layer's arrays are read, compared and dropped inside _deviation,
+    # so no two layers' arrays are alive at once
+    per_layer = [_deviation(layer.id, trace.outputs[layer.id], snn_trace.sums[layer.id])
+                 for layer in graph.layers]
 
     snn_total = logits_snn * model.final_timesteps
     logit_dev = float(np.max(np.abs(snn_total - trace.logits)))

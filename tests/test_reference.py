@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spikecast.graph import QcfsConfig, init_random, parse_manifest
+from spikecast.kernels import KernelError
 from spikecast.reference import _level_buffer, ann_forward, qcfs, qcfs_levels
 
 from conftest import expression_levels
@@ -171,3 +172,14 @@ class TestAnnForward:
                 ann_forward(toy_graph, x)
         assert not caught
 
+
+    def test_kernel_error_names_layer(self, toy_graph):
+        weights = dict(toy_graph.weights)
+        weights["conv2"] = dict(weights["conv2"],
+                                weight=np.full_like(weights["conv2"]["weight"], 1.5e308))
+        x = np.random.default_rng(4).uniform(0, 1, size=(2, 2, 8, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)     # the overflowing product
+            with pytest.raises(KernelError,
+                               match="layer 'conv2': conv output contains non-finite values"):
+                ann_forward(toy_graph.with_weights(weights), x)

@@ -1,16 +1,18 @@
 import json
 import warnings
 from collections.abc import Mapping
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from spikecast import runtime
+from spikecast import kernels, runtime
 from spikecast.graph import (LayerSpec, ModelGraph, QcfsConfig, init_random,
                              parse_manifest)
-from spikecast.kernels import BnAffine, ConvParams, conv2d, fully_connected, fused_bn_affine
+from spikecast.kernels import (BnAffine, ConvParams, KernelError, conv2d, fully_connected,
+                               fused_bn_affine)
 from spikecast.reference import LayerTrace, _fold, ann_forward, forward, qcfs, run_layer
-from spikecast.runtime import (ConversionError, IfLayer, SnnTrace, SpikeTrain,
+from spikecast.runtime import (ConversionError, IfLayer, IfStats, SnnTrace, SpikeTrain,
                                _train_sum, check_equivalence, convert,
                                if_generic_layer, if_input_layer, snn_forward)
 from spikecast.zoo import residual_block_manifest, resnet_manifest, toy_manifest
@@ -58,6 +60,159 @@ def conv_stack_manifest(depth, steps):
         prev = f"a{i}"
     layers.append({"id": "f", "kind": "fc", "pred": [prev], "out_features": 10})
     return json.dumps({"name": "conv-stack", "classes": 10, "layers": layers})
+
+
+def streamed_manifest(l_in, l_last):
+    """in -> conv -> act (L = l_in) -> conv -> act (L = l_in) -> fc -> act
+    (L = l_last) -> head. The second conv and the fc each feed a generic
+    integrate-and-fire layer with l_in input timesteps."""
+    doc = {
+        "name": "streamed", "classes": 3,
+        "layers": [
+            {"id": "in", "kind": "input", "pred": [], "shape": [2, 6, 6]},
+            {"id": "c1", "kind": "conv", "pred": ["in"], "out_channels": 4,
+             "kernel": 3, "padding": 1, "bias": True, "batch_norm": True},
+            {"id": "a1", "kind": "qcfs_act", "pred": ["c1"], "L": l_in, "theta": 1.0},
+            {"id": "c2", "kind": "conv", "pred": ["a1"], "out_channels": 5,
+             "kernel": 3, "padding": 1, "bias": True, "batch_norm": True},
+            {"id": "a2", "kind": "qcfs_act", "pred": ["c2"], "L": l_in, "theta": 0.8},
+            {"id": "f3", "kind": "fc", "pred": ["a2"], "out_features": 7, "bias": True},
+            {"id": "a3", "kind": "qcfs_act", "pred": ["f3"], "L": l_last, "theta": 0.6},
+            {"id": "head", "kind": "fc", "pred": ["a3"], "out_features": 3, "bias": True},
+        ],
+    }
+    return json.dumps(doc)
+
+
+def array_path(model, x):
+    """snn_forward as it runs without streaming: every generic layer runs
+    if_generic_layer on its materialized (T, N, ...) stack, and a T*N-row
+    value's trace sum is numpy's axis-0 sum of that stack. Returns the
+    logits, trains, IfStats (counters kept) and sums."""
+    trains, stats, sums = {}, {}, {}
+
+    def act(layer, value, n):
+        plan = model.if_plans[layer.id]
+        if plan.input_mode:
+            return if_input_layer(value, layer.qcfs)
+        stack = value.reshape((-1, n) + value.shape[1:])
+        train, stats[layer.id] = if_generic_layer(stack, plan, keep_counter=True)
+        return train
+
+    def record(layer, value, n):
+        if isinstance(value, SpikeTrain):
+            trains[layer.id] = value
+            sums[layer.id] = value.dense().sum(axis=0)
+        else:
+            sums[layer.id] = (value if len(value) == n else
+                              value.reshape((-1, n) + value.shape[1:]).sum(axis=0))
+
+    logits = forward(model.graph, x, act, model.scaled_affines, record)
+    return logits, trains, stats, sums
+
+
+def assert_same_bytes(got, want, what):
+    assert isinstance(got, np.ndarray) and isinstance(want, np.ndarray), what
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def assert_same_stats(got, want):
+    """Every IfStats field, and the widened counter, equal to the bit."""
+    for f in fields(IfStats):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert_same_bytes(a, b, f"{want.layer_id}.{f.name}")
+        else:
+            assert a == b, f"{want.layer_id}.{f.name}"
+    assert_same_bytes(got.counter, want.counter, f"{want.layer_id}.counter")
+
+
+class TestStreamedIfLayer:
+    """A conv or fc layer whose only consumer is a generic integrate-and-fire
+    layer with more than one input timestep hands it its row blocks; the
+    (T*N, ...) output is never built."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("l_in", [2, 4, 8])
+    def test_bitwise_equal_to_array_path(self, l_in, n, monkeypatch):
+        # blocks of at most two images: with n = 3 some blocks hold the last
+        # image of one timestep and the first of the next
+        monkeypatch.setattr(kernels, "_block_count", lambda rows, *_: -(-rows // 2))
+        rng = np.random.default_rng(10 * l_in + n)
+        for _ in range(3):
+            text = streamed_manifest(l_in, int(rng.choice([1, 2, 4, 8])))
+            graph = init_random(parse_manifest(text), int(rng.integers(2 ** 31)))
+            model = convert(graph)
+            x = rng.uniform(0, 1, size=(n,) + graph.input_layer.shape)
+            stacked = []
+            monkeypatch.setattr(runtime, "if_generic_layer",
+                                lambda stack, plan, **kw: stacked.append(plan.layer_id)
+                                or if_generic_layer(stack, plan, **kw))
+            trace = SnnTrace()
+            logits, stats = snn_forward(model, x, trace=trace, keep_counters=True)
+            monkeypatch.undo()
+            assert not stacked                      # both layers ran streamed
+            monkeypatch.setattr(kernels, "_block_count", lambda rows, *_: -(-rows // 2))
+            want_logits, trains, want_stats, sums = array_path(model, x)
+
+            assert_same_bytes(logits, want_logits, "logits")
+            assert set(trace.trains) == set(trains) and set(stats) == set(want_stats)
+            for lid, train in trains.items():
+                assert_same_bytes(trace.trains[lid].bits, train.bits, lid)
+                assert trace.trains[lid].theta_star == train.theta_star
+            for lid, st in want_stats.items():
+                assert_same_stats(stats[lid], st)
+            assert list(trace.sums) == list(sums)
+            for lid, total in trace.sums.items():
+                assert_same_bytes(total, sums[lid], lid)
+
+    def test_block_edges_and_signed_zeros(self):
+        # one stack fed in random row blocks against if_generic_layer and
+        # numpy's axis-0 sum; a third of the inputs sit on exact level edges,
+        # and one neuron sees -0.0 at every step, which numpy sums to +0.0
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            l_in, n = int(rng.choice([2, 3, 4, 8])), int(rng.integers(1, 6))
+            l_out = int(rng.choice([1, 2, 4, 8]))
+            th = float(rng.choice([0.25, 0.5, rng.uniform(0.1, 0.9)]))
+            stack = rng.uniform(-1, 1, size=(l_in, n, 3, 4))
+            stack[..., 0, :] = rng.integers(-4, 5, size=(l_in, n, 4)) * (th / 2)
+            stack[:, :, 1, 0] = -0.0
+            plan = IfLayer("t", theta_star=th, l_in=l_in, l_out=l_out)
+            train, st = if_generic_layer(stack, plan, keep_counter=True)
+            layer_in = runtime._StreamedIf(plan, n, keep_sum=True)
+            rows = stack.reshape(l_in * n, 3, 4).copy()     # the consumer may overwrite
+            cuts = rng.integers(0, min(4, l_in * n))
+            edges = np.sort(rng.choice(np.arange(1, l_in * n), size=cuts, replace=False)).tolist()
+            for lo, hi in zip([0] + edges, edges + [l_in * n]):
+                layer_in(lo, rows[lo:hi])
+            got_train, got = layer_in.finish(keep_counter=True)
+            assert_same_bytes(got_train.bits, train.bits, "bits")
+            assert_same_stats(got, st)
+            assert_same_bytes(layer_in.sum.reshape(layer_in.shape), stack.sum(axis=0), "sum")
+            assert not np.signbit(layer_in.sum.reshape(layer_in.shape)[:, 1, 0]).any()
+
+    def test_no_stack_is_built(self):
+        # VGG-16's first two convs at T = 8 and N = 8: c2's (T*N, 64, 32, 32)
+        # float64 output is 33.5 MB. Streamed, the pass holds a few of its
+        # row blocks plus one membrane and counter per neuron of a timestep.
+        layers = [{"id": "in", "kind": "input", "pred": [], "shape": [3, 32, 32]},
+                  {"id": "c1", "kind": "conv", "pred": ["in"], "out_channels": 64,
+                   "kernel": 3, "padding": 1, "bias": True, "batch_norm": True},
+                  {"id": "a1", "kind": "qcfs_act", "pred": ["c1"], "L": 8, "theta": 1.0},
+                  {"id": "c2", "kind": "conv", "pred": ["a1"], "out_channels": 64,
+                   "kernel": 3, "padding": 1, "bias": True, "batch_norm": True},
+                  {"id": "a2", "kind": "qcfs_act", "pred": ["c2"], "L": 2, "theta": 1.0},
+                  {"id": "pool", "kind": "avg_pool", "pred": ["a2"], "window": 2},
+                  {"id": "head", "kind": "fc", "pred": ["pool"], "out_features": 10}]
+        graph = init_random(parse_manifest(json.dumps(
+            {"name": "vgg-head", "classes": 10, "layers": layers})), 23)
+        model = convert(graph)
+        x = np.random.default_rng(23).uniform(0, 1, size=(8, 3, 32, 32))
+        snn_forward(model, x)                       # warms the patch indices
+        stack_bytes = 8 * 8 * 64 * 32 * 32 * 8
+        assert traced_peak_bytes(lambda: snn_forward(model, x)) < stack_bytes
 
 
 class TestConvert:
@@ -398,6 +553,21 @@ class TestSnnForward:
             with pytest.raises(ValueError, match="input layer 'in': input contains non-finite"):
                 snn_forward(convert(toy_graph), x)
         assert not caught
+
+    def test_kernel_error_names_streamed_layer(self, toy_graph):
+        # conv2 feeds act2 (L_in = 4), so its blocks stream into act2
+        weights = dict(toy_graph.weights)
+        weights["conv2"] = dict(weights["conv2"],
+                                weight=np.full_like(weights["conv2"]["weight"], 1.5e308))
+        graph = toy_graph.with_weights(weights)
+        x = np.random.default_rng(30).uniform(0, 1, size=(2, 2, 8, 8))
+        message = "layer 'conv2': conv output contains non-finite values"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)     # the overflowing product
+            with pytest.raises(KernelError, match=message):
+                snn_forward(convert(graph), x)
+            with pytest.raises(KernelError, match=message):
+                check_equivalence(graph, x)
 
     def test_spike_train_membership_bitwise(self, toy_graph):
         x = np.random.default_rng(11).uniform(0, 1, size=(2, 2, 8, 8))

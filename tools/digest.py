@@ -20,11 +20,11 @@ twice, so warm caches are covered as well as cold ones. A checkout given by
 --repo must have these three builders in its tests/conftest.py.
 
 With --peaks, every VGG pass also prints the tracemalloc peak it reached
-above the bytes held when it started, and the bytes its returned trace
-(LayerTrace or SnnTrace; the report for ``report``) still holds once the
-pass is over, so held and transient memory can be told apart. The
-``report`` pass is one check_equivalence on warm caches. Tracing changes
-no digest.
+above the bytes held when it started, and the bytes its result still
+holds once the pass is over, so held and transient memory can be told
+apart: the LayerTrace, the SnnTrace plus the IfStats with their kept
+counters, or the report for ``report``. The ``report`` pass is one
+check_equivalence on warm caches. Tracing changes no digest.
 """
 
 import argparse
@@ -84,7 +84,7 @@ def snn_pass(sc, d, name, model, x):
               [list(st.stage_steps), st.stage1_spikes, st.stage2_excitatory,
                st.stage2_inhibitory, st.emitted_spikes, st.elements, st.timesteps])
         d.add(f"{name}/snn/counter/{lid}", st.counter)
-    return trace
+    return trace, stats
 
 
 def report(sc, d, name, graph, x, model):

@@ -6,6 +6,13 @@ single input and a single output; batch-norm is always represented fused
 into its matmul layer, and standalone ``bn_affine`` manifest entries are
 folded into their predecessor at parse time.
 
+Graph order is the manifest's layer order wherever that order is
+topological: each step takes the first listed layer whose predecessors have
+all been taken, so a layer moves only as far as its predecessors require.
+Graph order fixes the order of init_random's draws, how an ``energy --L``
+vector maps onto layers, the order of report rows, and the layer order of a
+converted bundle's manifest.json.
+
 Graphs are immutable after construction (nothing here mutates a parsed
 graph in place); concurrent readers are safe.
 
@@ -215,136 +222,107 @@ def _parse_layer(entry):
     if kind == "residual_add":
         return LayerSpec(lid, kind, preds)
     if kind == "bn_affine":
-        # placeholder; folded into the predecessor matmul below
+        # placeholder; _built folds it into its predecessor conv/fc
         return LayerSpec(lid, kind, preds, epsilon=float(entry.get("epsilon", 1e-5)))
     _fail(lid, f"unknown layer kind '{kind}'")
 
 
-def _fuse_standalone_bn(layers):
-    """Fold 'bn_affine' entries into their predecessor conv/fc."""
-    by_id = {l.id: l for l in layers}
-    fused = {}
-    for layer in layers:
-        if layer.kind != "bn_affine":
-            continue
-        if len(layer.preds) != 1 or by_id.get(layer.preds[0]) is None:
-            _fail(layer.id, "bn_affine must have exactly one existing predecessor")
-        target = by_id[layer.preds[0]]
-        if target.kind not in MATMUL_KINDS:
-            _fail(layer.id, "bn_affine predecessor must be a conv or fc layer")
-        if target.has_bn:
-            _fail(layer.id, f"layer '{target.id}' already carries batch-norm")
-        fused[layer.id] = target.id
-        by_id[target.id] = replace(target, has_bn=True, epsilon=layer.epsilon)
-    if not fused:
-        return layers
-    out = []
-    for layer in layers:
-        if layer.kind == "bn_affine":
-            continue
-        layer = by_id[layer.id]
-        preds = tuple(fused.get(p, p) for p in layer.preds)
-        out.append(replace(layer, preds=preds))
-    return out
+def _ordered(layers):
+    """The layers in a topological order that keeps the declared one where it can.
 
-
-def _toposort(layers):
-    by_id = {}
+    Each step places the first layer, in declared order, whose predecessors
+    are all placed. So a layer moves only as far as its predecessors
+    require, and a list that is already topological keeps its order.
+    """
+    ids = set()
     for layer in layers:
-        if layer.id in by_id:
+        if layer.id in ids:
             _fail(layer.id, "duplicate layer id")
-        by_id[layer.id] = layer
+        ids.add(layer.id)
     for layer in layers:
         for p in layer.preds:
-            if p not in by_id:
+            if p not in ids:
                 _fail(layer.id, f"dangling predecessor '{p}'")
-    indeg = {l.id: len(l.preds) for l in layers}
-    succs = {l.id: [] for l in layers}
-    for layer in layers:
-        for p in layer.preds:
-            succs[p].append(layer.id)
-    ready = [l.id for l in layers if indeg[l.id] == 0]
-    order = []
-    while ready:
-        lid = ready.pop(0)
-        order.append(by_id[lid])
-        for s in succs[lid]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.append(s)
-    if len(order) != len(layers):
-        cyclic = sorted(set(by_id) - {l.id for l in order})
-        raise GraphError(f"graph contains a cycle through: {', '.join(cyclic)}")
-    return order, succs
+    pending, order, placed = list(layers), [], set()
+    while pending:
+        i = next((i for i, l in enumerate(pending) if placed.issuperset(l.preds)), None)
+        if i is None:
+            cyclic = sorted(l.id for l in pending)
+            raise GraphError(f"graph contains a cycle through: {', '.join(cyclic)}")
+        order.append(pending.pop(i))
+        placed.add(order[-1].id)
+    return order
 
 
-def _infer_shapes(layers):
-    """Propagate (C, H, W) / (F,) shapes and validate layer geometry."""
-    shapes = {}
-    out = []
-    for layer in layers:
-        if layer.kind == "input":
-            in_shape = layer.shape
-            out_shape = layer.shape
-        else:
-            pred_shapes = [shapes[p] for p in layer.preds]
-            in_shape = pred_shapes[0]
-            if layer.kind == "conv":
-                if len(in_shape) != 3:
-                    _fail(layer.id, "conv requires a spatial (C, H, W) input")
-                try:
-                    h_o, w_o = conv_output_hw(in_shape[1], in_shape[2], layer.kernel,
-                                              layer.stride, layer.padding)
-                except ValueError as exc:
-                    _fail(layer.id, str(exc))
-                out_shape = (layer.out_channels, h_o, w_o)
-            elif layer.kind == "fc":
-                out_shape = (layer.out_channels,)
-            elif layer.kind == "avg_pool":
-                if len(in_shape) != 3:
-                    _fail(layer.id, "pool requires a spatial (C, H, W) input")
-                c, h, w = in_shape
-                if h % layer.window or w % layer.window:
-                    _fail(layer.id, f"pool window {layer.window} does not divide {h}x{w}")
-                out_shape = (c, h // layer.window, w // layer.window)
-            elif layer.kind == "residual_add":
-                if pred_shapes[0] != pred_shapes[1]:
-                    _fail(layer.id, f"residual_add branch shapes differ: "
-                                    f"{pred_shapes[0]} vs {pred_shapes[1]}")
-                out_shape = in_shape
-            else:  # qcfs_act
-                out_shape = in_shape
-        shapes[layer.id] = out_shape
-        out.append(replace(layer, in_shape=in_shape, out_shape=out_shape))
-    return out
-
-
-def _validate_structure(layers, succs):
-    inputs = [l for l in layers if l.kind == "input"]
+def _built(order):
+    """Walk the ordered layers once: fold each bn_affine into its conv/fc,
+    apply each kind's predecessor rules and infer (C, H, W) / (F,) shapes.
+    The input and output counts are checked before any per-layer rule."""
+    folds = {}   # bn_affine id -> the conv/fc it folds into
+    for layer in order:
+        if layer.kind == "bn_affine" and len(layer.preds) == 1:
+            folds[layer.id] = folds.get(layer.preds[0], layer.preds[0])
+    inputs = [l for l in order if l.kind == "input"]
     if len(inputs) != 1:
         raise GraphError(f"graph must have exactly one input layer, found {len(inputs)}")
     if inputs[0].preds:
         _fail(inputs[0].id, "input layer cannot have predecessors")
-    sinks = [l for l in layers if not succs[l.id]]
+    used = {folds.get(p, p) for l in order if l.id not in folds for p in l.preds}
+    sinks = [l.id for l in order if l.id not in folds and l.id not in used]
     if len(sinks) != 1:
-        raise GraphError("graph must have exactly one output layer, found "
-                         + ", ".join(l.id for l in sinks))
-    by_id = {l.id: l for l in layers}
-    for layer in layers:
+        raise GraphError("graph must have exactly one output layer, found " + ", ".join(sinks))
+    built = {}
+    for layer in order:
+        preds = tuple(folds.get(p, p) for p in layer.preds)
+        if layer.kind == "bn_affine":
+            if len(preds) != 1:
+                _fail(layer.id, "bn_affine must have exactly one existing predecessor")
+            target = built.get(layer.preds[0])   # None after another bn_affine
+            if target is None or target.kind not in MATMUL_KINDS:
+                _fail(layer.id, "bn_affine predecessor must be a conv or fc layer")
+            if target.has_bn:
+                _fail(layer.id, f"layer '{target.id}' already carries batch-norm")
+            built[target.id] = replace(target, has_bn=True, epsilon=layer.epsilon)
+            continue
         if layer.kind == "residual_add":
-            if len(layer.preds) != 2:
+            if len(preds) != 2:
                 _fail(layer.id, f"residual_add arity: needs exactly 2 predecessors, "
-                                f"got {len(layer.preds)}")
+                                f"got {len(preds)}")
         elif layer.kind == "qcfs_act":
-            if len(layer.preds) != 1:
+            if len(preds) != 1:
                 _fail(layer.id, "activation needs exactly one predecessor")
-            pred = by_id[layer.preds[0]]
-            if pred.kind not in MATMUL_KINDS and pred.kind != "residual_add":
+            pred_kind = built[preds[0]].kind
+            if pred_kind not in MATMUL_KINDS and pred_kind != "residual_add":
                 _fail(layer.id, f"activation must directly follow a matmul or "
-                                f"residual_add layer, not '{pred.kind}'")
-        elif layer.kind != "input":
-            if len(layer.preds) != 1:
-                _fail(layer.id, f"'{layer.kind}' needs exactly one predecessor")
+                                f"residual_add layer, not '{pred_kind}'")
+        elif layer.kind != "input" and len(preds) != 1:
+            _fail(layer.id, f"'{layer.kind}' needs exactly one predecessor")
+        pred_shapes = [built[p].out_shape for p in preds]
+        in_shape = pred_shapes[0] if preds else layer.shape
+        out_shape = in_shape
+        if layer.kind == "conv":
+            if len(in_shape) != 3:
+                _fail(layer.id, "conv requires a spatial (C, H, W) input")
+            try:
+                h_o, w_o = conv_output_hw(in_shape[1], in_shape[2], layer.kernel,
+                                          layer.stride, layer.padding)
+            except ValueError as exc:
+                _fail(layer.id, str(exc))
+            out_shape = (layer.out_channels, h_o, w_o)
+        elif layer.kind == "fc":
+            out_shape = (layer.out_channels,)
+        elif layer.kind == "avg_pool":
+            if len(in_shape) != 3:
+                _fail(layer.id, "pool requires a spatial (C, H, W) input")
+            c, h, w = in_shape
+            if h % layer.window or w % layer.window:
+                _fail(layer.id, f"pool window {layer.window} does not divide {h}x{w}")
+            out_shape = (c, h // layer.window, w // layer.window)
+        elif layer.kind == "residual_add" and pred_shapes[0] != pred_shapes[1]:
+            _fail(layer.id, f"residual_add branch shapes differ: "
+                            f"{pred_shapes[0]} vs {pred_shapes[1]}")
+        built[layer.id] = replace(layer, preds=preds, in_shape=in_shape, out_shape=out_shape)
+    return tuple(built.values())
 
 
 def parse_manifest(text):
@@ -356,13 +334,9 @@ def parse_manifest(text):
     for fld in ("name", "classes", "layers"):
         if fld not in doc:
             raise GraphError(f"manifest is missing required field '{fld}'")
-    layers = [_parse_layer(e) for e in doc["layers"]]
-    layers = _fuse_standalone_bn(layers)
-    layers, succs = _toposort(layers)
-    _validate_structure(layers, succs)
-    layers = _infer_shapes(layers)
+    layers = _built(_ordered([_parse_layer(e) for e in doc["layers"]]))
     graph = ModelGraph(name=str(doc["name"]), classes=int(doc["classes"]),
-                       layers=tuple(layers), seed=doc.get("seed"))
+                       layers=layers, seed=doc.get("seed"))
     out = graph.output_layer.out_shape
     if int(np.prod(out)) != graph.classes:
         _fail(graph.output_layer.id,

@@ -131,8 +131,8 @@ class BnAffine:
     """Per-output-channel affine: out = gamma*(y + b - mu)/sqrt(var + eps) + beta.
 
     Represents a batch-norm stage fused with the preceding layer's bias.
-    A plain bias and the identity are expressible through the same record
-    (see ``bias_only`` / ``identity``), which keeps the unrolled constant
+    A plain bias, and with a zero bias the identity, is expressible through
+    the same record (see ``bias_only``), which keeps the unrolled constant
     scaling in one place.
     """
 
@@ -152,10 +152,6 @@ class BnAffine:
         for name in ("beta", "mu", "sigma_sq", "bias"):
             _check(getattr(self, name).shape == (n,), "affine field {} must have length {}",
                    name, n)
-
-    @classmethod
-    def identity(cls, channels, epsilon=1e-5):
-        return cls.bias_only(np.zeros(channels), epsilon)
 
     @classmethod
     def bias_only(cls, bias, epsilon=1e-5):

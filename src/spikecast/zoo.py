@@ -3,30 +3,27 @@
 import json
 
 
-def toy_manifest(classes=4, l_first=4, l_second=2, theta=1.0):
+def toy_manifest():
     """conv -> act -> pool -> conv -> act -> fc, handy for demos and tests."""
     doc = {
         "name": "toy",
-        "classes": classes,
+        "classes": 4,
         "layers": [
             {"id": "in", "kind": "input", "pred": [], "shape": [2, 8, 8]},
             {"id": "conv1", "kind": "conv", "pred": ["in"], "out_channels": 6,
              "kernel": 3, "stride": 1, "padding": 1, "bias": True, "batch_norm": True},
-            {"id": "act1", "kind": "qcfs_act", "pred": ["conv1"], "L": l_first,
-             "theta": theta},
+            {"id": "act1", "kind": "qcfs_act", "pred": ["conv1"], "L": 4, "theta": 1.0},
             {"id": "pool1", "kind": "avg_pool", "pred": ["act1"], "window": 2},
             {"id": "conv2", "kind": "conv", "pred": ["pool1"], "out_channels": 5,
              "kernel": 3, "stride": 1, "padding": 1, "bias": True},
-            {"id": "act2", "kind": "qcfs_act", "pred": ["conv2"], "L": l_second,
-             "theta": 0.7},
-            {"id": "head", "kind": "fc", "pred": ["act2"], "out_features": classes,
-             "bias": True},
+            {"id": "act2", "kind": "qcfs_act", "pred": ["conv2"], "L": 2, "theta": 0.7},
+            {"id": "head", "kind": "fc", "pred": ["act2"], "out_features": 4, "bias": True},
         ],
     }
     return json.dumps(doc)
 
 
-def vgg16_manifest(classes=10, steps=4, theta=1.0, input_size=32):
+def vgg16_manifest(classes=10, steps=4, input_size=32):
     """VGG-16: 13 convs, 5 average pools, 3 fc layers.
 
     Every matmul except the head is followed by an activation (15 total);
@@ -53,7 +50,7 @@ def vgg16_manifest(classes=10, steps=4, theta=1.0, input_size=32):
                            "out_channels": width, "kernel": 3, "stride": 1,
                            "padding": 1, "bias": False, "batch_norm": True})
             layers.append({"id": aid, "kind": "qcfs_act", "pred": [cid],
-                           "L": next(step_iter), "theta": theta})
+                           "L": next(step_iter), "theta": 1.0})
             prev = aid
         layers.append({"id": f"pool{stage}", "kind": "avg_pool", "pred": [prev],
                        "window": 2})
@@ -63,7 +60,7 @@ def vgg16_manifest(classes=10, steps=4, theta=1.0, input_size=32):
         layers.append({"id": fid, "kind": "fc", "pred": [prev],
                        "out_features": width, "bias": True})
         layers.append({"id": aid, "kind": "qcfs_act", "pred": [fid],
-                       "L": next(step_iter), "theta": theta})
+                       "L": next(step_iter), "theta": 1.0})
         prev = aid
     layers.append({"id": "fc3", "kind": "fc", "pred": [prev],
                    "out_features": classes, "bias": True})

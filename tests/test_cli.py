@@ -288,6 +288,16 @@ class TestEnergy:
             line = capsys.readouterr().out.splitlines()[-1]
             assert line == f"T_eff (L={label}, rate=0.75): {want}"
 
+    def test_golden_resnet18_vector_follows_declared_order(self, capsys):
+        # the 8 is the seventh matmul as declared and as the table prints it,
+        # block 2.1's conv2, not the 1x1 shortcut listed after it
+        steps = ",".join(["1"] * 6 + ["8"] + ["1"] * 14)
+        code = main(["energy", "--golden", "resnet18-cifar", "--L", steps])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[7].startswith("Residual Block 2.1 Conv2 ")
+        assert out[-1] == f"T_eff (L={steps}, rate=0.75): 1.35632"
+
     def test_golden_step_vector_of_other_length_exits_2(self, capsys):
         code = main(["energy", "--golden", "vgg16-cifar", "--L", "2,1"])
         out, err = capsys.readouterr()

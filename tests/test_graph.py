@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from spikecast.graph import (GraphError, QcfsConfig, conv_params, init_random,
                              serialize_manifest)
 from spikecast.reference import ann_forward
 from spikecast.runtime import convert, snn_forward
-from spikecast.zoo import vgg16_manifest
+from spikecast.zoo import (residual_block_manifest, resnet_manifest, toy_manifest,
+                           vgg16_manifest)
 
 from conftest import traced_peak_bytes
 
@@ -106,6 +109,16 @@ class TestParse:
         (1, "stride", [1, 0], r"'c1': field 'stride' must be >= 1, got \[1, 0\]"),
         (1, "padding", -1, "'c1': field 'padding' must be >= 0, got -1"),
         (0, "shape", [3, -4, 4], r"'in': input shape must be positive, got \[3, -4, 4\]"),
+        (0, "shape", [3, 4], r"'in': input layer needs 'shape': \[C, H, W\]$"),
+        (1, "kind", "deconv", "'c1': unknown layer kind 'deconv'$"),
+        (3, "id", "c1", "'c1': duplicate layer id$"),
+        (2, "pred", ["c1", "in"], "'a1': activation needs exactly one predecessor$"),
+        (4, "pred", ["a1", "c1"], "'p': 'avg_pool' needs exactly one predecessor$"),
+        (1, "pred", ["in", "in"], "'c1': 'conv' needs exactly one predecessor$"),
+        (3, "pred", ["p", "a1"], "'f1': 'fc' needs exactly one predecessor$"),
+        (1, "stride", 2, r"'c1': conv geometry does not tile: input 4x4, kernel \(3, 3\), "
+                         r"stride \(2, 2\), padding \(1, 1\)$"),
+        (4, "window", 3, "'p': pool window 3 does not divide 4x4$"),
     ])
     def test_missing_or_non_positive_field(self, index, field, value, match):
         doc = small_manifest()
@@ -117,6 +130,62 @@ class TestParse:
             doc["layers"][index][field] = value
         with pytest.raises(GraphError, match="layer " + match):
             parse_manifest(json.dumps(doc))
+
+    @pytest.mark.parametrize("insert, changes, match", [
+        ([], {"in": {"kind": "avg_pool", "window": 1}},
+         "^graph must have exactly one input layer, found 0$"),
+        ([(1, {"id": "in2", "kind": "input", "pred": [], "shape": [3, 4, 4]}),
+          (2, {"id": "r", "kind": "residual_add", "pred": ["in", "in2"]})],
+         {"c1": {"pred": ["r"]}},
+         "^graph must have exactly one input layer, found 2$"),
+        ([(0, {"id": "pre", "kind": "avg_pool", "pred": [], "window": 1})],
+         {"in": {"pred": ["pre"]}},
+         "^layer 'in': input layer cannot have predecessors$"),
+        ([(4, {"id": "extra", "kind": "fc", "pred": ["a1"], "out_features": 2})], {},
+         "^graph must have exactly one output layer, found f1, extra$"),
+        ([(2, {"id": "bn", "kind": "bn_affine", "pred": ["c1", "in"]})],
+         {"a1": {"pred": ["bn"]}},
+         "^layer 'bn': bn_affine must have exactly one existing predecessor$"),
+        ([(3, {"id": "bn", "kind": "bn_affine", "pred": ["a1"]})],
+         {"f1": {"pred": ["bn"]}},
+         "^layer 'bn': bn_affine predecessor must be a conv or fc layer$"),
+        ([(2, {"id": "bn", "kind": "bn_affine", "pred": ["c1"]})],
+         {"c1": {"batch_norm": True}, "a1": {"pred": ["bn"]}},
+         "^layer 'bn': layer 'c1' already carries batch-norm$"),
+        ([(4, {"id": "c2", "kind": "conv", "pred": ["f1"], "out_channels": 2})], {},
+         r"^layer 'c2': conv requires a spatial \(C, H, W\) input$"),
+        ([(4, {"id": "p2", "kind": "avg_pool", "pred": ["f1"], "window": 1})], {},
+         r"^layer 'p2': pool requires a spatial \(C, H, W\) input$"),
+        ([(3, {"id": "r", "kind": "residual_add", "pred": ["a1", "in"]})],
+         {"f1": {"pred": ["r"]}},
+         r"^layer 'r': residual_add branch shapes differ: \(4, 4, 4\) vs \(3, 4, 4\)$"),
+        ([], {"a1": {"id": None}}, "^every layer entry needs 'id' and 'kind' fields$"),
+        ([], {"a1": {"kind": None}}, "^every layer entry needs 'id' and 'kind' fields$"),
+    ])
+    def test_structural_fault(self, insert, changes, match):
+        # one fault per manifest; a None value deletes the field
+        doc = small_manifest()
+        for index, entry in insert:
+            doc["layers"].insert(index, entry)
+        for entry in doc["layers"]:
+            for field, value in changes.get(entry["id"], {}).items():
+                if value is None:
+                    del entry[field]
+                else:
+                    entry[field] = value
+        with pytest.raises(GraphError, match=match):
+            parse_manifest(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["name", "classes", "layers"])
+    def test_missing_top_level_field(self, field):
+        doc = small_manifest()
+        del doc[field]
+        with pytest.raises(GraphError, match=f"^manifest is missing required field '{field}'$"):
+            parse_manifest(json.dumps(doc))
+
+    def test_invalid_json(self):
+        with pytest.raises(GraphError, match="^manifest is not valid JSON: "):
+            parse_manifest(json.dumps(small_manifest())[:-1])
 
     def test_standalone_bn_is_fused(self):
         doc = small_manifest()
@@ -139,6 +208,50 @@ class TestParse:
         again = parse_manifest(serialize_manifest(g))
         assert serialize_manifest(again) == serialize_manifest(g)
         assert [l.id for l in again.layers] == [l.id for l in g.layers]
+
+
+ZOO_MANIFESTS = {
+    "toy": toy_manifest(),
+    "vgg16-cifar": vgg16_manifest(10),
+    "vgg16-imagenet": vgg16_manifest(1000, input_size=224),
+    "resnet18-cifar": resnet_manifest(),
+    "resnet34-imagenet": resnet_manifest((3, 4, 6, 3), input_size=224, classes=1000,
+                                         imagenet_stem=True),
+    "residual-toy": residual_block_manifest(),
+}
+
+
+def _ids(entries):
+    return [e["id"] for e in entries]
+
+
+class TestOrder:
+    @pytest.mark.parametrize("name", sorted(ZOO_MANIFESTS))
+    def test_zoo_keeps_declared_order(self, name):
+        declared = _ids(json.loads(ZOO_MANIFESTS[name])["layers"])
+        g = parse_manifest(ZOO_MANIFESTS[name])
+        assert [l.id for l in g.layers] == declared
+        assert _ids(json.loads(serialize_manifest(g))["layers"]) == declared
+
+    def test_documented_manifest_parses_in_order(self):
+        doc_text = (Path(__file__).parents[1] / "docs" / "manifest_format.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", doc_text, re.DOTALL)
+        assert len(blocks) == 1
+        g = parse_manifest(blocks[0])
+        assert [l.id for l in g.layers] == _ids(json.loads(blocks[0])["layers"])
+
+    @pytest.mark.parametrize("name", sorted(ZOO_MANIFESTS))
+    def test_reversed_manifest_sorts_the_same_every_call(self, name):
+        doc = json.loads(ZOO_MANIFESTS[name])
+        doc["layers"].reverse()
+        text = json.dumps(doc)
+        order = [l.id for l in parse_manifest(text).layers]
+        assert sorted(order) == sorted(_ids(doc["layers"]))
+        seen = set()
+        for layer in parse_manifest(text).layers:
+            assert set(layer.preds) <= seen, layer.id
+            seen.add(layer.id)
+        assert [l.id for l in parse_manifest(text).layers] == order
 
 
 class TestWeights:

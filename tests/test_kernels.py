@@ -233,7 +233,7 @@ class TestConv2d:
     def test_affine_channel_mismatch(self):
         p = ConvParams(weights=np.ones((2, 1, 1, 1)))
         with pytest.raises(KernelError, match="affine expects 3 channels"):
-            conv2d(np.ones((1, 1, 2, 2)), p, affine=BnAffine.identity(3))
+            conv2d(np.ones((1, 1, 2, 2)), p, affine=BnAffine.bias_only(np.zeros(3)))
 
     def test_non_finite_output_is_rejected(self):
         p = ConvParams(weights=np.ones((2, 1, 1, 1)))
@@ -287,7 +287,7 @@ class TestFullyConnected:
 class TestFusedBnAffine:
     def test_identity_affine(self):
         y = np.random.default_rng(1).normal(size=(2, 3, 4, 4))
-        out = fused_bn_affine(y, BnAffine.identity(3))
+        out = fused_bn_affine(y, BnAffine.bias_only(np.zeros(3)))
         np.testing.assert_array_equal(out, y)
 
     def test_scalar_hand_eval(self):

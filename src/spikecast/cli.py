@@ -243,8 +243,8 @@ def _measured_rates(model, sources, inputs):
     """
     trace = runtime.SnnTrace()
     snn_forward(model, inputs, trace=trace)
-    rates = {lid: int(np.count_nonzero(train.bits)) / train.bits[0].size
-             for lid, train in trace.trains.items()}
+    counts = {lid: train.spike_counts() for lid, train in trace.trains.items()}
+    rates = {lid: int(c.sum()) / c.size for lid, c in counts.items()}
     mean_rate = float(np.mean(list(rates.values()))) if rates else energy_model.ASSUMED_SPIKE_RATE
     return [max(rates.get(src, mean_rate), 1e-12) for src in sources]
 

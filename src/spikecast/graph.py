@@ -4,7 +4,9 @@ A model is described by a JSON manifest (see docs/manifest_format.md) plus
 one raw float32 blob per weighted layer. The graph is an ordered DAG with a
 single input and a single output; batch-norm is always represented fused
 into its matmul layer, and standalone ``bn_affine`` manifest entries are
-folded into their predecessor at parse time.
+folded into their predecessor at parse time. A fold changes what every
+reader of that conv/fc sees, so the parser rejects a ``bn_affine`` whose
+conv/fc feeds any other layer.
 
 Graph order is the manifest's layer order wherever that order is
 topological: each step takes the first listed layer whose predecessors have
@@ -24,6 +26,7 @@ anything else, so a caller's arrays are never frozen or shared.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -256,9 +259,11 @@ def _ordered(layers):
 
 def _built(order):
     """Walk the ordered layers once: fold each bn_affine into its conv/fc,
-    apply each kind's predecessor rules and infer (C, H, W) / (F,) shapes.
-    The input and output counts are checked before any per-layer rule."""
+    which must feed nothing else, apply each kind's predecessor rules and
+    infer (C, H, W) / (F,) shapes. The input and output counts are checked
+    before any per-layer rule."""
     folds = {}   # bn_affine id -> the conv/fc it folds into
+    readers = Counter(p for layer in order for p in layer.preds)
     for layer in order:
         if layer.kind == "bn_affine" and len(layer.preds) == 1:
             folds[layer.id] = folds.get(layer.preds[0], layer.preds[0])
@@ -282,6 +287,8 @@ def _built(order):
                 _fail(layer.id, "bn_affine predecessor must be a conv or fc layer")
             if target.has_bn:
                 _fail(layer.id, f"layer '{target.id}' already carries batch-norm")
+            if readers[target.id] > 1:     # its other readers would see the fold too
+                _fail(layer.id, f"bn_affine must be the only consumer of layer '{target.id}'")
             built[target.id] = replace(target, has_bn=True, epsilon=layer.epsilon)
             continue
         if layer.kind == "residual_add":

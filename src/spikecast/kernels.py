@@ -36,10 +36,12 @@ Each finished block goes into the output or, when conv2d is given a
 consumer, to consumer(lo, block) through one reused block buffer, and no
 output is built; the spiking pass streams a conv's blocks this way into
 the integrate-and-fire layer that reads them. conv2d takes the fewest
-blocks that fit the budget, but never so many that a block's product
+blocks whose largest block fits the budget, so an image of more than 4
+MiB of patches gets a block of its own (and one of more than 8 MiB
+exceeds the budget alone). It never takes so many that a block's product
 falls below ``_BLOCK_MIN_MACS`` (4e6 multiply-adds, rows * C_out * taps):
-a conv with few output channels gets fewer, larger
-blocks than the budget asks for. A row's result does not depend on how
+a conv with few output channels gets fewer, larger blocks than the budget
+asks for. A row's result does not depend on how
 many other rows share its product as long as BLAS picks the same kernel,
 so blocking leaves every byte unchanged. Blocks must stay large for that:
 OpenBLAS (0.3.31, 2 threads) runs small products through kernels that
@@ -222,11 +224,15 @@ _BLOCK_MIN_MACS = 4_000_000
 
 def _block_count(n, patch_entries, c_out, itemsize):
     """Balanced blocks of whole images for n images of patch_entries each:
-    the fewest that fit the byte budget, but no more than keep the smallest
-    block at or above the multiply-add floor. C_out = 1 is never split."""
+    the fewest whose largest block fits the byte budget, but no more than
+    keep the smallest block at or above the multiply-add floor. C_out = 1
+    is never split."""
     if c_out == 1:
         return 1
-    by_budget = -(-n * patch_entries * itemsize // _PATCH_BLOCK_BYTES)
+    # blocks of at most `fit` images; a balanced split into ceil(n / fit)
+    # blocks holds at most ceil(n / blocks) <= fit images in each
+    fit = max(1, _PATCH_BLOCK_BYTES // (patch_entries * itemsize))
+    by_budget = -(-n // fit)
     # a balanced block holds at least n // blocks images
     by_floor = n // -(-_BLOCK_MIN_MACS // (patch_entries * c_out))
     return max(1, min(by_budget, by_floor))

@@ -37,10 +37,18 @@ theta / L. Reading an activation entry builds levels * theta / L as a new
 float64 array, the staircase's own final multiply, so its bytes are those
 of the activation value; every such read allocates the whole array.
 
-A SpikeTrain stores its spikes as a bit tensor plus the shared theta_star
-scalar, so the "every element is 0 or theta_star" guarantee is structural.
-run_layer reads a train in one of three ways, and only fc builds a float64
-copy of a whole train:
+A SpikeTrain stores its spikes packed along time, eight timesteps to a
+byte (SpikeTrain.words, ceil(T/8) bytes per neuron), plus the shared
+theta_star scalar, so the "every element is 0 or theta_star" guarantee is
+structural. An integrate-and-fire layer always emits a thermometer train, a
+neuron with c spikes firing in its first c timesteps, and
+SpikeTrain.thermometer builds the words straight from the counts. Spike
+counts are read from the words by popcount, without unpacking them.
+SpikeTrain.bits unpacks the bool (T, N, ...) tensor as a new array on each
+read, like a derived trace entry. run_layer unpacks a train once for each
+layer that reads it, and drops the bits when the kernel returns. It reads
+a train in one of four ways, and only fc builds a float64 copy of a whole
+train:
 
   conv          kernels.conv2d scales the bits into its patch buffer one
                 block at a time.
@@ -145,22 +153,72 @@ def input_batch(graph, x):
     return x
 
 
-@dataclass(frozen=True)
-class SpikeTrain:
-    """T-stacked binary spikes scaled by a shared threshold."""
+# _STEP_BITS[j] is the bit of timestep j in its byte
+_STEP_BITS = (1 << np.arange(8)).astype(np.uint8)
 
-    bits: np.ndarray          # bool, shape (T, N, ...)
-    theta_star: float
+
+class SpikeTrain:
+    """Binary spikes over T timesteps, scaled by a shared threshold.
+
+    words packs the spikes along time, eight timesteps to a byte: bit
+    t % 8 of words[t // 8] is timestep t, so words has shape
+    (ceil(T / 8), N, ...) and the bits past T are zero. It is read-only.
+    SpikeTrain(bits, theta_star) packs any bool (T, N, ...) tensor;
+    thermometer builds an integrate-and-fire layer's train from its counts.
+    """
+
+    def __init__(self, bits, theta_star):
+        bits = np.asarray(bits, dtype=bool)
+        self._hold(np.packbits(bits, axis=0, bitorder="little"), theta_star, len(bits))
+
+    def _hold(self, words, theta_star, timesteps):
+        words.flags.writeable = False
+        self.words, self.theta_star, self.timesteps = words, theta_star, timesteps
+
+    @classmethod
+    def thermometer(cls, counts, timesteps, theta_star):
+        """The T-step train in which a neuron of count c fires in its first
+        clip(c, 0, T) timesteps, built byte by byte from the counts: byte k
+        holds timesteps 8k to 8k + 7, and its first clip(c - 8k, 0, 8) fire."""
+        counts = np.asarray(counts)
+        fired = np.empty(counts.shape, dtype=np.promote_types(counts.dtype, np.int16))
+        words = np.empty((-(-timesteps // 8),) + counts.shape, dtype=np.uint8)
+        for k in range(len(words)):
+            np.clip(counts, 8 * k, min(8 * k + 8, timesteps), out=fired)
+            if k:
+                fired -= 8 * k
+            # m steps fire: the byte 2**m - 1, m <= 8 (a table lookup runs
+            # several times slower)
+            np.left_shift(1, fired, out=fired)
+            np.subtract(fired, 1, out=words[k], casting="unsafe")
+        train = cls.__new__(cls)
+        train._hold(words, theta_star, timesteps)
+        return train
 
     @property
-    def timesteps(self):
-        return self.bits.shape[0]
+    def bits(self):
+        """The bool (T, N, ...) spikes, unpacked as a new array on each read."""
+        words = self.words
+        steps = min(self.timesteps, 8)      # only the last byte may hold fewer
+        step_bits = _STEP_BITS[:steps].reshape((steps,) + (1,) * (words.ndim - 1))
+        masked = np.empty((len(words), steps) + words.shape[1:], dtype=np.uint8)
+        np.bitwise_and(words[:, None], step_bits, out=masked)
+        bits = masked.view(bool)
+        np.not_equal(masked, 0, out=bits)
+        return bits.reshape((-1,) + words.shape[1:])[:self.timesteps]
 
     def dense(self):
-        return self.bits.astype(np.float64) * self.theta_star
+        """The float64 (T, N, ...) train: theta_star where a spike fires, else 0."""
+        return np.multiply(self.bits, self.theta_star, dtype=np.float64)
 
-    def spike_counts(self):
-        return self.bits.sum(axis=0)
+    def spike_counts(self, dtype=np.int64):
+        """Spikes per neuron, shape (N, ...), the words' popcounts summed
+        without unpacking them. dtype must hold T; the default int64 is
+        that of bits.sum(axis=0)."""
+        counts = np.bitwise_count(self.words[0]).astype(dtype, copy=False)
+        for word in self.words[1:]:
+            counts += np.bitwise_count(word)
+        return counts
 
 
 def _fold(stack):

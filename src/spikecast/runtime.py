@@ -39,17 +39,23 @@ The first activation after the real-valued input needs no settling: the
 preceding matmul runs once at full precision, the staircase activation is
 applied, and the resulting level index directly becomes the spike count.
 
-A spike train (reference.SpikeTrain, also exported here) is a bit tensor
-plus the shared theta_star; see the reference module for how each layer
-reads one. SnnTrace.sums is a reference.TraceValues map: a layer whose
-value is a spike train keeps only the train, and reading its sum builds
-the sum from the train's counts on each read, so every such read
-allocates a new float64 array. A neuron with c spikes sums to theta_star
-added c times, looked up in a cumulative table by its count. That table
-holds the very float sums the dense path adds, so the sums are byte for
-byte those of the dense train. Conv, pool, fc and single-shot entries are
-stored arrays, returned as they are; a streamed matmul's entry is the
-running sum its integrate-and-fire layer kept.
+A spike train (reference.SpikeTrain, also exported here) holds its spikes
+packed eight timesteps to a byte, plus the shared theta_star; see the
+reference module for how each layer reads one. Stage 3 and the input
+layer build their trains straight from the clipped counters or levels
+(SpikeTrain.thermometer), so no (L_out, N, ...) bool tensor is made at
+emission. SnnTrace.sums is a reference.TraceValues map: a layer whose
+value is a spike train keeps only the train, ceil(T/8) bytes per neuron,
+and reading its sum builds the sum from the train's spike counts on each
+read, so every such read allocates a new float64 array. The counts are
+the words' popcounts, read without unpacking the train. A neuron with c
+spikes sums to theta_star added c times, looked up in a cumulative table
+by its count. That table holds the very float sums the dense path adds,
+so the sums are byte for byte those of the dense train. Conv, pool, fc and
+single-shot entries are stored arrays, returned as they are; a streamed
+matmul's entry is the running sum its integrate-and-fire layer kept.
+check_equivalence compares each layer in chunks of one reused buffer, so
+its comparison holds no layer-sized temporary.
 
 Stage 1 reads its input one timestep at a time, so a generic layer with
 L_in > 1 whose input is a conv or fc layer feeding nothing else never
@@ -68,8 +74,8 @@ and above).
 
 The counter is int16 whenever L_in plus the stage-2 steps fits that dtype
 and int64 otherwise. IfStats keeps it, when asked, in that dtype as
-IfStats.counts; IfStats.counter widens it to int64 on each read, as a new
-array. The walk drops each layer's value as soon as its last consumer has
+IfStats.counts, unclipped; IfStats.counter widens it to int64 on each
+read, as a new array. The walk drops each layer's value as soon as its last consumer has
 run, so only a few layers' values are alive at once.
 
 Converted models are immutable; the forward pass keeps all mutable neuron
@@ -83,7 +89,7 @@ from functools import partial
 import numpy as np
 
 from .graph import layer_affine
-from .reference import SpikeTrain, TraceValues, ann_forward, forward, qcfs_levels
+from .reference import SpikeTrain, TraceValues, _level_buffer, ann_forward, forward
 
 
 class ConversionError(ValueError):
@@ -210,15 +216,14 @@ def if_input_layer(x, cfg):
     first c timesteps, which makes the train sum reproduce the activation
     exactly.
     """
-    x = np.asarray(x, dtype=np.float64)
-    levels = qcfs_levels(x, cfg)
-    ticks = np.arange(1, cfg.L + 1).reshape((cfg.L,) + (1,) * x.ndim)
-    bits = ticks <= levels[None, ...]
-    return SpikeTrain(bits=bits, theta_star=cfg.theta / cfg.L)
+    levels = _level_buffer(np.asarray(x, dtype=np.float64), cfg)
+    return SpikeTrain.thermometer(levels.astype(np.min_scalar_type(cfg.L)), cfg.L,
+                                  cfg.theta / cfg.L)
 
 
-# Neurons per chunk of the integrate-and-fire layer: its membranes and masks
-# stay in cache over all steps, and no float temporary spans the layer.
+# Neurons per chunk of the integrate-and-fire layer and of _deviation: its
+# membranes and masks stay in cache over all steps, and no float temporary
+# spans the layer.
 _IF_CHUNK = 1 << 15
 
 
@@ -279,25 +284,23 @@ def _settle(mem, count, th, steps):
 
 
 def _emit(plan, count, shape, spikes, keep_counter):
-    """Stage 3 from the counters left by stage 2 (count, flat, clipped in
-    place): the emitted train and the layer's IfStats. spikes holds the
-    stage 1, stage 2 excitatory and stage 2 inhibitory totals."""
-    kept = count.reshape(shape).copy() if keep_counter else None
-    emit = np.clip(count, 0, plan.l_out, out=count)
-    ticks = np.arange(1, plan.l_out + 1, dtype=emit.dtype)[:, None]
-    bits = (ticks <= emit).reshape((plan.l_out,) + shape)
+    """Stage 3 from the counters left by stage 2 (count, flat): the emitted
+    train and the layer's IfStats, which keeps count itself when asked.
+    spikes holds the stage 1, stage 2 excitatory and stage 2 inhibitory
+    totals."""
+    train = SpikeTrain.thermometer(count.reshape(shape), plan.l_out, plan.theta_star)
     stats = IfStats(
         layer_id=plan.layer_id,
         stage_steps=(plan.l_in, _stage2_steps(plan), plan.l_out),
         stage1_spikes=spikes[0],
         stage2_excitatory=spikes[1],
         stage2_inhibitory=spikes[2],
-        emitted_spikes=int(emit.sum()),
+        emitted_spikes=int(np.bitwise_count(train.words).sum()),
         elements=count.size,
         timesteps=plan.l_out,
-        counts=kept,
+        counts=count.reshape(shape) if keep_counter else None,
     )
-    return SpikeTrain(bits=bits, theta_star=plan.theta_star), stats
+    return train, stats
 
 
 def if_generic_layer(stack, plan, keep_counter=False):
@@ -418,7 +421,7 @@ def _train_sum(train):
     t = train.timesteps
     table = np.zeros(t + 1)
     np.cumsum(np.full(t, train.theta_star), out=table[1:])
-    return table[train.bits.sum(axis=0, dtype=np.min_scalar_type(t))]
+    return table[train.spike_counts(np.min_scalar_type(t))]
 
 
 def snn_forward(model, x, trace=None, keep_counters=False):
@@ -500,14 +503,22 @@ class EquivalenceReport:
 
 def _deviation(layer_id, ann_out, snn_sum):
     """The LayerDeviation of a spiking timestep sum from the reference
-    output: max |snn_sum - ann_out|, absolute and over max |ann_out|."""
-    ann_out = np.asarray(ann_out, dtype=np.float64)
-    snn_sum = np.asarray(snn_sum, dtype=np.float64)
-    ann_out = ann_out.reshape(snn_sum.shape)
+    output: max |snn_sum - ann_out|, absolute and over max |ann_out|.
+
+    The difference is taken chunk by chunk in one reused buffer, so no
+    temporary spans the layer; max is exact in any order, so the chunked
+    result is the whole-layer one.
+    """
+    snn_sum = np.asarray(snn_sum, dtype=np.float64).reshape(-1)
+    ann_out = np.asarray(ann_out, dtype=np.float64).reshape(snn_sum.shape)
     dev = scale = 0.0
     if ann_out.size:
-        diff = np.subtract(snn_sum, ann_out)
-        dev = float(np.abs(diff, out=diff).max())
+        diff = np.empty(min(ann_out.size, _IF_CHUNK))
+        for lo in range(0, ann_out.size, _IF_CHUNK):
+            part = diff[:ann_out.size - lo]
+            np.subtract(snn_sum[lo:lo + _IF_CHUNK], ann_out[lo:lo + _IF_CHUNK], out=part)
+            dev = np.maximum(dev, np.abs(part, out=part).max())     # NaN propagates
+        dev = float(dev)
         scale = max(float(ann_out.max()), -float(ann_out.min()))
     return LayerDeviation(layer_id, dev, dev / scale if scale > 0 else dev)
 

@@ -161,6 +161,12 @@ class TestParse:
          r"^layer 'r': residual_add branch shapes differ: \(4, 4, 4\) vs \(3, 4, 4\)$"),
         ([], {"a1": {"id": None}}, "^every layer entry needs 'id' and 'kind' fields$"),
         ([], {"a1": {"kind": None}}, "^every layer entry needs 'id' and 'kind' fields$"),
+        ([(2, {"id": "bn", "kind": "bn_affine", "pred": ["c1"]})], {},
+         "^layer 'bn': bn_affine must be the only consumer of layer 'c1'$"),
+        ([(2, {"id": "bn", "kind": "bn_affine", "pred": ["c1"]}),
+          (4, {"id": "r", "kind": "residual_add", "pred": ["bn", "c1"]})],
+         {"a1": {"pred": ["r"]}},
+         "^layer 'bn': bn_affine must be the only consumer of layer 'c1'$"),
     ])
     def test_structural_fault(self, insert, changes, match):
         # one fault per manifest; a None value deletes the field

@@ -174,6 +174,23 @@ class TestConv2d:
             assert traced_peak_bytes(call) < bound
         assert bound < n * per_image / 2
 
+    def test_blocks_fit_the_patch_budget(self):
+        # VGG-16's conv1_2 on 4 rows: 4.72 MB of patches per image, so two
+        # images to a block would hold 9.44 MB against the 8 MiB budget
+        rng = np.random.default_rng(59)
+        bits = rng.random((4, 64, 32, 32)) < 0.5
+        p = ConvParams(weights=rng.uniform(-1, 1, size=(64, 64, 3, 3)), padding=(1, 1))
+        per_image = patch_bytes_per_image(bits, p)
+        assert per_image <= kernels._PATCH_BLOCK_BYTES < 2 * per_image
+        out = conv2d(bits, p, scale=0.25)          # warms the index cache
+        assert out.tobytes() == sliding_window_conv2d(bits * 0.25, p).tobytes()
+        bound = (out.nbytes
+                 + per_image                  # one image's patches
+                 + 64 * 34 * 34 * 8           # its padded input
+                 + out[0].nbytes              # its product
+                 + (1 << 20))
+        assert traced_peak_bytes(lambda: conv2d(bits, p, scale=0.25)) < bound
+
     def test_patch_index_cache(self):
         rng = np.random.default_rng(19)
         x, p = random_conv_case(rng, n=2)

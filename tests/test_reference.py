@@ -6,7 +6,7 @@ import pytest
 
 from spikecast.graph import QcfsConfig, init_random, parse_manifest
 from spikecast.kernels import KernelError
-from spikecast.reference import _level_buffer, ann_forward, qcfs, qcfs_levels
+from spikecast.reference import SpikeTrain, _level_buffer, ann_forward, qcfs, qcfs_levels
 
 from conftest import expression_levels
 
@@ -78,6 +78,45 @@ class TestQcfs:
                 levels = expression_levels(arr, cfg)
                 assert qcfs_levels(arr, cfg).tobytes() == levels.astype(np.int64).tobytes()
                 assert qcfs(arr, cfg).tobytes() == (levels * (cfg.theta / cfg.L)).tobytes()
+
+
+class TestSpikeTrain:
+    @pytest.mark.parametrize("t", [1, 7, 8, 9, 16, 17])
+    def test_arbitrary_bits_round_trip(self, t):
+        # the bool tensor is the oracle: every read must be byte for byte
+        # what the parent's one-byte-per-step train gave
+        rng = np.random.default_rng(60 + t)
+        for density in (0.0, 0.3, 0.8, 1.0):
+            bits = rng.random((t, 2, 3, 5)) < density
+            train = SpikeTrain(bits=bits, theta_star=0.1)
+            assert train.timesteps == t and train.theta_star == 0.1
+            assert train.words.shape == (-(-t // 8), 2, 3, 5)
+            assert train.words.dtype == np.uint8 and not train.words.flags.writeable
+            unused = np.unpackbits(train.words, axis=0, bitorder="little")[t:]
+            assert not unused.any()
+            for got, want in ((train.bits, bits),
+                              (train.dense(), bits.astype(np.float64) * 0.1),
+                              (train.spike_counts(), bits.sum(axis=0))):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+            again = train.bits
+            again[...] = ~bits
+            assert train.bits.tobytes() == bits.tobytes()
+
+    @pytest.mark.parametrize("t", [1, 3, 8, 9, 16, 17])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_thermometer_is_clipped_ticks(self, t, dtype):
+        # counters below 0 and above T included: the builder clips them
+        rng = np.random.default_rng(80 + t)
+        counts = np.concatenate([np.arange(-3, t + 4), rng.integers(-40, 40, size=37)])
+        counts = counts.astype(dtype).reshape(-1, 1)
+        train = SpikeTrain.thermometer(counts, t, 0.25)
+        ticks = np.arange(1, t + 1).reshape(t, 1, 1)
+        want = ticks <= np.clip(counts, 0, t)
+        assert (train.timesteps, train.theta_star) == (t, 0.25)
+        assert train.bits.shape == want.shape and train.bits.tobytes() == want.tobytes()
+        assert train.words.tobytes() == SpikeTrain(want, 0.25).words.tobytes()
+        assert train.spike_counts().tobytes() == want.sum(axis=0).tobytes()
 
 
 class TestAnnForward:

@@ -589,7 +589,7 @@ class TestSnnForward:
     def test_train_sum_matches_step_adds(self):
         # random bits, not thermometer codes: spikes anywhere in the train
         rng = np.random.default_rng(18)
-        for t in (1, 2, 3, 4, 7, 8, 300):
+        for t in (1, 2, 3, 4, 7, 8, 9, 16, 17, 300):
             for theta in (0.1, 1.0 / 3.0, 0.7, float(rng.uniform(0.01, 2.0))):
                 train = SpikeTrain(rng.random((t, 2, 3, 4)) < rng.random(), theta)
                 assert _train_sum(train).tobytes() == step_train_sum(train).tobytes()
@@ -690,8 +690,9 @@ class TestTraceMaps:
 
     def test_traces_hold_levels_and_bits(self):
         # a LayerTrace holds its stored outputs plus one level item per
-        # activation element; an SnnTrace its stored sums plus train bits.
-        # Keeping float64 activation outputs or train sums breaks either bound.
+        # activation element; an SnnTrace its stored sums plus its trains'
+        # words, ceil(T / 8) bytes per neuron. Keeping float64 activation
+        # outputs, train sums or one byte per spike breaks these bounds.
         graph = init_random(parse_manifest(conv_stack_manifest(depth=4, steps=4)), 17)
         model = convert(graph)
         x = np.random.default_rng(17).uniform(0, 1, size=(2, 3, 16, 16))
@@ -710,11 +711,27 @@ class TestTraceMaps:
             snn_forward(model, x, trace=held)
             return held
         stored = sum(trace.sums[lid].nbytes for lid in trace.sums if lid not in trace.trains)
-        bits = sum(train.bits.nbytes for train in trace.trains.values())
-        assert traced_held_bytes(spiking_trace) < stored + bits + slack
+        words = sum(-(-train.timesteps // 8) * train.bits[0].size
+                    for train in trace.trains.values())
+        assert traced_held_bytes(spiking_trace) < stored + words + slack
 
 
 class TestCheckEquivalence:
+    def test_deviation_reads_chunks(self):
+        # the largest difference sits in the last, partial chunk; the
+        # chunked max is the whole-layer max, and no temporary spans the layer
+        rng = np.random.default_rng(21)
+        size = 77 * 13620                     # 32 chunks and 164 elements
+        ann = rng.uniform(-2.0, 1.0, size=size)
+        snn = ann + rng.uniform(-1e-9, 1e-9, size=size)
+        snn[-3] += 1e-6
+        got = runtime._deviation("x", ann.reshape(-1, 7, 11), snn.reshape(-1, 77))
+        want = float(np.abs(snn - ann).max())
+        assert got.max_abs_dev.hex() == want.hex()
+        assert got.rel_dev.hex() == (want / max(float(ann.max()), -float(ann.min()))).hex()
+        peak = traced_peak_bytes(lambda: runtime._deviation("x", ann, snn))
+        assert peak < 2 * runtime._IF_CHUNK * 8
+
     def test_random_models_agree(self):
         rng = np.random.default_rng(12)
         for _ in range(20):

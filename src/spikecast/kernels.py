@@ -41,11 +41,15 @@ MiB of patches gets a block of its own (and one of more than 8 MiB
 exceeds the budget alone). It never takes so many that a block's product
 falls below ``_BLOCK_MIN_MACS`` (4e6 multiply-adds, rows * C_out * taps):
 a conv with few output channels gets fewer, larger blocks than the budget
-asks for. A row's result does not depend on how
-many other rows share its product as long as BLAS picks the same kernel,
-so blocking leaves every byte unchanged. Blocks must stay large for that:
-OpenBLAS (0.3.31, 2 threads) runs small products through kernels that
-round differently. Of 300 random balanced splits of 288-tap products with
+asks for. A row's result does not depend on how many other rows share its
+product as long as BLAS picks the same kernel, so blocking leaves every
+byte unchanged. That claim, and the figures below, were measured on
+OpenBLAS 0.3.31's SkylakeX kernel (2 threads) and hold for that kernel
+only: with OPENBLAS_CORETYPE=Haswell, test_multi_block_bitwise_equal[0-8]
+and [1-8] and test_affine_matches_conv_then_affine in tests/test_kernels.py
+fail, because a 9-block product there differs from the one-block product.
+Blocks must stay large for the claim: OpenBLAS runs small products through
+kernels that round differently. Of 300 random balanced splits of 288-tap products with
 C_out 2 to 64, 27 changed bits, all with blocks below 1.1e6
 multiply-adds; the 167 with blocks of 1.6e6 and more matched byte for
 byte. Over VGG's tap counts (27 to 4608), C_out 2 to 512 and blocks of

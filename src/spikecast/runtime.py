@@ -57,20 +57,22 @@ matmul's entry is the running sum its integrate-and-fire layer kept.
 check_equivalence compares each layer in chunks of one reused buffer, so
 its comparison holds no layer-sized temporary.
 
-Stage 1 reads its input one timestep at a time, so a generic layer with
-L_in > 1 whose input is a conv or fc layer feeding nothing else never
-sees that layer's (L_in*N, ...) output: the walk defers the matmul to the
-activation, which hands it a consumer, and each block of rows the matmul
-finishes goes straight into stage 1 (_StreamedIf). Stage 1 then holds
-one membrane and one counter per neuron of a timestep and, when a trace
-is recorded, the running timestep sum that becomes the matmul's entry
-in SnnTrace.sums. Every other generic layer (after a residual add, or
-with L_in = 1) gets its input as a stack, and if_generic_layer runs
-stages 1 and 2 over chunks of 32K neurons, so its membranes and masks are
-chunk-sized. Both paths run the one stage-1 step, _integrate, so a neuron
-sees the same IEEE operations in the same order either way. Stage 2 runs
-only on neurons whose membrane can still move (below 0 or at threshold
-and above).
+One driver runs stages 1 to 3 of every generic layer (_IfDriver): a
+consumer fed the layer's L_in*N input rows, timestep-major, in blocks of
+any size in row order. Stage 1 reads its input one timestep at a time, so
+a generic layer with L_in > 1 whose input is a conv or fc layer feeding
+nothing else never sees that layer's (L_in*N, ...) output: the walk
+defers the matmul to the activation, which hands it the driver as its
+consumer, and each block of rows the matmul finishes goes straight into
+stage 1. Every other generic layer (after a residual add, or with
+L_in = 1) gets its input as one stored value, which the driver takes as
+a single block; if_generic_layer does the same with a (L_in, N, ...)
+stack. The driver holds one membrane and one counter per neuron of a
+timestep and, for a deferred matmul whose pass records a trace, the
+running timestep sum that becomes the matmul's entry in SnnTrace.sums.
+It steps the neurons in spans of at most 32K, so its masks and scratch
+are chunk-sized. Stage 2 runs only on neurons whose membrane can still
+move (below 0 or at threshold and above).
 
 The counter is int16 whenever L_in plus the stage-2 steps fits that dtype
 and int64 otherwise. IfStats keeps it, when asked, in that dtype as
@@ -82,6 +84,7 @@ Converted models are immutable; the forward pass keeps all mutable neuron
 state local to the call, so batches and models can be run concurrently.
 """
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
@@ -89,7 +92,7 @@ from functools import partial
 import numpy as np
 
 from .graph import layer_affine
-from .reference import SpikeTrain, TraceValues, _level_buffer, ann_forward, forward
+from .reference import SpikeTrain, TraceValues, _fold, _level_buffer, ann_forward, forward
 
 
 class ConversionError(ValueError):
@@ -221,9 +224,8 @@ def if_input_layer(x, cfg):
                                   cfg.theta / cfg.L)
 
 
-# Neurons per chunk of the integrate-and-fire layer and of _deviation: its
-# membranes and masks stay in cache over all steps, and no float temporary
-# spans the layer.
+# Neurons per span of the integrate-and-fire driver and of _deviation: their
+# masks and scratch stay in cache, and no float temporary spans the layer.
 _IF_CHUNK = 1 << 15
 
 
@@ -283,95 +285,60 @@ def _settle(mem, count, th, steps):
     return excitatory, inhibitory
 
 
-def _emit(plan, count, shape, spikes, keep_counter):
-    """Stage 3 from the counters left by stage 2 (count, flat): the emitted
-    train and the layer's IfStats, which keeps count itself when asked.
-    spikes holds the stage 1, stage 2 excitatory and stage 2 inhibitory
-    totals."""
-    train = SpikeTrain.thermometer(count.reshape(shape), plan.l_out, plan.theta_star)
-    stats = IfStats(
-        layer_id=plan.layer_id,
-        stage_steps=(plan.l_in, _stage2_steps(plan), plan.l_out),
-        stage1_spikes=spikes[0],
-        stage2_excitatory=spikes[1],
-        stage2_inhibitory=spikes[2],
-        emitted_spikes=int(np.bitwise_count(train.words).sum()),
-        elements=count.size,
-        timesteps=plan.l_out,
-        counts=count.reshape(shape) if keep_counter else None,
-    )
-    return train, stats
-
-
 def if_generic_layer(stack, plan, keep_counter=False):
     """Run the three-stage integrate-and-fire layer on an unrolled stack.
 
     stack has shape (L_in, N, ...) and holds the unrolled matmul outputs
-    (arbitrary reals). Returns the emitted SpikeTrain of length L_out plus
-    the stage statistics.
+    (arbitrary reals); it is read, never written. Returns the emitted
+    SpikeTrain of length L_out plus the stage statistics.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if stack.shape[0] != plan.l_in:
         raise ConversionError(
             f"layer '{plan.layer_id}': expected {plan.l_in} input timesteps, "
             f"got {stack.shape[0]}")
-    th = plan.theta_star
-    flat = stack.reshape(plan.l_in, -1)
-    size = flat.shape[1]
-    steps = _stage2_steps(plan)
-    count = np.zeros(size, dtype=_counter_dtype(plan.l_in, steps))
-
-    # Stages 1 and 2 run chunk by chunk; a neuron's steps are the same IEEE
-    # operations in the same order as on the whole layer.
-    width = min(size, _IF_CHUNK)
-    mem_buf, fire, drop = np.empty(width), np.empty(width, dtype=bool), np.empty(width)
-    spikes = [0, 0, 0]
-    for lo in range(0, size, _IF_CHUNK):
-        hi = min(lo + _IF_CHUNK, size)
-        mem, part = mem_buf[:hi - lo], count[lo:hi]
-        mem.fill(th / 2.0)
-        for t in range(plan.l_in):
-            _integrate(mem, part, flat[t, lo:hi], th, fire[:hi - lo], drop[:hi - lo])
-        spikes[0] += int(part.sum())
-        e, i = _settle(mem, part, th, steps)
-        spikes[1] += e
-        spikes[2] += i
-    return _emit(plan, count, stack.shape[1:], spikes, keep_counter)
+    layer_in = _IfDriver(plan, stack.shape[1])
+    layer_in(0, _fold(stack))
+    return layer_in.finish(keep_counter)
 
 
-class _StreamedIf:
-    """A generic integrate-and-fire layer fed block by block by its unrolled
-    matmul, in place of the (L_in, N, ...) stack: the consumer that
-    run_layer hands the matmul's finished row blocks to.
+class _IfDriver:
+    """A generic integrate-and-fire layer fed its L_in*N input rows block by
+    block: the consumer that run_layer hands a deferred matmul's finished
+    row blocks to, and the one that takes a stored value or stack as a
+    single block.
 
-    Row r of the matmul's L_in*N rows is image r % N of timestep r // N,
-    and blocks arrive in row order, so every neuron gets its timesteps in
-    order and runs the very _integrate steps of if_generic_layer. It holds
-    one membrane and one counter per neuron of a timestep and, with
-    keep_sum, the running timestep sum: zeros, then each slice added in
-    turn, which is numpy's axis-0 sum of the C-contiguous stack (a stack
-    of -0.0 sums to +0.0). A block is the matmul's scratch, so once read
-    it serves as the step's drop buffer. finish runs stages 2 and 3.
+    Row r is image r % N of timestep r // N, and blocks arrive in row
+    order, so every neuron gets its timesteps in order through the one
+    stage-1 step, _integrate. It holds one membrane and one counter per
+    neuron of a timestep and, with keep_sum, the running timestep sum:
+    zeros, then each slice added in turn, which is numpy's axis-0 sum of
+    the C-contiguous stack (a stack of -0.0 sums to +0.0). With
+    owns_blocks each block is the matmul's scratch, so once read it serves
+    as the step's drop buffer; otherwise the block belongs to the caller
+    and a one-chunk buffer takes that role. finish runs stages 2 and 3.
     """
 
-    def __init__(self, plan, n, keep_sum):
-        self.plan, self.n, self.keep_sum = plan, n, keep_sum
-        self.count = self.sum = None
+    def __init__(self, plan, n, keep_sum=False, owns_blocks=False):
+        self.plan, self.n, self.keep_sum, self.owns_blocks = plan, n, keep_sum, owns_blocks
+        self.count = self.sum = self.drop = None
 
     def _start(self, block):
         self.shape = (self.n,) + block.shape[1:]
-        size = self.n * block[0].size
+        size = self.n * math.prod(block.shape[1:])
         steps = _stage2_steps(self.plan)
         self.mem = np.full(size, self.plan.theta_star / 2.0)
         self.count = np.zeros(size, dtype=_counter_dtype(self.plan.l_in, steps))
         self.fire = np.empty(min(size, _IF_CHUNK), dtype=bool)
+        if not self.owns_blocks:
+            self.drop = np.empty(len(self.fire))
         if self.keep_sum:
             self.sum = np.zeros(size)
 
     def __call__(self, lo, block):
         if self.count is None:
             self._start(block)
-        n, th, per = self.n, self.plan.theta_star, block[0].size
+        n, th, per = self.n, self.plan.theta_star, math.prod(block.shape[1:])
         flat = block.reshape(-1)
         r, end = lo, lo + len(block)
         while r < end:              # one span per timestep the block holds
@@ -383,21 +350,36 @@ class _StreamedIf:
                 span = slice(i * per + a, i * per + a + len(x))
                 if self.sum is not None:
                     self.sum[span] += x
-                _integrate(self.mem[span], self.count[span], x, th, self.fire[:len(x)], x)
+                drop = x if self.drop is None else self.drop[:len(x)]
+                _integrate(self.mem[span], self.count[span], x, th, self.fire[:len(x)], drop)
             r += rows
 
     def finish(self, keep_counter):
-        """Stages 2 and 3 once every row has arrived: (train, IfStats)."""
-        plan = self.plan
+        """Stages 2 and 3 once every row has arrived: the emitted train and
+        the layer's IfStats, which keeps the counters themselves when asked."""
+        plan, count = self.plan, self.count
         steps = _stage2_steps(plan)
-        spikes = [int(self.count.sum()), 0, 0]
-        for lo in range(0, self.count.size, _IF_CHUNK):
-            e, i = _settle(self.mem[lo:lo + _IF_CHUNK], self.count[lo:lo + _IF_CHUNK],
+        spikes = [int(count.sum()), 0, 0]
+        for lo in range(0, count.size, _IF_CHUNK):
+            e, i = _settle(self.mem[lo:lo + _IF_CHUNK], count[lo:lo + _IF_CHUNK],
                            plan.theta_star, steps)
             spikes[1] += e
             spikes[2] += i
         self.mem = None         # emission needs only the counters
-        return _emit(plan, self.count, self.shape, spikes, keep_counter)
+        count = count.reshape(self.shape)
+        train = SpikeTrain.thermometer(count, plan.l_out, plan.theta_star)
+        stats = IfStats(
+            layer_id=plan.layer_id,
+            stage_steps=(plan.l_in, steps, plan.l_out),
+            stage1_spikes=spikes[0],
+            stage2_excitatory=spikes[1],
+            stage2_inhibitory=spikes[2],
+            emitted_spikes=int(np.bitwise_count(train.words).sum()),
+            elements=count.size,
+            timesteps=plan.l_out,
+            counts=count if keep_counter else None,
+        )
+        return train, stats
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +421,18 @@ def snn_forward(model, x, trace=None, keep_counters=False):
         plan = model.if_plans[layer.id]
         if plan.input_mode:
             return if_input_layer(value, layer.qcfs)
-        if isinstance(value, partial):      # the deferred matmul: stream its blocks
-            layer_in = _StreamedIf(plan, n, keep_sum=trace is not None)
+        # a deferred matmul streams its own scratch blocks; a stored value
+        # is one block that the driver must not write
+        deferred = isinstance(value, partial)
+        layer_in = _IfDriver(plan, n, keep_sum=deferred and trace is not None,
+                             owns_blocks=deferred)
+        if deferred:
             value(consumer=layer_in)
             if trace is not None:
                 trace.sums._put(layer.preds[0], layer_in.sum.reshape(layer_in.shape))
-            train, stats[layer.id] = layer_in.finish(keep_counters)
-            return train
-        stack = value.reshape((-1, n) + value.shape[1:])
-        train, stats[layer.id] = if_generic_layer(stack, plan, keep_counter=keep_counters)
+        else:
+            layer_in(0, value)
+        train, stats[layer.id] = layer_in.finish(keep_counters)
         return train
 
     record = None

@@ -9,6 +9,7 @@ import pytest
 
 from spikecast.energy import dims_from_graph
 from spikecast.graph import init_random, parse_manifest
+from spikecast.reference import ann_forward
 from spikecast.zoo import (residual_block_manifest, resnet_manifest, toy_manifest,
                            vgg16_manifest)
 
@@ -278,3 +279,53 @@ def level_grid():
     """All 11^3 inputs with each channel in {0, 0.1, ..., 1}."""
     grid = np.array(list(itertools.product(range(11), repeat=3)), dtype=np.float64)
     return grid.reshape(-1, 3, 1, 1) / 10.0
+
+
+def vgg_edge_graph(steps, seed, batch=1):
+    """VGG-16 up to act1_2 plus a 10-class fc head, with conv1_2's batch-norm
+    shift beta moved so that, in every channel, one neuron's reference
+    pre-activation z sits exactly on a level edge (k - 1/2) * theta / L of
+    act1_2. Returns the graph and its batch of inputs.
+
+    steps is the L of both activations, or the pair (act1_1's, act1_2's).
+    Weights come from init_random(seed) and the uniform inputs from seed.
+    The affine ends with z = fl(a + beta), a fixed by everything before it,
+    so one reference pass with beta = 0 gives every a: each channel takes
+    the neuron nearest an edge e for which e - a, or a float next to it,
+    is a beta with fl(a + beta) = e. beta is then float64 off the float32
+    grid, so no weight blob can hold the graph.
+    """
+    l_first, l_edge = (steps, steps) if isinstance(steps, int) else steps
+    doc = json.loads(vgg16_manifest(classes=10, steps=[l_first, l_edge] + [1] * 13))
+    layers = doc["layers"][:5]
+    assert layers[-1]["id"] == "act1_2"
+    layers.append({"id": "head", "kind": "fc", "pred": ["act1_2"], "out_features": 10,
+                   "bias": True})
+    graph = init_random(parse_manifest(json.dumps(
+        {"name": "vgg-edge", "classes": 10, "layers": layers})), seed)
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, size=(batch, 3, 32, 32))
+
+    cfg = graph.layer("act1_2").qcfs
+    bn = dict(graph.weights["conv1_2"])
+    beta = bn["beta"]
+    bn["beta"] = np.zeros_like(beta)
+    a = ann_forward(graph.with_weights({**graph.weights, "conv1_2": bn}), x)
+    a = a.pre_activations["act1_2"].swapaxes(0, 1).reshape(len(beta), -1)
+    z = a + beta[:, None]
+    k = np.clip(np.floor(z * cfg.L / cfg.theta + 1.0), 1, cfg.L)   # nearest edge's level
+    edges = (k - 0.5) * cfg.theta / cfg.L
+    nearest = np.argsort(np.abs(z - edges), axis=1)
+    # from some a no beta reaches e exactly (a has bits finer than beta's
+    # grid), so each channel takes its nearest neuron from which one does
+    bn["beta"] = np.array([next(b for j in nearest[c] for b in _edge_shifts(a[c, j], edges[c, j]))
+                           for c in range(len(beta))])
+    return graph.with_weights({**graph.weights, "conv1_2": bn}), x
+
+
+def _edge_shifts(base, edge):
+    """beta = edge - base and its float neighbours, each one for which
+    fl(base + beta) is edge."""
+    start = edge - base
+    for b in (start, np.nextafter(start, np.inf), np.nextafter(start, -np.inf)):
+        if base + b == edge:
+            yield float(b)

@@ -6,12 +6,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from spikecast import kernels, runtime
+from spikecast import kernels, reference, runtime
 from spikecast.graph import (LayerSpec, ModelGraph, QcfsConfig, init_random,
                              parse_manifest)
 from spikecast.kernels import (BnAffine, ConvParams, KernelError, conv2d, fully_connected,
                                fused_bn_affine)
-from spikecast.reference import LayerTrace, _fold, ann_forward, forward, qcfs, run_layer
+from spikecast.reference import (LayerTrace, _fold, ann_forward, forward, qcfs, qcfs_levels,
+                                 run_layer)
 from spikecast.runtime import (ConversionError, IfLayer, IfStats, SnnTrace, SpikeTrain,
                                _train_sum, check_equivalence, convert,
                                if_generic_layer, if_input_layer, snn_forward)
@@ -19,7 +20,7 @@ from spikecast.zoo import residual_block_manifest, resnet_manifest, toy_manifest
 
 from conftest import (full_array_if, level_grid, mean_avg_pool2d, negative_weight_graph,
                       probe_graph, random_graph, step_train_sum, traced_held_bytes,
-                      traced_peak_bytes)
+                      traced_peak_bytes, vgg_edge_graph)
 
 CHUNK = runtime._IF_CHUNK
 
@@ -85,10 +86,12 @@ def streamed_manifest(l_in, l_last):
 
 
 def array_path(model, x):
-    """snn_forward as it runs without streaming: every generic layer runs
-    if_generic_layer on its materialized (T, N, ...) stack, and a T*N-row
-    value's trace sum is numpy's axis-0 sum of that stack. Returns the
-    logits, trains, IfStats (counters kept) and sums."""
+    """snn_forward as it runs without streaming, on independent oracles:
+    every generic layer gets its materialized (T, N, ...) stack, its
+    counters and spike totals come from conftest.full_array_if and its
+    train from SpikeTrain.thermometer, and a T*N-row value's trace sum is
+    numpy's axis-0 sum of that stack. Returns the logits, trains, IfStats
+    (counters kept) and sums."""
     trains, stats, sums = {}, {}, {}
 
     def act(layer, value, n):
@@ -96,7 +99,13 @@ def array_path(model, x):
         if plan.input_mode:
             return if_input_layer(value, layer.qcfs)
         stack = value.reshape((-1, n) + value.shape[1:])
-        train, stats[layer.id] = if_generic_layer(stack, plan, keep_counter=True)
+        count, spikes = full_array_if(stack, plan)
+        steps = max(plan.l_in, plan.l_out) - 1
+        train = SpikeTrain.thermometer(count, plan.l_out, plan.theta_star)
+        stats[layer.id] = IfStats(
+            layer.id, (plan.l_in, steps, plan.l_out), *spikes,
+            emitted_spikes=int(np.clip(count, 0, plan.l_out).sum()), elements=count.size,
+            timesteps=plan.l_out, counts=count.astype(runtime._counter_dtype(plan.l_in, steps)))
         return train
 
     def record(layer, value, n):
@@ -139,21 +148,24 @@ class TestStreamedIfLayer:
         # blocks of at most two images: with n = 3 some blocks hold the last
         # image of one timestep and the first of the next
         monkeypatch.setattr(kernels, "_block_count", lambda rows, *_: -(-rows // 2))
+        fed = []                # matmuls that handed their row blocks to a consumer
+
+        def spy(*args, consumer=None):
+            if consumer is not None:
+                fed.append(args[1].id)
+            return run_layer(*args, consumer=consumer)
+
+        monkeypatch.setattr(reference, "run_layer", spy)
         rng = np.random.default_rng(10 * l_in + n)
         for _ in range(3):
             text = streamed_manifest(l_in, int(rng.choice([1, 2, 4, 8])))
             graph = init_random(parse_manifest(text), int(rng.integers(2 ** 31)))
             model = convert(graph)
             x = rng.uniform(0, 1, size=(n,) + graph.input_layer.shape)
-            stacked = []
-            monkeypatch.setattr(runtime, "if_generic_layer",
-                                lambda stack, plan, **kw: stacked.append(plan.layer_id)
-                                or if_generic_layer(stack, plan, **kw))
+            fed.clear()
             trace = SnnTrace()
             logits, stats = snn_forward(model, x, trace=trace, keep_counters=True)
-            monkeypatch.undo()
-            assert not stacked                      # both layers ran streamed
-            monkeypatch.setattr(kernels, "_block_count", lambda rows, *_: -(-rows // 2))
+            assert fed == ["c2", "f3"]              # both layers ran streamed
             want_logits, trains, want_stats, sums = array_path(model, x)
 
             assert_same_bytes(logits, want_logits, "logits")
@@ -181,7 +193,7 @@ class TestStreamedIfLayer:
             stack[:, :, 1, 0] = -0.0
             plan = IfLayer("t", theta_star=th, l_in=l_in, l_out=l_out)
             train, st = if_generic_layer(stack, plan, keep_counter=True)
-            layer_in = runtime._StreamedIf(plan, n, keep_sum=True)
+            layer_in = runtime._IfDriver(plan, n, keep_sum=True, owns_blocks=True)
             rows = stack.reshape(l_in * n, 3, 4).copy()     # the consumer may overwrite
             cuts = rng.integers(0, min(4, l_in * n))
             edges = np.sort(rng.choice(np.arange(1, l_in * n), size=cuts, replace=False)).tolist()
@@ -316,6 +328,15 @@ class TestGenericIfLayer:
         with pytest.raises(ConversionError, match="expected 4 input timesteps"):
             if_generic_layer(np.zeros((2, 1, 1)), plan)
 
+    def test_input_stack_left_untouched(self):
+        # the stack is the caller's: the layer reads it and writes nothing
+        # into it, also where neurons fire
+        stack = np.random.default_rng(49).uniform(-1, 1, size=(4, 3, 5, 7))
+        before = stack.copy()
+        _, st = if_generic_layer(stack, IfLayer("t", theta_star=0.25, l_in=4, l_out=2))
+        assert st.stage1_spikes > 0
+        assert_same_bytes(stack, before, "stack")
+
     def test_counter_mapping_is_exact(self):
         # emitted spikes per neuron == clamp(counter, 0, L_out), bit-exactly
         rng = np.random.default_rng(42)
@@ -424,8 +445,9 @@ class TestGenericIfLayer:
 
     @pytest.mark.parametrize("l_in", [1, 4, 8])
     def test_peak_does_not_grow_with_steps(self, l_in):
-        # an int16 counter and the emitted bits per neuron, plus buffers of
-        # one chunk: nothing the size of a membrane array over the layer
+        # the layer holds one float64 membrane and one int16 counter per
+        # neuron, scratch of one chunk and the emitted words: nothing that
+        # grows with L_in
         neurons, l_out = 4 * 64 * 32 * 32, 4
         stack = np.random.default_rng(l_in).uniform(-0.5, 0.5, size=(l_in, 4, 64, 32, 32))
         plan = IfLayer("t", theta_star=0.25, l_in=l_in, l_out=l_out)
@@ -568,6 +590,18 @@ class TestSnnForward:
                 snn_forward(convert(graph), x)
             with pytest.raises(KernelError, match=message):
                 check_equivalence(graph, x)
+
+    def test_single_step_layer_keeps_matmul_sum(self):
+        # with L_in = 1 the generic layer reads c2's output, which the trace
+        # stores as c2's sum; the layer must leave it as the matmul made it
+        graph = init_random(parse_manifest(chain_manifest(1, 1)), 31)
+        model = convert(graph)
+        assert model.if_plans["a2"].l_in == 1 and not model.if_plans["a2"].input_mode
+        x = np.random.default_rng(31).uniform(0, 1, size=(3, 2, 4, 4))
+        trace = SnnTrace()
+        _, stats = snn_forward(model, x, trace=trace)
+        assert stats["a2"].stage1_spikes > 0
+        assert_same_bytes(trace.sums["c2"], ann_forward(graph, x).outputs["c2"], "c2")
 
     def test_spike_train_membership_bitwise(self, toy_graph):
         x = np.random.default_rng(11).uniform(0, 1, size=(2, 2, 8, 8))
@@ -797,6 +831,40 @@ class TestCheckEquivalence:
         rep = check_equivalence(probe_graph(seed), level_grid())
         assert rep.argmax_agreement == 1.0
         assert rep.max_rel_dev <= 1e-4
+
+    @staticmethod
+    def edge_ties(graph, x):
+        """act1_2's ties, neurons whose reference z sits exactly on a level
+        edge, and those of them whose spiking counter is not their level."""
+        cfg = graph.layer("act1_2").qcfs
+        z = ann_forward(graph, x).pre_activations["act1_2"]
+        u = z * cfg.L / cfg.theta + 0.5          # the staircase's floor argument
+        ties = (u == np.floor(u)) & (u >= 1) & (u <= cfg.L)
+        _, stats = snn_forward(convert(graph), x, keep_counters=True)
+        differ = ties & (np.clip(stats["act1_2"].counter, 0, cfg.L) != qcfs_levels(z, cfg))
+        return ties, differ
+
+    @pytest.mark.parametrize("steps, batch", [(4, 1), ((8, 4), 8)], ids=["L4-b1", "mixed-b8"])
+    def test_vgg_edge_graph_places_a_tie_per_channel(self, steps, batch):
+        graph, x = vgg_edge_graph(steps, 3, batch)
+        ties, _ = self.edge_ties(graph, x)
+        assert ties.any(axis=(0, 2, 3)).all()
+
+    @pytest.mark.parametrize("steps, batch", [
+        pytest.param(steps, batch, id=name, marks=pytest.mark.xfail(
+            strict=True, reason="level-edge fault (ROADMAP item 1): some act1_2 ties "
+                                "land one level below the reference"))
+        for steps, batch, name in [(4, 1, "L4-b1"), ((8, 4), 8, "mixed-b8")]])
+    def test_vgg_level_edges_agree(self, steps, batch):
+        # VGG-16's first two convs with one act1_2 neuron per channel on a
+        # level edge (weight and input seed 3, the first seed tried)
+        graph, x = vgg_edge_graph(steps, 3, batch)
+        ties, differ = self.edge_ties(graph, x)
+        rep = check_equivalence(graph, x)
+        msg = (f"{ties.sum()} ties placed, {differ.sum()} whose counter differs; "
+               f"max_rel_dev {rep.max_rel_dev}")
+        assert rep.argmax_agreement == 1.0, msg
+        assert rep.max_rel_dev <= 1e-4, msg
 
     def test_report_dict_schema(self, toy_graph):
         x = np.random.default_rng(14).uniform(0, 1, size=(2, 2, 8, 8))

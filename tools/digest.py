@@ -1,7 +1,7 @@
 """Print the count and SHA-256 of spikecast's bitwise digest set.
 
 A change meant to keep every output bitwise equal runs this on its own tree
-and on the parent's, and compares the two summary lines:
+and on the parent's, and compares the summary lines:
 
     python3 tools/digest.py                      # the tree holding this file
     python3 tools/digest.py --repo ../parent     # another checkout
@@ -18,6 +18,14 @@ tests/conftest.random_graph) and the 8 level-edge probes
 (tests/conftest.probe_graph on tests/conftest.level_grid). Every pass runs
 twice, so warm caches are covered as well as cold ones. A checkout given by
 --repo must have these three builders in its tests/conftest.py.
+
+The second summary line, "integer digests", covers the integer tier: every
+histogram, spike train, IfStats record and counter (the same lines as in
+the full set) plus each pass's logits.argmax(axis=1), which is in this tier
+only, so the first line is unchanged. A float digest may move with the BLAS
+kernel that runs; an integer digest moves only when some neuron's level or
+spike count, or some predicted class, does. --list prints the tier's lines
+after the full set, each prefixed "integer".
 
 With --peaks, every VGG pass also prints the tracemalloc peak it reached
 above the bytes held when it started, and the bytes its result still
@@ -41,32 +49,53 @@ GATE_SEED, GATE_MODELS, GATE_BATCH = 20240813, 200, 5
 PROBES = range(8)
 
 
-class Digests:
-    def __init__(self):
-        self.lines = []
+def _line(name, value):
+    h = hashlib.sha256()
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    else:
+        h.update(json.dumps(value, sort_keys=True).encode())
+    return f"{name} {h.hexdigest()}"
 
-    def add(self, name, value):
-        h = hashlib.sha256()
-        if isinstance(value, np.ndarray):
-            h.update(f"{value.dtype.str}{value.shape}".encode())
-            h.update(np.ascontiguousarray(value).tobytes())
-        else:
-            h.update(json.dumps(value, sort_keys=True).encode())
-        self.lines.append(f"{name} {h.hexdigest()}")
+
+def _summary(lines, what):
+    total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return f"{len(lines)} {what}, sha256 {total}"
+
+
+class Digests:
+    """The digest lines of the full set and of its integer tier."""
+
+    def __init__(self):
+        self.lines, self.integer_lines = [], []
+
+    def add(self, name, value, integer=False):
+        """Digest value in the full set and, if integer, in the integer tier too."""
+        self.lines.append(_line(name, value))
+        if integer:
+            self.integer_lines.append(self.lines[-1])
+
+    def add_integer(self, name, value):
+        """Digest value in the integer tier only, so the full set is unchanged."""
+        self.integer_lines.append(_line(name, value))
 
     def summary(self):
-        total = hashlib.sha256("\n".join(self.lines).encode()).hexdigest()
-        return f"{len(self.lines)} digests, sha256 {total}"
+        return _summary(self.lines, "digests")
+
+    def integer_summary(self):
+        return _summary(self.integer_lines, "integer digests")
 
 
 def ann_pass(sc, d, name, graph, x):
     ref = sc.reference.ann_forward(graph, x)
     d.add(f"{name}/ann/logits", ref.logits)
+    d.add_integer(f"{name}/ann/argmax", ref.logits.argmax(axis=1))
     for lid, out in ref.outputs.items():
         d.add(f"{name}/ann/out/{lid}", out)
     for lid in ref.pre_activations:
         d.add(f"{name}/ann/pre/{lid}", ref.pre_activations[lid])
-        d.add(f"{name}/ann/hist/{lid}", ref.histograms[lid])
+        d.add(f"{name}/ann/hist/{lid}", ref.histograms[lid], integer=True)
     return ref
 
 
@@ -74,16 +103,18 @@ def snn_pass(sc, d, name, model, x):
     trace = sc.runtime.SnnTrace()
     logits, stats = sc.runtime.snn_forward(model, x, trace=trace, keep_counters=True)
     d.add(f"{name}/snn/logits", logits)
+    d.add_integer(f"{name}/snn/argmax", logits.argmax(axis=1))
     for lid, total in trace.sums.items():
         d.add(f"{name}/snn/sum/{lid}", total)
     for lid, train in trace.trains.items():
-        d.add(f"{name}/snn/train/{lid}", train.bits)
+        d.add(f"{name}/snn/train/{lid}", train.bits, integer=True)
         d.add(f"{name}/snn/theta/{lid}", float(train.theta_star).hex())
     for lid, st in stats.items():
         d.add(f"{name}/snn/stats/{lid}",
               [list(st.stage_steps), st.stage1_spikes, st.stage2_excitatory,
-               st.stage2_inhibitory, st.emitted_spikes, st.elements, st.timesteps])
-        d.add(f"{name}/snn/counter/{lid}", st.counter)
+               st.stage2_inhibitory, st.emitted_spikes, st.elements, st.timesteps],
+              integer=True)
+        d.add(f"{name}/snn/counter/{lid}", st.counter, integer=True)
     return trace, stats
 
 
@@ -168,7 +199,9 @@ def main(argv=None):
     d = collect(sc, conftest, args.peaks)
     if args.list:
         print("\n".join(d.lines))
+        print("\n".join(f"integer {line}" for line in d.integer_lines))
     print(d.summary())
+    print(d.integer_summary())
     return 0
 
 

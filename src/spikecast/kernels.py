@@ -18,26 +18,67 @@ patch-gather indices, which holds read-only arrays keyed by geometry (take
 reads the writeable grid each one is a flat view of, because it copies a
 read-only index; nothing writes it).
 
-Accumulation order: a convolution is lowered to the matrix product
-``cols @ flat_w.T``. ``cols`` is a C-contiguous (N*H_o*W_o, C*K_h*K_w)
-matrix of patches flattened in (channel, kernel-row, kernel-col) order, and
-``flat_w.T`` is the transposed view of the C-contiguous weights. The
-reduction order is then fixed by the BLAS kernel and is identical on every
-call with the same shapes. The operand layout is part of that contract:
-the mathematically equal ``flat_w @ cols_t`` on a C-contiguous transpose,
-or the same product on an F-ordered ``cols``, runs a different BLAS kernel
-whose rounding differs (seen with C_out <= 3), so outputs would no longer
-be bitwise equal to earlier versions.
+Lowerings: conv2d turns a convolution into matrix products in one of two
+layouts, picked from the geometry alone. Write P = H_o*W_o for one image's
+output positions and taps = C*K_h*K_w. ``flat_w`` is the C-contiguous
+(C_out, taps) weight matrix, and a patch's taps run in (channel,
+kernel-row, kernel-col) order in both.
 
-Blocks: when the whole patch matrix would exceed ``_PATCH_BLOCK_BYTES``
-(8 MiB), conv2d splits the batch into balanced blocks of whole images and
-runs the same product once per block through one reused patch buffer.
-Each finished block goes into the output or, when conv2d is given a
-consumer, to consumer(lo, block) through one reused block buffer, and no
-output is built; the spiking pass streams a conv's blocks this way into
-the integrate-and-fire layer that reads them. conv2d takes the fewest
-blocks whose largest block fits the budget, so an image of more than 4
-MiB of patches gets a block of its own (and one of more than 8 MiB
+- By image, ``flat_w @ cols_t``: when P >= C_out, P and C_out are
+  multiples of 8, and one image's product P*taps*C_out reaches
+  ``_BLOCK_MIN_MACS``. Each image goes into a zero-bordered padded buffer
+  (scaled bits or floats; an unpadded float input is read as it is), and
+  K_h*K_w strided copies, one window per kernel offset, fill a C-contiguous
+  (taps, P) patch buffer. The product writes the image's (C_out, P) slab,
+  which is its NCHW output, straight into the output or into a one-image
+  consumer block. There is no index, gather, product buffer or transposed
+  read. On VGG-16/CIFAR these are conv1_2, conv2_1 and conv2_2, in both
+  passes.
+- By block, ``cols @ flat_w.T``: every other geometry, which covers the
+  small nets of the acceptance gate and VGG's conv1_1 and conv3-5. One take
+  through a cached index gathers a block of m images' patches into a
+  C-contiguous (m*P, taps) matrix. Its product with the transposed view of
+  flat_w is the block's (m*P, C_out) output in NHWC order.
+
+Accumulation order: BLAS fixes each output's reduction order over its taps,
+and repeats it on every call with the same operand shapes and layouts. The
+two lowerings run different BLAS kernels (column-major NN with P rows, and
+TN with C_out rows), so they are bytewise equal only where that was
+measured. The figures below are for OpenBLAS 0.3.31 (a DYNAMIC_ARCH build)
+on 2 threads, under its SkylakeX kernel unless they name another:
+- Small products round differently in the two layouts. Lowered by image,
+  79 of the 111 small geometries of tests/test_kernels.py's bitwise_cases
+  change bits, and so did 21 of 300 random products below the floor whose
+  P and C_out are multiples of 8 (0 of 300 on Haswell). Hence the floor.
+- Off the multiples of 8 the layouts disagree on large products too. On
+  the SkylakeX and Haswell kernels, every P above the floor and below 1100
+  that is not a multiple of 8 changed bits (C_out 64 to 256, taps 64 to
+  1152). So did every C_out that is not a multiple of 4 on Haswell, and
+  every one above 192 that is not a multiple of 8 on SkylakeX (C_out 7 to
+  255 at P = 256 and 1024). On Sandybridge none of these differed. Hence
+  the multiples of 8.
+- With every rule met, 0 of 200 random products (C_out 8 to 512, taps 1 to
+  4608, 4e6 to 3e8 multiply-adds) differed on any of the three kernels or
+  on one thread. Neither did the VGG, stride-2, 1x1 and 7x7 geometries in
+  tests/test_kernels.py, which a test re-checks under each kernel in a
+  child process.
+- P >= C_out is for speed, not for bytes. Deep layers run slower by image
+  (2-core x86 box): eight images of C = 512 at 4x4 took 24.9 ms against
+  11.4 ms by block, and of C = 256 at 8x8 20.0 ms against 13.6 ms.
+The layout of the by-block product is part of the contract as well: the
+same product on an F-ordered ``cols`` runs another kernel whose rounding
+differs (seen with C_out <= 3).
+
+Blocks: the by-image lowering runs one image at a time. The by-block one,
+when the whole patch matrix would exceed ``_PATCH_BLOCK_BYTES`` (8 MiB),
+splits the batch into balanced blocks of whole images and runs the same
+product once per block through one reused patch buffer. Each finished
+block goes into the output or, when conv2d is given a consumer, to
+consumer(lo, block) through one reused block buffer, and no output is
+built; the spiking pass streams a conv's blocks this way into the
+integrate-and-fire layer that reads them. By block, conv2d takes the
+fewest blocks whose largest block fits the budget, so an image of more
+than 4 MiB of patches gets a block of its own (and one of more than 8 MiB
 exceeds the budget alone). It never takes so many that a block's product
 falls below ``_BLOCK_MIN_MACS`` (4e6 multiply-adds, rows * C_out * taps):
 a conv with few output channels gets fewer, larger blocks than the budget
@@ -61,12 +102,13 @@ matrix-vector kernel whose rounding depends on where a row sits, and
 splitting it changed bits in 77 of 80 cases.
 
 Epilogues run in the buffer that holds their data. conv2d applies a
-batch-norm affine per block: the first add reads the block's product
-through its NCHW transposed view and writes the block, in the output or
-in a consumer's block buffer, so the transpose costs no copy of its own,
-and the multiply, divide and add follow in place. These are the IEEE
-operations of fused_bn_affine in the same order, and tests/test_kernels.py
-pins the bytes against conv followed by fused_bn_affine.
+batch-norm affine per block or image, as the IEEE operations of
+fused_bn_affine in the same order, and tests/test_kernels.py pins the
+bytes against conv followed by fused_bn_affine. By image, all four
+operations run in place on the image's output slab. By block, the first
+add reads the product through its NCHW transposed view and writes the
+block, in the output or in a consumer's block buffer, so the transpose
+costs no copy of its own; the multiply, divide and add follow in place.
 
 Pooling order: avg_pool2d adds a 2 x 2 window from four strided slices in
 the order numpy's mean over the 6-D window view uses, (x00 + x01) +
@@ -245,17 +287,23 @@ def _block_count(n, patch_entries, c_out, itemsize):
 def conv2d(x, params, scale=None, affine=None, consumer=None):
     """2-D cross-correlation of an (N, C, H, W) batch with ConvParams.
 
+    The geometry picks the lowering (see "Lowerings" above): image by
+    image as ``flat_w @ cols_t`` when H_o*W_o >= C_out, both are multiples
+    of 8 and one image's product reaches ``_BLOCK_MIN_MACS``, otherwise in
+    blocks of images as ``cols @ flat_w.T``. Both give the same bytes.
+
     With scale given, x is a bool spike tensor and the input convolved is
-    x * scale; the float64 input is only ever built one block at a time.
-    With affine given, the result is fused_bn_affine(conv, affine),
-    applied one block at a time in the output buffer.
+    x * scale; the float64 input is only ever built one block (or image)
+    at a time. With affine given, the result is fused_bn_affine(conv,
+    affine), applied one block at a time in the output buffer.
 
     With consumer given, no output is built: each finished block of rows
     lo..lo + m, affine applied and checked finite, goes to consumer(lo,
     block) in row order, through one reused block buffer that the consumer
-    may overwrite but must not keep. The return value is then a read-only
-    zero-stride array of the output's shape and dtype that holds no data,
-    so a caller that reads the result's geometry sees the output's.
+    may overwrite but must not keep; by image, each block is one image. The
+    return value is then a read-only zero-stride array of the output's
+    shape and dtype that holds no data, so a caller that reads the result's
+    geometry sees the output's.
     """
     _check(x.ndim == 4, "conv input must be 4-D, got shape {}", x.shape)
     _check(scale is None or x.dtype == np.bool_,
@@ -264,25 +312,33 @@ def conv2d(x, params, scale=None, affine=None, consumer=None):
     _check(c == params.in_channels,
            "conv channel mismatch: input has {}, weights expect {}", c, params.in_channels)
     k_h, k_w = params.kernel
+    s_h, s_w = params.stride
     p_h, p_w = params.padding
     h_o, w_o = conv_output_hw(h, w, params.kernel, params.stride, params.padding)
     h_p, w_p = h + 2 * p_h, w + 2 * p_w
-    c_out, taps = params.out_channels, c * k_h * k_w
+    c_out, taps, positions = params.out_channels, c * k_h * k_w, h_o * w_o
     terms = () if affine is None else _affine_terms(affine, 4, c_out)
-    index = _patch_index(c, h_p, w_p, params.kernel, tuple(params.stride), (h_o, w_o))
-    # take copies a read-only index on every call, so it gets the writeable
-    # (patch, tap) grid the cached index is a flat view of; take never writes it
-    grid = index.base
     flat_w = params.weights.reshape(c_out, taps)
-
     dtype = x.dtype if scale is None else np.dtype(np.float64)
-    blocks = _block_count(n, index.size, c_out, dtype.itemsize)
-    edges = [n * b // blocks for b in range(blocks + 1)]
-    size = -(-n // blocks)
-    cols = np.empty((size, index.size), dtype=dtype)
+    # see "Lowerings" above
+    by_image = (positions >= c_out and positions % 8 == c_out % 8 == 0
+                and positions * taps * c_out >= _BLOCK_MIN_MACS)
+    if by_image:
+        edges, size = range(n + 1), 1
+    else:
+        index = _patch_index(c, h_p, w_p, params.kernel, tuple(params.stride), (h_o, w_o))
+        # take copies a read-only index on every call, so it gets the writeable
+        # (patch, tap) grid the cached index is a flat view of; take never writes it
+        grid = index.base
+        blocks = _block_count(n, index.size, c_out, dtype.itemsize)
+        edges = [n * b // blocks for b in range(blocks + 1)]
+        size = -(-n // blocks)
+    cols = np.empty((taps, positions) if by_image else (size, positions * taps), dtype=dtype)
     # the border of the padded buffer is zeroed once; blocks only overwrite its interior
     xp = np.zeros((size, c, h_p, w_p), dtype=dtype) if p_h or p_w or scale is not None else None
-    out = None      # the output, or with a consumer the block buffer
+    # the output, or with a consumer the block buffer
+    out = np.empty((n if consumer is None else size, c_out, h_o, w_o),
+                   dtype=np.result_type(dtype, flat_w, *terms))
     for lo, hi in zip(edges[:-1], edges[1:]):
         m = hi - lo
         if xp is None:
@@ -294,23 +350,30 @@ def conv2d(x, params, scale=None, affine=None, consumer=None):
                 interior[...] = x[lo:hi]
             else:
                 np.multiply(x[lo:hi], scale, out=interior)
-        # the index is in range by construction; "clip" lets take write
-        # straight into cols, where "raise" would buffer a copy
-        np.take(src.reshape(m, c * h_p * w_p), grid, axis=1,
-                out=cols[:m].reshape(m, h_o * w_o, taps), mode="clip")
-        part = cols[:m].reshape(m * h_o * w_o, taps) @ flat_w.T
-        if out is None:
-            out = np.empty((n if consumer is None else size, c_out, h_o, w_o),
-                           dtype=np.result_type(part, *terms))
-        # the product's NCHW transposed view is read straight into the output
-        # block, by a copy or by the affine's first op
         block = out[lo:hi] if consumer is None else out[:m]
-        part = part.reshape(m, h_o, w_o, c_out).transpose(0, 3, 1, 2)
-        if affine is None:
-            block[...] = part
+        if by_image:
+            # tap (c, i, j) of every position is one strided window of the image
+            windows = cols.reshape(c, k_h, k_w, h_o, w_o)
+            for i in range(k_h):
+                for j in range(k_w):
+                    windows[:, i, j] = src[0, :, i:i + s_h * h_o:s_h, j:j + s_w * w_o:s_w]
+            np.matmul(flat_w, cols, out=block.reshape(c_out, positions))
+            if affine is not None:
+                _affine_into(block, terms, block)
         else:
-            _affine_into(part, terms, block)
-        del part        # freed before the next block's product is allocated
+            # the index is in range by construction; "clip" lets take write
+            # straight into cols, where "raise" would buffer a copy
+            np.take(src.reshape(m, c * h_p * w_p), grid, axis=1,
+                    out=cols[:m].reshape(m, positions, taps), mode="clip")
+            part = cols[:m].reshape(m * positions, taps) @ flat_w.T
+            # the product's NCHW transposed view is read straight into the output
+            # block, by a copy or by the affine's first op
+            part = part.reshape(m, h_o, w_o, c_out).transpose(0, 3, 1, 2)
+            if affine is None:
+                block[...] = part
+            else:
+                _affine_into(part, terms, block)
+            del part        # freed before the next block's product is allocated
         _check_finite(block, "conv output")
         if consumer is not None:
             consumer(lo, block)

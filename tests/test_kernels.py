@@ -1,6 +1,12 @@
+import ctypes
+import glob
+import json
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +65,78 @@ def multi_block_case(pad, c_out=8):
     x = rng.uniform(-1, 1, size=(133, 32, hw, hw))
     return x, ConvParams(weights=rng.uniform(-1, 1, size=(c_out, 32, 3, 3)),
                          padding=(pad, pad))
+
+
+def one_conv(rng, n, c_in, c_out, hw, kernel, stride=1, pad=0):
+    x = rng.uniform(-1, 1, size=(n, c_in, hw, hw))
+    return x, ConvParams(weights=rng.uniform(-1, 1, size=(c_out, c_in, kernel, kernel)),
+                         stride=(stride, stride), padding=(pad, pad))
+
+
+def by_image_cases():
+    """Geometries that conv2d lowers image by image, each with padding 0 and
+    1: VGG-16's conv1_2 and conv2_1 on two images, and on one image a 3x3
+    stride-2 conv, a 1x1 stride-2 projection and a 7x7 stride-2 stem. The
+    last case sits on the multiply-add floor with H_o*W_o = C_out."""
+    rng = np.random.default_rng(61)
+    cases = {}
+    for pad in (0, 1):
+        grow = 2 - 2 * pad          # input rows that padding 0 needs more than padding 1
+        cases[f"conv1_2-p{pad}"] = one_conv(rng, 2, 64, 64, 32 + grow, 3, 1, pad)
+        cases[f"conv2_1-p{pad}"] = one_conv(rng, 2, 64, 128, 16 + grow, 3, 1, pad)
+        cases[f"3x3-s2-p{pad}"] = one_conv(rng, 1, 64, 64, 31 + grow, 3, 2, pad)
+        cases[f"1x1-s2-p{pad}"] = one_conv(rng, 1, 256, 128, 29 + grow, 1, 2, pad)
+        cases[f"7x7-s2-p{pad}"] = one_conv(rng, 1, 3, 64, 67 + grow, 7, 2, pad)
+    cases["at-floor"] = one_conv(rng, 1, 109, 64, 8, 3, 1, 1)
+    return cases
+
+
+def per_block_cases():
+    """Neighbours of by_image_cases that keep the by-block lowering: a
+    product just below the floor, fewer positions than output channels, and
+    a position count or C_out off the multiple of 8."""
+    rng = np.random.default_rng(67)
+    return {
+        "below-floor": one_conv(rng, 1, 108, 64, 8, 3, 1, 1),
+        "fewer-positions": one_conv(rng, 1, 109, 72, 8, 3, 1, 1),
+        "positions-off-8": one_conv(rng, 1, 64, 64, 33, 3, 2, 1),
+        "c_out-off-8": one_conv(rng, 1, 64, 60, 32, 3, 1, 1),
+    }
+
+
+def conv_variants(x, p, rng):
+    """(input, scale, affine, wanted bytes) for floats and bits, each without
+    and with an affine: the sliding-window lowering, then fused_bn_affine."""
+    a = random_affine(rng, p.out_channels).scaled(0.25)
+    for inp, scale, dense in ((x, None, x), (x > 0.0, 0.25, (x > 0.0) * 0.25)):
+        plain = sliding_window_conv2d(dense, p)
+        for affine in (None, a):
+            want = plain if affine is None else fused_bn_affine(plain, affine)
+            yield inp, scale, affine, want.tobytes()
+
+
+def lowering_mismatches():
+    """Names of by_image_cases whose conv2d bytes differ from the
+    sliding-window lowering's, for floats or bits."""
+    rng = np.random.default_rng(71)
+    return [name for name, (x, p) in by_image_cases().items()
+            if any(conv2d(inp, p, scale=scale, affine=affine).tobytes() != want
+                   for inp, scale, affine, want in conv_variants(x, p, rng))]
+
+
+def blas_core():
+    """The OpenBLAS core this process runs, or None when numpy's BLAS does
+    not report one."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in glob.glob(str(libs / "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
 
 
 def random_affine(rng, channels):
@@ -190,6 +268,66 @@ class TestConv2d:
                  + out[0].nbytes              # its product
                  + (1 << 20))
         assert traced_peak_bytes(lambda: conv2d(bits, p, scale=0.25)) < bound
+
+    @pytest.mark.parametrize("name", list(by_image_cases()))
+    def test_by_image_lowering_is_bitwise_equal(self, name):
+        x, p = by_image_cases()[name]
+        rng = np.random.default_rng(73)
+        kernels._patch_index.cache_clear()
+        for inp, scale, affine, want in conv_variants(x, p, rng):
+            got = conv2d(inp, p, scale=scale, affine=affine)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want
+            blocks = []
+            conv2d(inp, p, scale=scale, affine=affine,
+                   consumer=lambda lo, block: blocks.append((lo, block.copy())))
+            assert [lo for lo, _ in blocks] == list(range(len(x)))
+            assert all(len(block) == 1 for _, block in blocks)
+            assert np.concatenate([block for _, block in blocks]).tobytes() == want
+        assert kernels._patch_index.cache_info().currsize == 0     # no patch gather
+
+    @pytest.mark.parametrize("name", list(per_block_cases()))
+    def test_neighbouring_geometries_keep_the_block_lowering(self, name):
+        x, p = per_block_cases()[name]
+        rng = np.random.default_rng(79)
+        kernels._patch_index.cache_clear()
+        for inp, scale, affine, want in conv_variants(x, p, rng):
+            assert conv2d(inp, p, scale=scale, affine=affine).tobytes() == want
+        assert kernels._patch_index.cache_info().currsize == 1
+
+    def test_by_image_peak_holds_one_image(self):
+        # VGG-16's conv1_2 on 4 rows: one image's (taps, positions) patches,
+        # its padded input and, with a consumer, its block; no product buffer
+        rng = np.random.default_rng(83)
+        bits = rng.random((4, 64, 32, 32)) < 0.5
+        p = ConvParams(weights=rng.uniform(-1, 1, size=(64, 64, 3, 3)), padding=(1, 1))
+        a = random_affine(rng, 64)
+        out = conv2d(bits, p, scale=0.25, affine=a)
+        bound = patch_bytes_per_image(bits, p) + 64 * 34 * 34 * 8 + out[0].nbytes + (1 << 20)
+        assert traced_peak_bytes(lambda: conv2d(bits, p, scale=0.25, affine=a)) < out.nbytes + bound
+        assert traced_peak_bytes(lambda: conv2d(bits, p, scale=0.25, affine=a,
+                                                consumer=lambda lo, block: None)) < bound
+
+    @pytest.mark.parametrize("core", ["SkylakeX", "Haswell", "Sandybridge"])
+    def test_by_image_lowering_on_each_blas_core(self, core):
+        # the two lowerings run different BLAS kernels; their bytes agree on
+        # every core that this build's OPENBLAS_CORETYPE can select
+        if blas_core() is None:
+            pytest.skip("numpy's BLAS reports no OpenBLAS core, so OPENBLAS_CORETYPE "
+                        "cannot be checked")
+        here = Path(__file__).resolve().parent
+        paths = [str(Path(kernels.__file__).resolve().parents[1]), str(here)]
+        env = dict(os.environ, OPENBLAS_CORETYPE=core,
+                   PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]))
+        script = ("import json, test_kernels as t; "
+                  "print(json.dumps([t.blas_core(), t.lowering_mismatches()]))")
+        run = subprocess.run([sys.executable, "-c", script], env=env, cwd=here,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        ran, mismatches = json.loads(run.stdout.splitlines()[-1])
+        if ran.lower() != core.lower():
+            pytest.skip(f"OPENBLAS_CORETYPE={core} runs the {ran} core on this machine")
+        assert mismatches == []
 
     def test_patch_index_cache(self):
         rng = np.random.default_rng(19)

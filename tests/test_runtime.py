@@ -137,6 +137,38 @@ def assert_same_stats(got, want):
     assert_same_bytes(got.counter, want.counter, f"{want.layer_id}.counter")
 
 
+def assert_equal_to_array_path(model, x):
+    """snn_forward's logits, trains, IfStats and trace sums, byte for byte
+    against array_path's."""
+    trace = SnnTrace()
+    logits, stats = snn_forward(model, x, trace=trace, keep_counters=True)
+    want_logits, trains, want_stats, sums = array_path(model, x)
+    assert_same_bytes(logits, want_logits, "logits")
+    assert set(trace.trains) == set(trains) and set(stats) == set(want_stats)
+    for lid, train in trains.items():
+        assert_same_bytes(trace.trains[lid].bits, train.bits, lid)
+        assert trace.trains[lid].theta_star == train.theta_star
+    for lid, st in want_stats.items():
+        assert_same_stats(stats[lid], st)
+    assert list(trace.sums) == list(sums)
+    for lid, total in trace.sums.items():
+        assert_same_bytes(total, sums[lid], lid)
+
+
+@pytest.fixture
+def fed(monkeypatch):
+    """Ids of the matmuls that hand their row blocks to a consumer, in call order."""
+    ids = []
+
+    def spy(*args, consumer=None):
+        if consumer is not None:
+            ids.append(args[1].id)
+        return run_layer(*args, consumer=consumer)
+
+    monkeypatch.setattr(reference, "run_layer", spy)
+    return ids
+
+
 class TestStreamedIfLayer:
     """A conv or fc layer whose only consumer is a generic integrate-and-fire
     layer with more than one input timestep hands it its row blocks; the
@@ -144,18 +176,10 @@ class TestStreamedIfLayer:
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     @pytest.mark.parametrize("l_in", [2, 4, 8])
-    def test_bitwise_equal_to_array_path(self, l_in, n, monkeypatch):
+    def test_bitwise_equal_to_array_path(self, l_in, n, fed, monkeypatch):
         # blocks of at most two images: with n = 3 some blocks hold the last
         # image of one timestep and the first of the next
         monkeypatch.setattr(kernels, "_block_count", lambda rows, *_: -(-rows // 2))
-        fed = []                # matmuls that handed their row blocks to a consumer
-
-        def spy(*args, consumer=None):
-            if consumer is not None:
-                fed.append(args[1].id)
-            return run_layer(*args, consumer=consumer)
-
-        monkeypatch.setattr(reference, "run_layer", spy)
         rng = np.random.default_rng(10 * l_in + n)
         for _ in range(3):
             text = streamed_manifest(l_in, int(rng.choice([1, 2, 4, 8])))
@@ -163,21 +187,29 @@ class TestStreamedIfLayer:
             model = convert(graph)
             x = rng.uniform(0, 1, size=(n,) + graph.input_layer.shape)
             fed.clear()
-            trace = SnnTrace()
-            logits, stats = snn_forward(model, x, trace=trace, keep_counters=True)
+            assert_equal_to_array_path(model, x)
             assert fed == ["c2", "f3"]              # both layers ran streamed
-            want_logits, trains, want_stats, sums = array_path(model, x)
 
-            assert_same_bytes(logits, want_logits, "logits")
-            assert set(trace.trains) == set(trains) and set(stats) == set(want_stats)
-            for lid, train in trains.items():
-                assert_same_bytes(trace.trains[lid].bits, train.bits, lid)
-                assert trace.trains[lid].theta_star == train.theta_star
-            for lid, st in want_stats.items():
-                assert_same_stats(stats[lid], st)
-            assert list(trace.sums) == list(sums)
-            for lid, total in trace.sums.items():
-                assert_same_bytes(total, sums[lid], lid)
+    @pytest.mark.parametrize("l_in", [2, 4])
+    def test_vgg_scale_conv_streams_by_image(self, l_in, fed):
+        # VGG-16's conv1_2 geometry: c2 lowers image by image (it gathers no
+        # patches by index) and feeds its T*N one-image blocks to a2
+        layers = [{"id": "in", "kind": "input", "pred": [], "shape": [3, 32, 32]},
+                  {"id": "c1", "kind": "conv", "pred": ["in"], "out_channels": 64,
+                   "kernel": 3, "padding": 1, "bias": True, "batch_norm": True},
+                  {"id": "a1", "kind": "qcfs_act", "pred": ["c1"], "L": l_in, "theta": 1.0},
+                  {"id": "c2", "kind": "conv", "pred": ["a1"], "out_channels": 64,
+                   "kernel": 3, "padding": 1, "bias": True, "batch_norm": True},
+                  {"id": "a2", "kind": "qcfs_act", "pred": ["c2"], "L": 2, "theta": 0.8},
+                  {"id": "pool", "kind": "avg_pool", "pred": ["a2"], "window": 2},
+                  {"id": "head", "kind": "fc", "pred": ["pool"], "out_features": 10}]
+        graph = init_random(parse_manifest(json.dumps(
+            {"name": "vgg-head", "classes": 10, "layers": layers})), 29 + l_in)
+        x = np.random.default_rng(29).uniform(0, 1, size=(3, 3, 32, 32))
+        kernels._patch_index.cache_clear()
+        assert_equal_to_array_path(convert(graph), x)
+        assert fed == ["c2"]
+        assert kernels._patch_index.cache_info().currsize == 1     # c1's geometry only
 
     def test_block_edges_and_signed_zeros(self):
         # one stack fed in random row blocks against if_generic_layer and
@@ -844,7 +876,8 @@ class TestCheckEquivalence:
         differ = ties & (np.clip(stats["act1_2"].counter, 0, cfg.L) != qcfs_levels(z, cfg))
         return ties, differ
 
-    @pytest.mark.parametrize("steps, batch", [(4, 1), ((8, 4), 8)], ids=["L4-b1", "mixed-b8"])
+    @pytest.mark.parametrize("steps, batch", [(4, 1), ((8, 4), 8), (4, 8), ((8, 4), 1)],
+                             ids=["L4-b1", "mixed-b8", "L4-b8", "mixed-b1"])
     def test_vgg_edge_graph_places_a_tie_per_channel(self, steps, batch):
         graph, x = vgg_edge_graph(steps, 3, batch)
         ties, _ = self.edge_ties(graph, x)
@@ -854,7 +887,8 @@ class TestCheckEquivalence:
         pytest.param(steps, batch, id=name, marks=pytest.mark.xfail(
             strict=True, reason="level-edge fault (ROADMAP item 1): some act1_2 ties "
                                 "land one level below the reference"))
-        for steps, batch, name in [(4, 1, "L4-b1"), ((8, 4), 8, "mixed-b8")]])
+        for steps, batch, name in [(4, 1, "L4-b1"), ((8, 4), 8, "mixed-b8"), (4, 8, "L4-b8"),
+                                   ((8, 4), 1, "mixed-b1")]])
     def test_vgg_level_edges_agree(self, steps, batch):
         # VGG-16's first two convs with one act1_2 neuron per channel on a
         # level edge (weight and input seed 3, the first seed tried)

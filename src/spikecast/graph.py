@@ -2,11 +2,10 @@
 
 A model is described by a JSON manifest (see docs/manifest_format.md) plus
 one raw float32 blob per weighted layer. The graph is an ordered DAG with a
-single input and a single output; batch-norm is always represented fused
-into its matmul layer, and standalone ``bn_affine`` manifest entries are
-folded into their predecessor at parse time. A fold changes what every
-reader of that conv/fc sees, so the parser rejects a ``bn_affine`` whose
-conv/fc feeds any other layer.
+single input and a single output. Batch-norm is written on the conv/fc it
+follows (``batch_norm``, ``epsilon``); a standalone ``bn_affine`` layer is
+rejected. Every field is type-checked at parse time, never coerced, and a
+malformed one fails with a GraphError that names its layer.
 
 Graph order is the manifest's layer order wherever that order is
 topological: each step takes the first listed layer whose predecessors have
@@ -26,7 +25,7 @@ anything else, so a caller's arrays are never frozen or shared.
 """
 
 import json
-from collections import Counter
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -160,20 +159,38 @@ def _frozen(array):
 # parsing
 
 
+def _is_int(value):
+    return type(value) is int       # a JSON true parses as a bool, not an int
+
+
+def _real(value, layer_id, name):
+    # the comparisons are exact for ints and false for NaN
+    if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+        _fail(layer_id, f"field '{name}' must be a finite positive number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _flag(value, layer_id, name):
+    if type(value) is not bool:
+        _fail(layer_id, f"field '{name}' must be true or false, got {json.dumps(value)}")
+    return value
+
+
 def _as_pair(value, layer_id, name, low):
-    pair = (value, value) if isinstance(value, int) else value
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-        _fail(layer_id, f"field '{name}' must be an int or a pair")
-    pair = (int(pair[0]), int(pair[1]))
+    pair = [value, value] if _is_int(value) else value
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
+        _fail(layer_id, f"field '{name}' must be an int or a pair, got {json.dumps(value)}")
     if min(pair) < low:
         _fail(layer_id, f"field '{name}' must be >= {low}, got {value}")
-    return pair
+    return tuple(pair)
 
 
 def _positive(entry, layer_id, name):
     if name not in entry:
         _fail(layer_id, f"'{entry['kind']}' layer needs '{name}'")
-    value = int(entry[name])
+    value = entry[name]
+    if not _is_int(value):
+        _fail(layer_id, f"field '{name}' must be an integer, got {json.dumps(value)}")
     if value < 1:
         _fail(layer_id, f"field '{name}' must be positive, got {value}")
     return value
@@ -184,49 +201,47 @@ def _parse_layer(entry):
         raise GraphError("every layer entry needs 'id' and 'kind' fields")
     lid = entry["id"]
     kind = entry["kind"]
-    preds = tuple(entry.get("pred", []))
+    if not isinstance(lid, str):
+        raise GraphError(f"layer id must be a string, got {json.dumps(lid)}")
+    preds = entry.get("pred", [])
+    if not (isinstance(preds, list) and all(isinstance(p, str) for p in preds)):
+        _fail(lid, f"field 'pred' must be a list of layer ids, got {json.dumps(preds)}")
+    preds = tuple(preds)
     if kind == "input":
         shape = entry.get("shape")
-        if not (isinstance(shape, (list, tuple)) and len(shape) == 3):
+        if not (isinstance(shape, list) and len(shape) == 3 and all(map(_is_int, shape))):
             _fail(lid, "input layer needs 'shape': [C, H, W]")
-        shape = tuple(int(v) for v in shape)
+        shape = tuple(shape)
         if min(shape) < 1:
             _fail(lid, f"input shape must be positive, got {list(shape)}")
         return LayerSpec(lid, kind, preds, shape=shape)
-    if kind == "conv":
+    if kind in MATMUL_KINDS:
+        conv = kind == "conv"
         return LayerSpec(
             lid, kind, preds,
-            out_channels=_positive(entry, lid, "out_channels"),
-            kernel=_as_pair(entry.get("kernel", 1), lid, "kernel", 1),
-            stride=_as_pair(entry.get("stride", 1), lid, "stride", 1),
-            padding=_as_pair(entry.get("padding", 0), lid, "padding", 0),
-            has_bias=bool(entry.get("bias", False)),
-            has_bn=bool(entry.get("batch_norm", False)),
-            epsilon=float(entry.get("epsilon", 1e-5)),
-        )
-    if kind == "fc":
-        return LayerSpec(
-            lid, kind, preds,
-            out_channels=_positive(entry, lid, "out_features"),
-            has_bias=bool(entry.get("bias", False)),
-            has_bn=bool(entry.get("batch_norm", False)),
-            epsilon=float(entry.get("epsilon", 1e-5)),
+            out_channels=_positive(entry, lid, "out_channels" if conv else "out_features"),
+            kernel=_as_pair(entry.get("kernel", 1), lid, "kernel", 1) if conv else (1, 1),
+            stride=_as_pair(entry.get("stride", 1), lid, "stride", 1) if conv else (1, 1),
+            padding=_as_pair(entry.get("padding", 0), lid, "padding", 0) if conv else (0, 0),
+            has_bias=_flag(entry.get("bias", False), lid, "bias"),
+            has_bn=_flag(entry.get("batch_norm", False), lid, "batch_norm"),
+            epsilon=_real(entry.get("epsilon", 1e-5), lid, "epsilon"),
         )
     if kind == "avg_pool":
         return LayerSpec(lid, kind, preds, window=_positive(entry, lid, "window"))
     if kind == "max_pool":
         _fail(lid, "unsupported nonlinearity (max_pool): a max does not commute with "
                    "the timestep sum, so it has no exact spiking counterpart")
+    if kind == "bn_affine":
+        _fail(lid, "standalone bn_affine is not supported: set 'batch_norm' (and "
+                   "'epsilon') on the conv/fc it follows")
     if kind == "qcfs_act":
         if "L" not in entry or "theta" not in entry:
             _fail(lid, "activation layer needs 'L' and 'theta'")
-        return LayerSpec(lid, kind, preds,
-                         qcfs=QcfsConfig(L=int(entry["L"]), theta=float(entry["theta"])))
+        return LayerSpec(lid, kind, preds, qcfs=QcfsConfig(
+            L=_positive(entry, lid, "L"), theta=_real(entry["theta"], lid, "theta")))
     if kind == "residual_add":
         return LayerSpec(lid, kind, preds)
-    if kind == "bn_affine":
-        # placeholder; _built folds it into its predecessor conv/fc
-        return LayerSpec(lid, kind, preds, epsilon=float(entry.get("epsilon", 1e-5)))
     _fail(lid, f"unknown layer kind '{kind}'")
 
 
@@ -258,39 +273,20 @@ def _ordered(layers):
 
 
 def _built(order):
-    """Walk the ordered layers once: fold each bn_affine into its conv/fc,
-    which must feed nothing else, apply each kind's predecessor rules and
-    infer (C, H, W) / (F,) shapes. The input and output counts are checked
-    before any per-layer rule."""
-    folds = {}   # bn_affine id -> the conv/fc it folds into
-    readers = Counter(p for layer in order for p in layer.preds)
-    for layer in order:
-        if layer.kind == "bn_affine" and len(layer.preds) == 1:
-            folds[layer.id] = folds.get(layer.preds[0], layer.preds[0])
+    """Check the input and output counts, then walk the ordered layers once:
+    apply each kind's predecessor rules and infer (C, H, W) / (F,) shapes."""
     inputs = [l for l in order if l.kind == "input"]
     if len(inputs) != 1:
         raise GraphError(f"graph must have exactly one input layer, found {len(inputs)}")
     if inputs[0].preds:
         _fail(inputs[0].id, "input layer cannot have predecessors")
-    used = {folds.get(p, p) for l in order if l.id not in folds for p in l.preds}
-    sinks = [l.id for l in order if l.id not in folds and l.id not in used]
+    used = {p for l in order for p in l.preds}
+    sinks = [l.id for l in order if l.id not in used]
     if len(sinks) != 1:
         raise GraphError("graph must have exactly one output layer, found " + ", ".join(sinks))
     built = {}
     for layer in order:
-        preds = tuple(folds.get(p, p) for p in layer.preds)
-        if layer.kind == "bn_affine":
-            if len(preds) != 1:
-                _fail(layer.id, "bn_affine must have exactly one existing predecessor")
-            target = built.get(layer.preds[0])   # None after another bn_affine
-            if target is None or target.kind not in MATMUL_KINDS:
-                _fail(layer.id, "bn_affine predecessor must be a conv or fc layer")
-            if target.has_bn:
-                _fail(layer.id, f"layer '{target.id}' already carries batch-norm")
-            if readers[target.id] > 1:     # its other readers would see the fold too
-                _fail(layer.id, f"bn_affine must be the only consumer of layer '{target.id}'")
-            built[target.id] = replace(target, has_bn=True, epsilon=layer.epsilon)
-            continue
+        preds = layer.preds
         if layer.kind == "residual_add":
             if len(preds) != 2:
                 _fail(layer.id, f"residual_add arity: needs exactly 2 predecessors, "
@@ -328,7 +324,7 @@ def _built(order):
         elif layer.kind == "residual_add" and pred_shapes[0] != pred_shapes[1]:
             _fail(layer.id, f"residual_add branch shapes differ: "
                             f"{pred_shapes[0]} vs {pred_shapes[1]}")
-        built[layer.id] = replace(layer, preds=preds, in_shape=in_shape, out_shape=out_shape)
+        built[layer.id] = replace(layer, in_shape=in_shape, out_shape=out_shape)
     return tuple(built.values())
 
 
@@ -338,12 +334,14 @@ def parse_manifest(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"manifest is not valid JSON: {exc}") from exc
-    for fld in ("name", "classes", "layers"):
-        if fld not in doc:
+    for fld, kind, want in (("name", str, "a string"), ("classes", int, "an integer"),
+                            ("layers", list, "a list")):
+        if not isinstance(doc, dict) or fld not in doc:
             raise GraphError(f"manifest is missing required field '{fld}'")
+        if type(doc[fld]) is not kind:
+            raise GraphError(f"manifest field '{fld}' must be {want}, got {json.dumps(doc[fld])}")
     layers = _built(_ordered([_parse_layer(e) for e in doc["layers"]]))
-    graph = ModelGraph(name=str(doc["name"]), classes=int(doc["classes"]),
-                       layers=layers, seed=doc.get("seed"))
+    graph = ModelGraph(doc["name"], doc["classes"], layers, seed=doc.get("seed"))
     out = graph.output_layer.out_shape
     if int(np.prod(out)) != graph.classes:
         _fail(graph.output_layer.id,
@@ -499,4 +497,4 @@ def layer_affine(graph, layer):
     if layer.has_bn:
         return BnAffine(gamma=arrays["gamma"], beta=arrays["beta"], mu=arrays["mu"],
                         sigma_sq=arrays["sigma_sq"], bias=bias, epsilon=layer.epsilon)
-    return BnAffine.bias_only(bias, epsilon=layer.epsilon)
+    return BnAffine.bias_only(bias)

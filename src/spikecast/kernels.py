@@ -202,12 +202,11 @@ class BnAffine:
                    name, n)
 
     @classmethod
-    def bias_only(cls, bias, epsilon=1e-5):
-        # sigma_sq = 1 - eps makes the denominator exactly 1.0
+    def bias_only(cls, bias):
+        # with the default epsilon, sigma_sq = 1 - eps makes the denominator exactly 1.0
         c = bias.shape[0]
         return cls(gamma=np.ones(c), beta=np.zeros(c), mu=np.zeros(c),
-                   sigma_sq=np.full(c, 1.0 - epsilon), bias=np.asarray(bias, dtype=float),
-                   epsilon=epsilon)
+                   sigma_sq=np.full(c, 1.0 - cls.epsilon), bias=np.asarray(bias, dtype=float))
 
     def scaled(self, factor):
         """Return a copy with the additive constants multiplied by factor.

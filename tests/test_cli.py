@@ -161,6 +161,16 @@ class TestCheckEquiv:
         assert code == 2
         assert "layer 'conv1': field 'out_channels' must be positive" in capsys.readouterr().err
 
+    def test_manifest_field_type_error_exits_2(self, tmp_path, capsys):
+        doc = json.loads(toy_manifest())
+        doc["layers"][2]["theta"] = "high"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["check-equiv", "--manifest", str(path), "--seed", "3"])
+        assert code == 2
+        assert ("layer 'act1': field 'theta' must be a finite positive number, got \"high\""
+                in capsys.readouterr().err)
+
     def test_report_bytes_deterministic(self, toy_manifest_path, tmp_path):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
         for p in paths:

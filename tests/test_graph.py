@@ -32,6 +32,23 @@ def small_manifest(**overrides):
     return doc
 
 
+def swept_manifest():
+    """small_manifest with a pool and every optional conv/fc field written out."""
+    doc = small_manifest()
+    doc["layers"][1].update(stride=1, batch_norm=True, epsilon=1e-5)
+    doc["layers"].insert(3, {"id": "p", "kind": "avg_pool", "pred": ["a1"], "window": 2})
+    doc["layers"][4].update(pred=["p"], bias=False)
+    return doc
+
+
+# json.dumps writes NaN and +-Infinity as literals that json.loads accepts
+MALFORMED = [True, "high", 2.5, None, -1, float("nan"), float("inf"), float("-inf")]
+# the (field, value) pairs of that list that are well-formed
+ACCEPTED = {("id", "high"), ("name", "high"), ("bias", True), ("batch_norm", True),
+            ("theta", 2.5), ("epsilon", 2.5)}
+SWEPT = swept_manifest()
+
+
 class TestParse:
     def test_three_layer_chain(self):
         g = parse_manifest(json.dumps(small_manifest()))
@@ -85,6 +102,17 @@ class TestParse:
         with pytest.raises(GraphError, match="layer 'p': unsupported nonlinearity"):
             parse_manifest(json.dumps(doc))
 
+    def test_bn_affine_rejected(self):
+        # batch-norm is written on the conv/fc it follows, never as a layer
+        doc = small_manifest()
+        doc["layers"].insert(2, {"id": "bn", "kind": "bn_affine", "pred": ["c1"],
+                                 "epsilon": 1e-4})
+        doc["layers"][3]["pred"] = ["bn"]
+        with pytest.raises(GraphError, match=r"^layer 'bn': standalone bn_affine is not "
+                                             r"supported: set 'batch_norm' \(and 'epsilon'\) "
+                                             r"on the conv/fc it follows$"):
+            parse_manifest(json.dumps(doc))
+
     def test_missing_activation_params(self):
         doc = small_manifest()
         del doc["layers"][2]["L"]
@@ -119,6 +147,25 @@ class TestParse:
         (1, "stride", 2, r"'c1': conv geometry does not tile: input 4x4, kernel \(3, 3\), "
                          r"stride \(2, 2\), padding \(1, 1\)$"),
         (4, "window", 3, "'p': pool window 3 does not divide 4x4$"),
+        (2, "L", 0, "'a1': field 'L' must be positive, got 0$"),
+        (2, "theta", -1, "'a1': field 'theta' must be a finite positive number, got -1$"),
+        (2, "theta", float("inf"),
+         "'a1': field 'theta' must be a finite positive number, got Infinity$"),
+        (2, "L", 2.7, "'a1': field 'L' must be an integer, got 2.7$"),
+        (1, "out_channels", 2.5, "'c1': field 'out_channels' must be an integer, got 2.5$"),
+        (4, "window", True, "'p': field 'window' must be an integer, got true$"),
+        (1, "kernel", True, "'c1': field 'kernel' must be an int or a pair, got true$"),
+        (1, "kernel", [3, 2.5], r"'c1': field 'kernel' must be an int or a pair, got \[3, 2.5\]$"),
+        (0, "shape", [3, 4.5, 4], r"'in': input layer needs 'shape': \[C, H, W\]$"),
+        (2, "L", "3", "'a1': field 'L' must be an integer, got \"3\"$"),
+        (1, "bias", "no", "'c1': field 'bias' must be true or false, got \"no\"$"),
+        (3, "batch_norm", 1, "'f1': field 'batch_norm' must be true or false, got 1$"),
+        (2, "theta", "high", "'a1': field 'theta' must be a finite positive number, got \"high\"$"),
+        (1, "epsilon", 0, "'c1': field 'epsilon' must be a finite positive number, got 0$"),
+        (1, "epsilon", -1e-5,
+         "'c1': field 'epsilon' must be a finite positive number, got -1e-05$"),
+        (1, "epsilon", float("nan"),
+         "'c1': field 'epsilon' must be a finite positive number, got NaN$"),
     ])
     def test_missing_or_non_positive_field(self, index, field, value, match):
         doc = small_manifest()
@@ -143,15 +190,11 @@ class TestParse:
          "^layer 'in': input layer cannot have predecessors$"),
         ([(4, {"id": "extra", "kind": "fc", "pred": ["a1"], "out_features": 2})], {},
          "^graph must have exactly one output layer, found f1, extra$"),
-        ([(2, {"id": "bn", "kind": "bn_affine", "pred": ["c1", "in"]})],
-         {"a1": {"pred": ["bn"]}},
-         "^layer 'bn': bn_affine must have exactly one existing predecessor$"),
-        ([(3, {"id": "bn", "kind": "bn_affine", "pred": ["a1"]})],
-         {"f1": {"pred": ["bn"]}},
-         "^layer 'bn': bn_affine predecessor must be a conv or fc layer$"),
-        ([(2, {"id": "bn", "kind": "bn_affine", "pred": ["c1"]})],
-         {"c1": {"batch_norm": True}, "a1": {"pred": ["bn"]}},
-         "^layer 'bn': layer 'c1' already carries batch-norm$"),
+        ([], {"a1": {"pred": "c1"}},
+         "^layer 'a1': field 'pred' must be a list of layer ids, got \"c1\"$"),
+        ([], {"f1": {"id": 7}}, "^layer id must be a string, got 7$"),
+        ([], {"a1": {"pred": [["c1"]]}},
+         "^layer 'a1': field 'pred' must be a list of layer ids, got \\[\\[\"c1\"\\]\\]$"),
         ([(4, {"id": "c2", "kind": "conv", "pred": ["f1"], "out_channels": 2})], {},
          r"^layer 'c2': conv requires a spatial \(C, H, W\) input$"),
         ([(4, {"id": "p2", "kind": "avg_pool", "pred": ["f1"], "window": 1})], {},
@@ -161,12 +204,6 @@ class TestParse:
          r"^layer 'r': residual_add branch shapes differ: \(4, 4, 4\) vs \(3, 4, 4\)$"),
         ([], {"a1": {"id": None}}, "^every layer entry needs 'id' and 'kind' fields$"),
         ([], {"a1": {"kind": None}}, "^every layer entry needs 'id' and 'kind' fields$"),
-        ([(2, {"id": "bn", "kind": "bn_affine", "pred": ["c1"]})], {},
-         "^layer 'bn': bn_affine must be the only consumer of layer 'c1'$"),
-        ([(2, {"id": "bn", "kind": "bn_affine", "pred": ["c1"]}),
-          (4, {"id": "r", "kind": "residual_add", "pred": ["bn", "c1"]})],
-         {"a1": {"pred": ["r"]}},
-         "^layer 'bn': bn_affine must be the only consumer of layer 'c1'$"),
     ])
     def test_structural_fault(self, insert, changes, match):
         # one fault per manifest; a None value deletes the field
@@ -189,20 +226,41 @@ class TestParse:
         with pytest.raises(GraphError, match=f"^manifest is missing required field '{field}'$"):
             parse_manifest(json.dumps(doc))
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("classes", 4.9, "'classes' must be an integer, got 4.9$"),
+        ("classes", True, "'classes' must be an integer, got true$"),
+        ("name", 5, "'name' must be a string, got 5$"),
+        ("layers", {}, r"'layers' must be a list, got \{\}$"),
+    ])
+    def test_malformed_top_level_field(self, field, value, match):
+        with pytest.raises(GraphError, match="^manifest field " + match):
+            parse_manifest(json.dumps(small_manifest(**{field: value})))
+
+    @pytest.mark.parametrize("index, field", [(None, f) for f in SWEPT] + [
+        (i, f) for i, entry in enumerate(SWEPT["layers"]) for f in entry])
+    def test_every_malformed_field_fails_at_parse(self, index, field):
+        # a GraphError, never a bare ValueError, TypeError or KernelError, and
+        # a per-layer fault names the layer it sits in
+        for value in MALFORMED:
+            if (field, value) in ACCEPTED:
+                continue
+            doc = swept_manifest()
+            entry = doc if index is None else doc["layers"][index]
+            entry[field] = value
+            with pytest.raises(GraphError) as info:
+                parse_manifest(json.dumps(doc))
+            if index is not None:
+                prefix = "layer " if field == "id" else f"layer '{entry['id']}': "
+                assert str(info.value).startswith(prefix), (value, str(info.value))
+
+    @pytest.mark.parametrize("text", ["5", "null", '"name"'])
+    def test_manifest_must_be_an_object(self, text):
+        with pytest.raises(GraphError, match="^manifest is missing required field 'name'$"):
+            parse_manifest(text)
+
     def test_invalid_json(self):
         with pytest.raises(GraphError, match="^manifest is not valid JSON: "):
             parse_manifest(json.dumps(small_manifest())[:-1])
-
-    def test_standalone_bn_is_fused(self):
-        doc = small_manifest()
-        doc["layers"].insert(2, {"id": "bn", "kind": "bn_affine", "pred": ["c1"],
-                                 "epsilon": 1e-4})
-        doc["layers"][3]["pred"] = ["bn"]
-        g = parse_manifest(json.dumps(doc))
-        assert "bn" not in [l.id for l in g.layers]
-        c1 = g.layer("c1")
-        assert c1.has_bn and c1.epsilon == 1e-4
-        assert g.layer("a1").preds == ("c1",)
 
     def test_output_size_must_match_classes(self):
         doc = small_manifest(classes=5)
@@ -403,6 +461,16 @@ class TestWeightViews:
         logits, _ = snn_forward(model, x)
         assert snn_forward(model, x)[0].tobytes() == logits.tobytes()
         assert snn_forward(convert(cold), x)[0].tobytes() == logits.tobytes()
+
+    def test_bias_only_layer_reads_no_epsilon(self):
+        doc = small_manifest()               # c1 has a bias and no batch-norm
+        doc["layers"][1]["epsilon"] = 2
+        g = init_random(parse_manifest(json.dumps(doc)), 3)
+        plain = init_random(parse_manifest(json.dumps(small_manifest())), 3)
+        x = np.random.default_rng(7).uniform(0, 1, size=(2, 3, 4, 4))
+        assert ann_forward(g, x).logits.tobytes() == ann_forward(plain, x).logits.tobytes()
+        assert (snn_forward(convert(g), x)[0].tobytes()
+                == snn_forward(convert(plain), x)[0].tobytes())
 
     def test_first_pass_copies_no_weights(self):
         # VGG-16 holds 270 MB of weights; a pass that copied them would peak

@@ -15,12 +15,11 @@ The package splits into:
 from .graph import (GraphError, ModelGraph, QcfsConfig, init_random,
                     load_weights, parse_manifest, save_weights,
                     serialize_manifest)
-from .kernels import (BnAffine, ConvParams, KernelError, avg_pool2d, conv2d,
-                      fully_connected, fused_bn_affine)
+from .kernels import KernelError
 from .reference import LayerTrace, ann_forward, qcfs
 from .runtime import (ConversionError, EquivalenceReport, IfLayer, IfStats,
                       SnnTrace, SpikeTrain, SpikingModel, check_equivalence,
-                      convert, if_generic_layer, if_input_layer, snn_forward)
+                      convert, if_generic_layer, snn_forward)
 from .sensitivity import (LevelHistogram, MetricError, cluster_1d, default_alpha,
                           kurtosis, skewness, van_der_eijk_a)
 from .energy import (ENERGY, EnergyModelError, MatMulDims, ann_snn_energy_ratio,

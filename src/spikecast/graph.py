@@ -113,7 +113,6 @@ class ModelGraph:
     classes: int
     layers: tuple
     weights: dict = field(default_factory=dict)
-    seed: int = None
 
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {l.id: l for l in self.layers})
@@ -341,7 +340,7 @@ def parse_manifest(text):
         if type(doc[fld]) is not kind:
             raise GraphError(f"manifest field '{fld}' must be {want}, got {json.dumps(doc[fld])}")
     layers = _built(_ordered([_parse_layer(e) for e in doc["layers"]]))
-    graph = ModelGraph(doc["name"], doc["classes"], layers, seed=doc.get("seed"))
+    graph = ModelGraph(doc["name"], doc["classes"], layers)
     out = graph.output_layer.out_shape
     if int(np.prod(out)) != graph.classes:
         _fail(graph.output_layer.id,
@@ -350,7 +349,11 @@ def parse_manifest(text):
 
 
 def serialize_manifest(graph):
-    """Inverse of parse_manifest for the structural content."""
+    """Inverse of parse_manifest for the structural content.
+
+    epsilon is written only on a layer with batch_norm, the one place it is
+    read, and the manifest's top-level keys are name, classes and layers.
+    """
     layers = []
     for l in graph.layers:
         entry = {"id": l.id, "kind": l.kind, "pred": list(l.preds)}
@@ -358,19 +361,19 @@ def serialize_manifest(graph):
             entry["shape"] = list(l.shape)
         elif l.kind == "conv":
             entry.update(out_channels=l.out_channels, kernel=list(l.kernel),
-                         stride=list(l.stride), padding=list(l.padding),
-                         bias=l.has_bias, batch_norm=l.has_bn, epsilon=l.epsilon)
+                         stride=list(l.stride), padding=list(l.padding))
         elif l.kind == "fc":
-            entry.update(out_features=l.out_channels, bias=l.has_bias,
-                         batch_norm=l.has_bn, epsilon=l.epsilon)
+            entry["out_features"] = l.out_channels
         elif l.kind == "avg_pool":
             entry["window"] = l.window
         elif l.kind == "qcfs_act":
             entry.update(L=l.qcfs.L, theta=l.qcfs.theta)
+        if l.is_matmul:
+            entry.update(bias=l.has_bias, batch_norm=l.has_bn)
+            if l.has_bn:
+                entry["epsilon"] = l.epsilon
         layers.append(entry)
     doc = {"name": graph.name, "classes": graph.classes, "layers": layers}
-    if graph.seed is not None:
-        doc["seed"] = graph.seed
     return json.dumps(doc, indent=2, sort_keys=True)
 
 

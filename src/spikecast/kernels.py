@@ -27,13 +27,12 @@ kernel-row, kernel-col) order in both.
 - By image, ``flat_w @ cols_t``: when P >= C_out, P and C_out are
   multiples of 8, and one image's product P*taps*C_out reaches
   ``_BLOCK_MIN_MACS``. Each image goes into a zero-bordered padded buffer
-  (scaled bits or floats; an unpadded float input is read as it is), and
-  K_h*K_w strided copies, one window per kernel offset, fill a C-contiguous
-  (taps, P) patch buffer. The product writes the image's (C_out, P) slab,
-  which is its NCHW output, straight into the output or into a one-image
-  consumer block. There is no index, gather, product buffer or transposed
-  read. On VGG-16/CIFAR these are conv1_2, conv2_1 and conv2_2, in both
-  passes.
+  (scaled bits or floats), and K_h*K_w strided copies, one window per
+  kernel offset, fill a C-contiguous (taps, P) patch buffer. The product
+  writes the image's (C_out, P) slab, which is its NCHW output, straight
+  into the output or into a one-image consumer block. There is no index,
+  gather, product buffer or transposed read. On VGG-16/CIFAR these are
+  conv1_2, conv2_1 and conv2_2, in both passes.
 - By block, ``cols @ flat_w.T``: every other geometry, which covers the
   small nets of the acceptance gate and VGG's conv1_1 and conv3-5. One take
   through a cached index gathers a block of m images' patches into a
@@ -334,21 +333,18 @@ def conv2d(x, params, scale=None, affine=None, consumer=None):
         size = -(-n // blocks)
     cols = np.empty((taps, positions) if by_image else (size, positions * taps), dtype=dtype)
     # the border of the padded buffer is zeroed once; blocks only overwrite its interior
-    xp = np.zeros((size, c, h_p, w_p), dtype=dtype) if p_h or p_w or scale is not None else None
+    xp = np.zeros((size, c, h_p, w_p), dtype=dtype)
     # the output, or with a consumer the block buffer
     out = np.empty((n if consumer is None else size, c_out, h_o, w_o),
                    dtype=np.result_type(dtype, flat_w, *terms))
     for lo, hi in zip(edges[:-1], edges[1:]):
         m = hi - lo
-        if xp is None:
-            src = x[lo:hi]
+        src = xp[:m]
+        interior = src[:, :, p_h:p_h + h, p_w:p_w + w]
+        if scale is None:
+            interior[...] = x[lo:hi]
         else:
-            src = xp[:m]
-            interior = src[:, :, p_h:p_h + h, p_w:p_w + w]
-            if scale is None:
-                interior[...] = x[lo:hi]
-            else:
-                np.multiply(x[lo:hi], scale, out=interior)
+            np.multiply(x[lo:hi], scale, out=interior)
         block = out[lo:hi] if consumer is None else out[:m]
         if by_image:
             # tap (c, i, j) of every position is one strided window of the image

@@ -9,10 +9,12 @@ A boundary input landing exactly on a level edge, z = (k - 1/2) * theta/L,
 maps to level k (the floor argument hits the integer k exactly).
 
 The staircase is built in one float64 buffer: z * L, / theta, + 1/2,
-floor and clip run in place, in that order. ann_forward casts that buffer
-to the narrowest unsigned integer that holds L (np.min_scalar_type(L)),
-takes the level histogram from those levels, and then scales the buffer
-by theta / L to get the activation output the next layers read.
+floor and clip run in place, in that order. _levels casts that buffer to
+the narrowest unsigned integer that holds L (np.min_scalar_type(L)), and
+every caller reads those levels: qcfs, qcfs_levels, ann_forward (which
+takes the level histogram from them) and runtime.if_input_layer. The
+activation output the next layers read is levels * theta / L, built as a
+new float64 array by the same expression as its trace entry.
 
 One walk, forward, runs a graph for both passes: input_batch, then every
 layer in graph order, then the logits. A value carries its timesteps folded
@@ -47,18 +49,16 @@ counts are read from the words by popcount, without unpacking them.
 SpikeTrain.bits unpacks the bool (T, N, ...) tensor as a new array on each
 read, like a derived trace entry. run_layer unpacks a train once for each
 layer that reads it, and drops the bits when the kernel returns. It reads
-a train in one of four ways, and only fc builds a float64 copy of a whole
-train:
+a train in one of three ways, and only fc and a residual add build a
+float64 copy of a whole train:
 
   conv          kernels.conv2d scales the bits into its patch buffer one
                 block at a time.
   average pool  a 2 x 2 window's float sum depends only on its spike
                 count, so kernels.avg_pool2d looks each window up by count.
-  fc            the dense train, T*N rows of theta_star or 0.
-  residual add  two trains sum to 0, theta_a, theta_b or theta_a + theta_b,
-                looked up by a + 2 b.
+  fc, residual  the dense train, T*N rows of theta_star or 0.
 
-Each lookup table holds the very float sums the dense path adds, so the
+The pooling table holds the very float sums the dense path adds, so its
 results are byte for byte those of the dense train.
 """
 
@@ -73,26 +73,30 @@ from . import kernels
 from .graph import conv_params, layer_affine
 
 
-def _level_buffer(z, cfg):
-    """clip(floor(z * L / theta + 1/2), 0, L) as float64, built in one buffer."""
+def _levels(z, cfg):
+    """clip(floor(z * L / theta + 1/2), 0, L), built in one float64 buffer
+    and returned in np.min_scalar_type(L), the narrowest type that holds L."""
     levels = np.multiply(z, cfg.L, out=np.empty(np.shape(z)), dtype=np.float64)
     np.divide(levels, cfg.theta, out=levels)
     np.add(levels, 0.5, out=levels)
     np.floor(levels, out=levels)
     np.clip(levels, 0.0, float(cfg.L), out=levels)
-    return levels
+    return levels.astype(np.min_scalar_type(cfg.L))
+
+
+def _level_values(levels, step):
+    """Integer levels times theta / L, as a new float64 array."""
+    return np.multiply(levels, step, dtype=np.float64)
 
 
 def qcfs(z, cfg):
     """Elementwise quantized clip-floor activation."""
-    out = _level_buffer(z, cfg)
-    np.multiply(out, cfg.theta / cfg.L, out=out)
-    return out
+    return _level_values(_levels(z, cfg), cfg.theta / cfg.L)
 
 
 def qcfs_levels(z, cfg):
     """Integer level index per element (0..L); same rounding as qcfs."""
-    return _level_buffer(z, cfg).astype(np.int64)
+    return _levels(z, cfg).astype(np.int64)
 
 
 class TraceValues(Mapping):
@@ -248,11 +252,6 @@ def run_layer(graph, layer, srcs, affine=None, consumer=None):
     kind = layer.kind
     if kind == "residual_add":
         a, b = srcs
-        if isinstance(a, SpikeTrain) and isinstance(b, SpikeTrain):
-            table = np.array([0.0, a.theta_star, b.theta_star, a.theta_star + b.theta_star])
-            index = np.multiply(b.bits, 2, dtype=np.uint8)
-            np.add(index, a.bits, out=index)
-            return table[_fold(index)]
         return _rows(a) + _rows(b)
     if kind == "fc":
         x = _rows(srcs[0])
@@ -342,24 +341,17 @@ def forward(graph, x, activation, affines=None, record=None, streamed=()):
     return final.reshape(n, -1)
 
 
-def _level_values(levels, step):
-    """Integer levels times theta / L, as a new float64 array."""
-    return np.multiply(levels, step, dtype=np.float64)
-
-
 def ann_forward(graph, x):
     """Run the real-valued reference pass, capturing a full trace."""
     outputs, pre, hists = TraceValues(), {}, {}
 
     def staircase(layer, z, n):
         cfg = layer.qcfs
-        out = _level_buffer(z, cfg)
-        levels = out.astype(np.min_scalar_type(cfg.L))
+        levels = _levels(z, cfg)
         pre[layer.id] = z
         hists[layer.id] = np.bincount(levels.ravel(), minlength=cfg.L + 1)
         outputs._put(layer.id, partial(_level_values, levels, cfg.theta / cfg.L))
-        np.multiply(out, cfg.theta / cfg.L, out=out)
-        return out
+        return _level_values(levels, cfg.theta / cfg.L)
 
     def record(layer, value, n):
         if layer.kind != "qcfs_act":

@@ -36,8 +36,9 @@ clamp(s, 0, L_out) spikes, and the integer form keeps the spike count
 exact instead of re-deriving it from rounded float subtractions).
 
 The first activation after the real-valued input needs no settling: the
-preceding matmul runs once at full precision, the staircase activation is
-applied, and the resulting level index directly becomes the spike count.
+preceding matmul runs once at full precision, the staircase's levels
+(reference._levels, the reference pass's own) are taken, and each level
+directly becomes the spike count.
 
 A spike train (reference.SpikeTrain, also exported here) holds its spikes
 packed eight timesteps to a byte, plus the shared theta_star; see the
@@ -67,12 +68,14 @@ consumer, and each block of rows the matmul finishes goes straight into
 stage 1. Every other generic layer (after a residual add, or with
 L_in = 1) gets its input as one stored value, which the driver takes as
 a single block; if_generic_layer does the same with a (L_in, N, ...)
-stack. The driver holds one membrane and one counter per neuron of a
+stack. The driver is built from the layer's (N, ...) row shape, and at
+the first block it allocates one membrane and one counter per neuron of a
 timestep and, for a deferred matmul whose pass records a trace, the
 running timestep sum that becomes the matmul's entry in SnnTrace.sums.
 It steps the neurons in spans of at most 32K, so its masks and scratch
-are chunk-sized. Stage 2 runs only on neurons whose membrane can still
-move (below 0 or at threshold and above).
+are chunk-sized, and it reads every block without writing it. Stage 2
+runs only on neurons whose membrane can still move (below 0 or at
+threshold and above).
 
 The counter is int16 whenever L_in plus the stage-2 steps fits that dtype
 and int64 otherwise. IfStats keeps it, when asked, in that dtype as
@@ -92,7 +95,7 @@ from functools import partial
 import numpy as np
 
 from .graph import layer_affine
-from .reference import SpikeTrain, TraceValues, _fold, _level_buffer, ann_forward, forward
+from .reference import SpikeTrain, TraceValues, _fold, _levels, ann_forward, forward
 
 
 class ConversionError(ValueError):
@@ -219,9 +222,7 @@ def if_input_layer(x, cfg):
     first c timesteps, which makes the train sum reproduce the activation
     exactly.
     """
-    levels = _level_buffer(np.asarray(x, dtype=np.float64), cfg)
-    return SpikeTrain.thermometer(levels.astype(np.min_scalar_type(cfg.L)), cfg.L,
-                                  cfg.theta / cfg.L)
+    return SpikeTrain.thermometer(_levels(x, cfg), cfg.L, cfg.theta / cfg.L)
 
 
 # Neurons per span of the integrate-and-fire driver and of _deviation: their
@@ -244,9 +245,9 @@ def _integrate(mem, count, x, th, fire, drop):
 
     x enters the membranes mem; a membrane at th or above fires, adds one
     to its count and soft-resets by th. fire and drop are scratch of mem's
-    length, and drop may be x itself. Subtracting th * fire from every
-    membrane is exact where nothing fires (x - 0.0 is x, a -0.0 included)
-    and runs much faster than a subtract masked by fire.
+    length. Subtracting th * fire from every membrane is exact where
+    nothing fires (x - 0.0 is x, a -0.0 included) and runs much faster
+    than a subtract masked by fire.
     """
     mem += x
     np.greater_equal(mem, th, out=fire)
@@ -297,7 +298,7 @@ def if_generic_layer(stack, plan, keep_counter=False):
         raise ConversionError(
             f"layer '{plan.layer_id}': expected {plan.l_in} input timesteps, "
             f"got {stack.shape[0]}")
-    layer_in = _IfDriver(plan, stack.shape[1])
+    layer_in = _IfDriver(plan, stack.shape[1:])
     layer_in(0, _fold(stack))
     return layer_in.finish(keep_counter)
 
@@ -313,32 +314,32 @@ class _IfDriver:
     stage-1 step, _integrate. It holds one membrane and one counter per
     neuron of a timestep and, with keep_sum, the running timestep sum:
     zeros, then each slice added in turn, which is numpy's axis-0 sum of
-    the C-contiguous stack (a stack of -0.0 sums to +0.0). With
-    owns_blocks each block is the matmul's scratch, so once read it serves
-    as the step's drop buffer; otherwise the block belongs to the caller
-    and a one-chunk buffer takes that role. finish runs stages 2 and 3.
+    the C-contiguous stack (a stack of -0.0 sums to +0.0). Its fire and
+    drop scratch are one chunk each, so it never writes a block. shape is
+    one timestep's (N, ...) rows. finish runs stages 2 and 3.
+
+    The state is allocated when the first block arrives, after a deferred
+    matmul has freed its product and, for fc, its dense input train; built
+    with the driver, it would sit beside them and raise the pass's peak.
     """
 
-    def __init__(self, plan, n, keep_sum=False, owns_blocks=False):
-        self.plan, self.n, self.keep_sum, self.owns_blocks = plan, n, keep_sum, owns_blocks
-        self.count = self.sum = self.drop = None
+    def __init__(self, plan, shape, keep_sum=False):
+        self.plan, self.shape, self.keep_sum = plan, shape, keep_sum
+        self.n, self.per = shape[0], math.prod(shape[1:])
+        self.count = None
 
-    def _start(self, block):
-        self.shape = (self.n,) + block.shape[1:]
-        size = self.n * math.prod(block.shape[1:])
-        steps = _stage2_steps(self.plan)
-        self.mem = np.full(size, self.plan.theta_star / 2.0)
-        self.count = np.zeros(size, dtype=_counter_dtype(self.plan.l_in, steps))
+    def _start(self):
+        plan, size = self.plan, self.n * self.per
+        self.mem = np.full(size, plan.theta_star / 2.0)
+        self.count = np.zeros(size, dtype=_counter_dtype(plan.l_in, _stage2_steps(plan)))
         self.fire = np.empty(min(size, _IF_CHUNK), dtype=bool)
-        if not self.owns_blocks:
-            self.drop = np.empty(len(self.fire))
-        if self.keep_sum:
-            self.sum = np.zeros(size)
+        self.drop = np.empty(len(self.fire))
+        self.sum = np.zeros(size) if self.keep_sum else None
 
     def __call__(self, lo, block):
         if self.count is None:
-            self._start(block)
-        n, th, per = self.n, self.plan.theta_star, math.prod(block.shape[1:])
+            self._start()
+        n, th, per = self.n, self.plan.theta_star, self.per
         flat = block.reshape(-1)
         r, end = lo, lo + len(block)
         while r < end:              # one span per timestep the block holds
@@ -350,8 +351,8 @@ class _IfDriver:
                 span = slice(i * per + a, i * per + a + len(x))
                 if self.sum is not None:
                     self.sum[span] += x
-                drop = x if self.drop is None else self.drop[:len(x)]
-                _integrate(self.mem[span], self.count[span], x, th, self.fire[:len(x)], drop)
+                _integrate(self.mem[span], self.count[span], x, th, self.fire[:len(x)],
+                           self.drop[:len(x)])
             r += rows
 
     def finish(self, keep_counter):
@@ -421,11 +422,8 @@ def snn_forward(model, x, trace=None, keep_counters=False):
         plan = model.if_plans[layer.id]
         if plan.input_mode:
             return if_input_layer(value, layer.qcfs)
-        # a deferred matmul streams its own scratch blocks; a stored value
-        # is one block that the driver must not write
         deferred = isinstance(value, partial)
-        layer_in = _IfDriver(plan, n, keep_sum=deferred and trace is not None,
-                             owns_blocks=deferred)
+        layer_in = _IfDriver(plan, (n,) + layer.in_shape, keep_sum=deferred and trace is not None)
         if deferred:
             value(consumer=layer_in)
             if trace is not None:

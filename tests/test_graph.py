@@ -273,6 +273,35 @@ class TestParse:
         assert serialize_manifest(again) == serialize_manifest(g)
         assert [l.id for l in again.layers] == [l.id for l in g.layers]
 
+    def test_epsilon_written_only_with_batch_norm(self):
+        # small_manifest's c1 is a bias-only conv and f1 a plain fc; SWEPT's
+        # c1 has batch-norm, here with an epsilon other than the default
+        def written(doc):
+            text = serialize_manifest(parse_manifest(json.dumps(doc)))
+            return {e["id"]: e for e in json.loads(text)["layers"]}
+
+        plain = written(small_manifest())
+        assert "epsilon" not in plain["c1"] and "epsilon" not in plain["f1"]
+        swept = json.loads(json.dumps(SWEPT))
+        swept["layers"][1]["epsilon"] = 1e-3
+        assert written(swept)["c1"]["epsilon"] == 1e-3
+        assert "epsilon" not in written(swept)["f1"]
+
+    def test_seed_is_not_kept(self):
+        doc = json.loads(serialize_manifest(parse_manifest(json.dumps(small_manifest(seed=42)))))
+        assert set(doc) == {"name", "classes", "layers"}
+
+    def test_old_style_manifest_parses_to_the_same_graph(self):
+        # older serializers wrote epsilon on every conv/fc and kept a seed
+        old = small_manifest(seed=42)
+        for entry in old["layers"]:
+            if entry["kind"] in ("conv", "fc"):
+                entry.update(bias=entry.get("bias", False), batch_norm=False, epsilon=1e-5)
+        g = parse_manifest(json.dumps(old))
+        assert g == parse_manifest(json.dumps(small_manifest()))
+        assert serialize_manifest(g) == serialize_manifest(
+            parse_manifest(json.dumps(small_manifest())))
+
 
 ZOO_MANIFESTS = {
     "toy": toy_manifest(),

@@ -6,7 +6,7 @@ import pytest
 
 from spikecast.graph import QcfsConfig, init_random, parse_manifest
 from spikecast.kernels import KernelError
-from spikecast.reference import SpikeTrain, _level_buffer, ann_forward, qcfs, qcfs_levels
+from spikecast.reference import SpikeTrain, _levels, ann_forward, qcfs, qcfs_levels
 
 from conftest import expression_levels
 
@@ -180,7 +180,7 @@ class TestAnnForward:
         x = np.linspace(-0.1, 1.0, 2 * 640).reshape(2, 640, 1, 1)
         trace = ann_forward(graph, x)
         cfg = graph.layer("act").qcfs
-        levels = _level_buffer(trace.pre_activations["act"], cfg)
+        levels = _levels(trace.pre_activations["act"], cfg)
         counts = trace.histograms["act"]
         assert counts[0] > 0 and counts[L] > 0
         assert trace.outputs["act"].tobytes() == (levels * (cfg.theta / cfg.L)).tobytes()

@@ -211,10 +211,10 @@ class TestStreamedIfLayer:
         assert fed == ["c2"]
         assert kernels._patch_index.cache_info().currsize == 1     # c1's geometry only
 
-    def test_block_edges_and_signed_zeros(self):
-        # one stack fed in random row blocks against if_generic_layer and
-        # numpy's axis-0 sum; a third of the inputs sit on exact level edges,
-        # and one neuron sees -0.0 at every step, which numpy sums to +0.0
+    @staticmethod
+    def edge_cases():
+        """100 (stack, plan, row cuts): a third of the inputs sit on exact
+        level edges, and one neuron sees -0.0 at every step."""
         rng = np.random.default_rng(47)
         for _ in range(100):
             l_in, n = int(rng.choice([2, 3, 4, 8])), int(rng.integers(1, 6))
@@ -224,18 +224,64 @@ class TestStreamedIfLayer:
             stack[..., 0, :] = rng.integers(-4, 5, size=(l_in, n, 4)) * (th / 2)
             stack[:, :, 1, 0] = -0.0
             plan = IfLayer("t", theta_star=th, l_in=l_in, l_out=l_out)
-            train, st = if_generic_layer(stack, plan, keep_counter=True)
-            layer_in = runtime._IfDriver(plan, n, keep_sum=True, owns_blocks=True)
-            rows = stack.reshape(l_in * n, 3, 4).copy()     # the consumer may overwrite
             cuts = rng.integers(0, min(4, l_in * n))
             edges = np.sort(rng.choice(np.arange(1, l_in * n), size=cuts, replace=False)).tolist()
-            for lo, hi in zip([0] + edges, edges + [l_in * n]):
+            yield stack, plan, list(zip([0] + edges, edges + [l_in * n]))
+
+    def test_block_edges_and_signed_zeros(self):
+        # one stack fed in random row blocks against if_generic_layer and
+        # numpy's axis-0 sum, which sums a neuron's -0.0 steps to +0.0
+        for stack, plan, blocks in self.edge_cases():
+            n = stack.shape[1]
+            train, st = if_generic_layer(stack, plan, keep_counter=True)
+            layer_in = runtime._IfDriver(plan, (n, 3, 4), keep_sum=True)
+            rows = stack.reshape(-1, 3, 4)
+            for lo, hi in blocks:
                 layer_in(lo, rows[lo:hi])
             got_train, got = layer_in.finish(keep_counter=True)
             assert_same_bytes(got_train.bits, train.bits, "bits")
             assert_same_stats(got, st)
             assert_same_bytes(layer_in.sum.reshape(layer_in.shape), stack.sum(axis=0), "sum")
             assert not np.signbit(layer_in.sum.reshape(layer_in.shape)[:, 1, 0]).any()
+
+    def test_blocks_are_never_written(self):
+        # a deferred matmul's row blocks, and a stored value or stack given
+        # as one block, are byte for byte the same after the driver reads them
+        for stack, plan, blocks in self.edge_cases():
+            n = stack.shape[1]
+            rows = stack.reshape(-1, 3, 4)
+            for cuts, keep_sum in ((blocks, True), ([(0, len(rows))], False)):
+                layer_in = runtime._IfDriver(plan, (n, 3, 4), keep_sum=keep_sum)
+                for lo, hi in cuts:
+                    block = rows[lo:hi].copy()
+                    layer_in(lo, block)
+                    assert block.tobytes() == rows[lo:hi].tobytes()
+                layer_in.finish(keep_counter=False)
+            held = stack.copy()
+            if_generic_layer(stack, plan)
+            assert stack.tobytes() == held.tobytes()
+
+    @pytest.mark.parametrize("name", ["toy", "residual", "l_in_1"])
+    def test_snn_forward_writes_no_block(self, name, monkeypatch):
+        # every block the spiking pass hands a driver, streamed by a deferred
+        # conv or fc, a residual sum or an L_in = 1 value, is unchanged
+        # once the driver has read it
+        read = runtime._IfDriver.__call__
+        seen = []
+
+        def checked(self, lo, block):
+            held = block.copy()
+            read(self, lo, block)
+            assert block.tobytes() == held.tobytes()
+            seen.append(len(block))
+
+        monkeypatch.setattr(runtime._IfDriver, "__call__", checked)
+        manifest = {"toy": toy_manifest(), "residual": residual_block_manifest(),
+                    "l_in_1": chain_manifest(1, 4)}[name]
+        graph = init_random(parse_manifest(manifest), 5)
+        x = np.random.default_rng(5).uniform(0, 1, size=(3,) + graph.input_layer.shape)
+        snn_forward(convert(graph), x, trace=SnnTrace())
+        assert seen
 
     def test_no_stack_is_built(self):
         # VGG-16's first two convs at T = 8 and N = 8: c2's (T*N, 64, 32, 32)
@@ -311,6 +357,35 @@ class TestInputIfLayer:
         cfg = QcfsConfig(L=4, theta=1.0)
         train = if_input_layer(np.array([[9.0]]), cfg)
         np.testing.assert_array_equal(train.dense().ravel(), [0.25] * 4)
+
+    def test_levels_agree_on_edges(self):
+        # exact level edges (k - 1/2) theta / L and their float neighbours:
+        # the input layer's spike counts, qcfs_levels, the reference
+        # histogram and the spiking pass's input train read one staircase
+        for L, theta in ((1, 1.0), (4, 0.7), (10, 1.0), (255, 0.9), (256, 0.9)):
+            edges = (np.arange(-1, L + 2) - 0.5) * (theta / L)
+            z = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                np.nextafter(edges, np.inf)])
+            doc = {"name": "edges", "classes": 2, "layers": [
+                {"id": "in", "kind": "input", "pred": [], "shape": [len(z), 1, 1]},
+                {"id": "fc", "kind": "fc", "pred": ["in"], "out_features": len(z)},
+                {"id": "act", "kind": "qcfs_act", "pred": ["fc"], "L": L, "theta": theta},
+                {"id": "head", "kind": "fc", "pred": ["act"], "out_features": 2}]}
+            graph = init_random(parse_manifest(json.dumps(doc)), 3)
+            identity = {"weight": np.eye(len(z), dtype=np.float32)}
+            graph = graph.with_weights(dict(graph.weights, fc=identity))
+            x = z.reshape(1, -1, 1, 1)
+            trace = ann_forward(graph, x)
+            pre, cfg = trace.pre_activations["act"], graph.layer("act").qcfs
+            assert pre.tobytes() == z.reshape(pre.shape).tobytes()    # the identity is exact
+            levels = qcfs_levels(pre, cfg)
+            assert set(np.unique(levels)) == set(range(L + 1))
+            assert if_input_layer(pre, cfg).spike_counts().tobytes() == levels.tobytes()
+            want = np.bincount(levels.ravel(), minlength=L + 1)
+            assert trace.histograms["act"].tobytes() == want.tobytes()
+            snn = SnnTrace()
+            snn_forward(convert(graph), x, trace=snn)
+            assert snn.trains["act"].spike_counts().tobytes() == levels.tobytes()
 
     def test_sums_to_activation(self):
         rng = np.random.default_rng(41)
@@ -556,8 +631,8 @@ class TestUnrolledResidualAdd:
         np.testing.assert_allclose(out.sum(axis=0), a.sum(axis=0) + b.sum(axis=0),
                                    atol=1e-12)
 
-    def test_two_trains_add_by_lookup(self):
-        # 0.1 + 0.7 rounds, so the table entry must be the float sum itself
+    def test_two_trains_add_to_the_dense_sum(self):
+        # 0.1 + 0.7 rounds; the sum is the dense trains' float sum, byte for byte
         rng = np.random.default_rng(10)
         for theta_a, theta_b in ((0.1, 0.7), (1.0 / 3.0, 0.25), (0.5, 0.5)):
             a = SpikeTrain(rng.random((4, 2, 3, 5)) < 0.5, theta_a)
@@ -699,7 +774,7 @@ def contract_net(name):
 
 def walked_outputs(graph, x):
     """Every value of a staircase walk, kept as it is made: the reference
-    outputs as arrays, qcfs giving _level_buffer * theta / L in place."""
+    outputs as arrays, qcfs giving _levels * theta / L."""
     values = {}
     forward(graph, x, lambda layer, z, n: qcfs(z, layer.qcfs),
             record=lambda layer, value, n: values.__setitem__(layer.id, value))

@@ -8,13 +8,14 @@ whose outputs live exactly on the level grid {0, 1, ..., L} * theta / L.
 A boundary input landing exactly on a level edge, z = (k - 1/2) * theta/L,
 maps to level k (the floor argument hits the integer k exactly).
 
-The staircase is built in one float64 buffer: z * L, / theta, + 1/2,
-floor and clip run in place, in that order. _levels casts that buffer to
-the narrowest unsigned integer that holds L (np.min_scalar_type(L)), and
-every caller reads those levels: qcfs, qcfs_levels, ann_forward (which
-takes the level histogram from them) and runtime.if_input_layer. The
-activation output the next layers read is levels * theta / L, built as a
-new float64 array by the same expression as its trace entry.
+The staircase is built in one float64 buffer: z * L, / theta, + 1/2 and
+clip run in place, in that order. _levels casts that buffer to the
+narrowest unsigned integer that holds L (np.min_scalar_type(L)); on
+[0, L] the cast truncates, which is the floor. Every caller reads those
+levels: qcfs, qcfs_levels, ann_forward (which takes the level histogram
+from them, in chunks) and runtime.if_input_layer. The activation output
+the next layers read is levels * theta / L, built as a new float64 array,
+which is qcfs(z).
 
 One walk, forward, runs a graph for both passes: input_batch, then every
 layer in graph order, then the logits. A value carries its timesteps folded
@@ -32,12 +33,14 @@ layers instead, and a conv or fc layer that feeds only a generic one with
 more than one input timestep hands it its row blocks as run_layer makes
 them (see forward), so its T*N-row output is never built.
 
-A trace holds as little as the values it reports need. LayerTrace.outputs
-is a TraceValues map: a non-activation output is stored as the array the
-walk made, and an activation output is kept as its integer levels plus
-theta / L. Reading an activation entry builds levels * theta / L as a new
-float64 array, the staircase's own final multiply, so its bytes are those
-of the activation value; every such read allocates the whole array.
+A trace holds only what it cannot rebuild. LayerTrace.outputs is a
+TraceValues map: a conv, fc, residual or input entry is stored, a
+read-only view of the array the walk made. An activation entry is the
+recipe qcfs(z, cfg), rebuilt from its stored pre-activation z by the same
+_levels and _level_values the pass ran, and a pool entry is avg_pool2d of
+its input entry, rebuilt in turn; neither keeps an array. Every read of a
+rebuilt entry allocates the whole array, and its bytes are those of the
+walk's value.
 
 A SpikeTrain stores its spikes packed along time, eight timesteps to a
 byte (SpikeTrain.words, ceil(T/8) bytes per neuron), plus the shared
@@ -75,13 +78,29 @@ from .graph import conv_params, layer_affine
 
 def _levels(z, cfg):
     """clip(floor(z * L / theta + 1/2), 0, L), built in one float64 buffer
-    and returned in np.min_scalar_type(L), the narrowest type that holds L."""
+    and returned in np.min_scalar_type(L), the narrowest type that holds L.
+    The clip runs before the floor: on [0, L] the integer cast truncates,
+    which is the floor, and clipping first gives the same level."""
     levels = np.multiply(z, cfg.L, out=np.empty(np.shape(z)), dtype=np.float64)
     np.divide(levels, cfg.theta, out=levels)
     np.add(levels, 0.5, out=levels)
-    np.floor(levels, out=levels)
-    np.clip(levels, 0.0, float(cfg.L), out=levels)
+    levels.clip(0.0, float(cfg.L), out=levels)  # the method skips np.clip's wrapper
     return levels.astype(np.min_scalar_type(cfg.L))
+
+
+# Levels per np.bincount call of _histogram, so its intp cast stays small
+_HIST_CHUNK = 1 << 16
+
+
+def _histogram(levels, L):
+    """The (L + 1,) level counts, np.bincount(levels.ravel(), minlength=L + 1)
+    summed over chunks: bincount casts its input to intp, and a whole
+    layer's cast would be eight bytes per uint8 level."""
+    flat = levels.reshape(-1)
+    counts = np.bincount(flat[:_HIST_CHUNK], minlength=L + 1)
+    for lo in range(_HIST_CHUNK, flat.size, _HIST_CHUNK):
+        counts += np.bincount(flat[lo:lo + _HIST_CHUNK], minlength=L + 1)
+    return counts
 
 
 def _level_values(levels, step):
@@ -99,25 +118,49 @@ def qcfs_levels(z, cfg):
     return _levels(z, cfg).astype(np.int64)
 
 
+def _frozen(array):
+    """A read-only view of array; the array's own flags stay as they are."""
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
+def _read(entry):
+    """A trace entry's array: a stored array as it is, a recipe called."""
+    return entry() if isinstance(entry, partial) else entry
+
+
+def _pooled(entry, window):
+    """The reference pool rebuilt from its input's trace entry."""
+    return kernels.avg_pool2d(_read(entry), window)
+
+
 class TraceValues(Mapping):
     """A trace's read-only map of layer id -> array, in graph order.
 
-    An entry is stored or derived. A stored entry is the array itself and
-    is returned as it is. A derived entry keeps only what its array is
-    built from and builds the array on each read: every read allocates and
-    returns a fresh array, so writing into one changes no later read.
+    An entry is stored or derived. A stored entry is a read-only view of
+    the array the walk made, returned as it is: writing into it raises,
+    and the array's own flags are left alone. A derived entry is a recipe,
+    a functools.partial that builds the array on each read from the
+    stored arrays or spike trains it holds: every read allocates and
+    returns a fresh array, so writing into one changes no later read. A
+    recipe holds its sources themselves, never the map, so dropping a
+    trace frees its bytes at once, without the cyclic garbage collector.
     """
 
     def __init__(self):
-        self._entries = {}    # layer id -> array, or a partial that builds it
+        self._entries = {}    # layer id -> read-only array, or a recipe
 
     def _put(self, key, value):
-        """Add an entry: an array to store, or a partial to call on each read."""
-        self._entries[key] = value
+        """Add an entry: an array to store read-only, or a partial to call on each read."""
+        self._entries[key] = value if isinstance(value, partial) else _frozen(value)
+
+    def _entry(self, key):
+        """The stored array or the recipe itself, for a recipe to read."""
+        return self._entries[key]
 
     def __getitem__(self, key):
-        entry = self._entries[key]
-        return entry() if isinstance(entry, partial) else entry
+        return _read(self._entries[key])
 
     def __iter__(self):
         return iter(self._entries)
@@ -131,7 +174,7 @@ class LayerTrace:
     """Every layer output from one forward pass, plus activation detail."""
 
     outputs: Mapping              # layer id -> output array (TraceValues)
-    pre_activations: dict         # activation layer id -> input array
+    pre_activations: dict         # activation layer id -> input array (read-only)
     histograms: dict              # activation layer id -> level counts (L+1,)
     logits: np.ndarray            # (N, classes)
 
@@ -348,14 +391,16 @@ def ann_forward(graph, x):
     def staircase(layer, z, n):
         cfg = layer.qcfs
         levels = _levels(z, cfg)
-        pre[layer.id] = z
-        hists[layer.id] = np.bincount(levels.ravel(), minlength=cfg.L + 1)
-        outputs._put(layer.id, partial(_level_values, levels, cfg.theta / cfg.L))
+        pre[layer.id] = _frozen(z)
+        hists[layer.id] = _histogram(levels, cfg.L)
         return _level_values(levels, cfg.theta / cfg.L)
 
     def record(layer, value, n):
-        if layer.kind != "qcfs_act":
-            outputs._put(layer.id, value)
+        if layer.kind == "qcfs_act":
+            value = partial(qcfs, pre[layer.id], layer.qcfs)
+        elif layer.kind == "avg_pool":
+            value = partial(_pooled, outputs._entry(layer.preds[0]), layer.window)
+        outputs._put(layer.id, value)
 
     logits = forward(graph, x, staircase, record=record)
     return LayerTrace(outputs=outputs, pre_activations=pre, histograms=hists, logits=logits)

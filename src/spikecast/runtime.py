@@ -52,9 +52,11 @@ read, so every such read allocates a new float64 array. The counts are
 the words' popcounts, read without unpacking the train. A neuron with c
 spikes sums to theta_star added c times, looked up in a cumulative table
 by its count. That table holds the very float sums the dense path adds,
-so the sums are byte for byte those of the dense train. Conv, pool, fc and
-single-shot entries are stored arrays, returned as they are; a streamed
-matmul's entry is the running sum its integrate-and-fire layer kept.
+so the sums are byte for byte those of the dense train. A pool of a train
+keeps only that train too: each read re-runs the pool on it (run_layer)
+and sums the result over T. Conv, fc, residual and single-shot entries
+are stored read-only arrays, returned as they are; a streamed matmul's
+entry is the running sum its integrate-and-fire layer kept.
 check_equivalence compares each layer in chunks of one reused buffer, so
 its comparison holds no layer-sized temporary.
 
@@ -95,7 +97,8 @@ from functools import partial
 import numpy as np
 
 from .graph import layer_affine
-from .reference import SpikeTrain, TraceValues, _fold, _levels, ann_forward, forward
+from .reference import (SpikeTrain, TraceValues, _fold, _levels, ann_forward, forward,
+                        run_layer)
 
 
 class ConversionError(ValueError):
@@ -391,7 +394,8 @@ class _IfDriver:
 class SnnTrace:
     """Optional capture of the spiking pass: per-layer timestep sums
     (the quantity the layer invariant constrains) and the emitted trains.
-    A train's sum is built from the train on each read of sums."""
+    The sum of a train, or of a pool of a train, is built from the train
+    on each read of sums."""
 
     sums: Mapping = field(default_factory=TraceValues)
     trains: dict = field(default_factory=dict)
@@ -405,6 +409,18 @@ def _train_sum(train):
     table = np.zeros(t + 1)
     np.cumsum(np.full(t, train.theta_star), out=table[1:])
     return table[train.spike_counts(np.min_scalar_type(t))]
+
+
+def _timestep_sum(value, n):
+    """A value of T*N rows summed over its T timesteps; a single-shot value
+    of N rows as it is."""
+    return value if len(value) == n else value.reshape((-1, n) + value.shape[1:]).sum(axis=0)
+
+
+def _pooled_sum(layer, train, n):
+    """The timestep sum of a pool of train, the pool re-run as the walk ran
+    it (a pool reads no graph)."""
+    return _timestep_sum(run_layer(None, layer, [train]), n)
 
 
 def snn_forward(model, x, trace=None, keep_counters=False):
@@ -439,10 +455,11 @@ def snn_forward(model, x, trace=None, keep_counters=False):
             if isinstance(value, SpikeTrain):
                 trace.sums._put(layer.id, partial(_train_sum, value))
                 trace.trains[layer.id] = value
-            elif len(value) == n:
-                trace.sums._put(layer.id, value)
+            elif layer.kind == "avg_pool" and layer.preds[0] in trace.trains:
+                train = trace.trains[layer.preds[0]]
+                trace.sums._put(layer.id, partial(_pooled_sum, layer, train, n))
             else:
-                trace.sums._put(layer.id, value.reshape((-1, n) + value.shape[1:]).sum(axis=0))
+                trace.sums._put(layer.id, _timestep_sum(value, n))
 
     logits = forward(model.graph, x, integrate_and_fire, model.scaled_affines, record, streamed)
     return logits, stats

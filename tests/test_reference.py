@@ -6,9 +6,10 @@ import pytest
 
 from spikecast.graph import QcfsConfig, init_random, parse_manifest
 from spikecast.kernels import KernelError
-from spikecast.reference import SpikeTrain, _levels, ann_forward, qcfs, qcfs_levels
+from spikecast.reference import (_HIST_CHUNK, SpikeTrain, _histogram, _levels, ann_forward, qcfs,
+                                 qcfs_levels)
 
-from conftest import expression_levels
+from conftest import expression_levels, traced_peak_bytes
 
 
 class TestQcfs:
@@ -78,6 +79,25 @@ class TestQcfs:
                 levels = expression_levels(arr, cfg)
                 assert qcfs_levels(arr, cfg).tobytes() == levels.astype(np.int64).tobytes()
                 assert qcfs(arr, cfg).tobytes() == (levels * (cfg.theta / cfg.L)).tobytes()
+
+    @pytest.mark.parametrize("L", [1, 3, 255, 256, 2 ** 16, 2 ** 31 - 1, 2 ** 31])
+    def test_cast_is_the_floor(self, L):
+        # _levels clips before its integer cast and has no floor: on [0, L]
+        # the cast truncates, which is the floor. Edges, their float
+        # neighbours, signed zeros, subnormals and the overflowing ends.
+        k = np.arange(-2, 3000)
+        k = np.concatenate([k, L - k]) if L > 3000 else k[k <= L + 2]
+        for theta in (1e-3, 0.1, 1.0 / 3.0, 0.7, 1.0, 2.5, 1e3):
+            cfg = QcfsConfig(L=L, theta=theta)
+            edges = (k - 0.5) * (theta / L)
+            z = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                                [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
+                                 np.inf, -np.inf]])
+            with np.errstate(over="ignore"):
+                want = expression_levels(z, cfg)
+                got = _levels(z, cfg)
+            assert got.dtype == np.min_scalar_type(L)
+            assert np.array_equal(got, want)
 
 
 class TestSpikeTrain:
@@ -165,7 +185,7 @@ class TestAnnForward:
 
     @pytest.mark.parametrize("L", [1, 255, 256])
     def test_levels_at_every_width(self, L):
-        # the trace keeps levels in np.min_scalar_type(L): uint8 up to
+        # _levels returns levels in np.min_scalar_type(L): uint8 up to
         # L = 255 and uint16 from 256, where a uint8 store would wrap the
         # top level to 0. Inputs sweep every level, the clipped ends included.
         doc = {"name": "sweep", "classes": 2, "layers": [
@@ -186,6 +206,16 @@ class TestAnnForward:
         assert trace.outputs["act"].tobytes() == (levels * (cfg.theta / cfg.L)).tobytes()
         want = np.bincount(levels.astype(np.int64).ravel(), minlength=L + 1)
         assert counts.dtype == want.dtype and counts.tobytes() == want.tobytes()
+
+    def test_histogram_sums_chunks(self):
+        # more levels than one bincount chunk, ending in a partial chunk;
+        # the counts and their dtype are those of one whole bincount, and
+        # the chunked count holds no intp copy of the whole layer
+        levels = np.random.default_rng(29).integers(0, 5, size=(3, _HIST_CHUNK + 7), dtype=np.uint8)
+        want = np.bincount(levels.ravel(), minlength=5)
+        got = _histogram(levels, 4)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert traced_peak_bytes(lambda: _histogram(levels, 4)) < 2 * _HIST_CHUNK * 8
 
     def test_deterministic(self, toy_graph):
         x = np.random.default_rng(3).uniform(0, 1, size=(2, 2, 8, 8))

@@ -1,5 +1,8 @@
+import gc
 import json
+import tracemalloc
 import warnings
+import weakref
 from collections.abc import Mapping
 from dataclasses import fields
 
@@ -48,9 +51,10 @@ def chain_manifest(l_first, l_second):
     return json.dumps(doc)
 
 
-def conv_stack_manifest(depth, steps):
+def conv_stack_manifest(depth, steps, pool_after=None):
     """depth 3x3 convs of 16 channels on 16x16 inputs, each followed by an
-    activation with L = steps, then a 10-class head."""
+    activation with L = steps, then a 10-class head. With pool_after = i,
+    a 2x2 average pool follows activation i."""
     layers = [{"id": "in", "kind": "input", "pred": [], "shape": [3, 16, 16]}]
     prev = "in"
     for i in range(depth):
@@ -59,6 +63,9 @@ def conv_stack_manifest(depth, steps):
                    {"id": f"a{i}", "kind": "qcfs_act", "pred": [f"c{i}"], "L": steps,
                     "theta": 1.0}]
         prev = f"a{i}"
+        if i == pool_after:
+            layers.append({"id": f"p{i}", "kind": "avg_pool", "pred": [prev], "window": 2})
+            prev = f"p{i}"
     layers.append({"id": "f", "kind": "fc", "pred": [prev], "out_features": 10})
     return json.dumps({"name": "conv-stack", "classes": 10, "layers": layers})
 
@@ -784,7 +791,7 @@ def walked_outputs(graph, x):
 def assert_trace_map(entries, ids, want, derived):
     """entries maps ids, in order, to arrays equal to want's in dtype, shape
     and bytes; an id in derived gets a fresh array on each read, any other
-    the one stored array."""
+    the one stored array, read-only."""
     assert isinstance(entries, Mapping)
     assert list(entries) == ids and len(entries) == len(ids)
     assert all(lid in entries for lid in ids) and "absent" not in entries
@@ -797,64 +804,141 @@ def assert_trace_map(entries, ids, want, derived):
             again = entries[lid]
             assert again is not got and again.tobytes() == want[lid].tobytes(), lid
         else:
-            assert entries[lid] is got, lid
+            assert entries[lid] is got and not got.flags.writeable, lid
     with pytest.raises(TypeError):
         entries[ids[0]] = want[ids[0]]
 
 
+def pooled_trains(graph, trains):
+    """The ids of the pools whose input is one of trains."""
+    return {layer.id for layer in graph.layers
+            if layer.kind == "avg_pool" and layer.preds[0] in trains}
+
+
+def spiking_trace(model, x):
+    """A fresh SnnTrace of snn_forward(model, x)."""
+    trace = SnnTrace()
+    snn_forward(model, x, trace=trace)
+    return trace
+
+
 class TestTraceMaps:
     """LayerTrace.outputs and SnnTrace.sums: read-only maps in graph order
-    whose activation and train entries are built on each read."""
+    whose activation, train and pool entries are built on each read."""
 
     @pytest.mark.parametrize("net", ["toy", "residual", "input-mode-fc"])
     def test_layer_trace_outputs(self, net):
         graph, x = contract_net(net)
         ref = ann_forward(graph, x)
-        acts = {layer.id for layer in graph.qcfs_layers()}
+        derived = {layer.id for layer in graph.layers if layer.kind in ("qcfs_act", "avg_pool")}
         assert_trace_map(ref.outputs, [layer.id for layer in graph.layers],
-                         walked_outputs(graph, x), acts)
+                         walked_outputs(graph, x), derived)
 
     @pytest.mark.parametrize("net", ["toy", "residual", "input-mode-fc"])
     def test_snn_trace_sums(self, net):
         graph, x = contract_net(net)
-        trace = SnnTrace()
-        snn_forward(convert(graph), x, trace=trace)
+        trace = spiking_trace(convert(graph), x)
         assert set(trace.trains) == {layer.id for layer in graph.qcfs_layers()}
         want = {lid: train.dense().sum(axis=0) for lid, train in trace.trains.items()}
+        for lid in pooled_trains(graph, trace.trains):
+            pred = graph.layer(lid).preds[0]
+            t = trace.trains[pred].timesteps
+            pooled = mean_avg_pool2d(_fold(trace.trains[pred].dense()))
+            want[lid] = pooled.reshape((t, -1) + pooled.shape[1:]).sum(axis=0)
         for lid, total in trace.sums.items():
             want.setdefault(lid, total)
         if net == "residual":
             dense = trace.trains["act0"].dense() + trace.trains["act1"].dense()
             assert want["merge"].tobytes() == dense.sum(axis=0).tobytes()
         assert_trace_map(trace.sums, [layer.id for layer in graph.layers], want,
-                         set(trace.trains))
+                         set(trace.trains) | pooled_trains(graph, trace.trains))
+
+    @staticmethod
+    def stored_bytes(graph, entries, derived):
+        """The bytes of the entries a trace stores, the input's aside: the
+        input entry is a view of the caller's x."""
+        return sum(entries[layer.id].nbytes for layer in graph.layers
+                   if layer.kind != "input" and layer.id not in derived)
 
     def test_traces_hold_levels_and_bits(self):
-        # a LayerTrace holds its stored outputs plus one level item per
-        # activation element; an SnnTrace its stored sums plus its trains'
-        # words, ceil(T / 8) bytes per neuron. Keeping float64 activation
-        # outputs, train sums or one byte per spike breaks these bounds.
-        graph = init_random(parse_manifest(conv_stack_manifest(depth=4, steps=4)), 17)
+        # a LayerTrace holds its stored outputs and nothing of its
+        # activations and pools; an SnnTrace its stored sums plus its
+        # trains' words, ceil(T / 8) bytes per neuron. Keeping levels,
+        # float64 activation or pool outputs, train sums or one byte per
+        # spike breaks the upper bounds; a trace that only the cyclic
+        # garbage collector frees reads 0 held and breaks the lower ones.
+        graph = init_random(parse_manifest(conv_stack_manifest(4, 4, pool_after=1)), 17)
         model = convert(graph)
-        x = np.random.default_rng(17).uniform(0, 1, size=(2, 3, 16, 16))
+        x = np.random.default_rng(17).uniform(0, 1, size=(8, 3, 16, 16))
         ref = ann_forward(graph, x)                 # also warms weight views and indices
-        trace = SnnTrace()
-        snn_forward(model, x, trace=trace)
+        trace = spiking_trace(model, x)
         slack = 32 << 10
-        stored = sum(ref.outputs[layer.id].nbytes for layer in graph.layers
-                     if layer.kind != "qcfs_act")
-        levels = sum(np.dtype(np.min_scalar_type(layer.qcfs.L)).itemsize
-                     * ref.pre_activations[layer.id].size for layer in graph.qcfs_layers())
-        assert traced_held_bytes(lambda: ann_forward(graph, x)) < stored + levels + slack
+        derived = {layer.id for layer in graph.layers if layer.kind in ("qcfs_act", "avg_pool")}
+        stored = self.stored_bytes(graph, ref.outputs, derived)
+        held = traced_held_bytes(lambda: ann_forward(graph, x))
+        assert stored <= held < stored + slack
 
-        def spiking_trace():
-            held = SnnTrace()
-            snn_forward(model, x, trace=held)
-            return held
-        stored = sum(trace.sums[lid].nbytes for lid in trace.sums if lid not in trace.trains)
-        words = sum(-(-train.timesteps // 8) * train.bits[0].size
-                    for train in trace.trains.values())
-        assert traced_held_bytes(spiking_trace) < stored + words + slack
+        derived = set(trace.trains) | pooled_trains(graph, trace.trains)
+        stored = self.stored_bytes(graph, trace.sums, derived)
+        stored += sum(-(-train.timesteps // 8) * train.bits[0].size
+                      for train in trace.trains.values())
+        held = traced_held_bytes(lambda: spiking_trace(model, x))
+        assert stored <= held < stored + slack
+
+    @pytest.mark.parametrize("net", ["toy", "residual", "input-mode-fc"])
+    def test_dropping_a_trace_frees_it(self, net):
+        # no recipe holds its map, so with the cyclic garbage collector off,
+        # del frees each map and every stored array of it at once
+        graph, x = contract_net(net)
+        model = convert(graph)
+        ann_forward(graph, x)                       # warms weight views and indices
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for make in (lambda: ann_forward(graph, x).outputs,
+                         lambda: spiking_trace(model, x).sums):
+                tracemalloc.start()
+                try:
+                    entries = make()
+                    stored = sum(entries[lid].nbytes for lid in entries
+                                 if lid != "in" and entries[lid] is entries[lid])
+                    gone = weakref.ref(entries)
+                    held = tracemalloc.get_traced_memory()[0]
+                    del entries
+                    freed = held - tracemalloc.get_traced_memory()[0]
+                finally:
+                    tracemalloc.stop()
+                assert gone() is None
+                assert freed >= stored > 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_writing_a_stored_entry_raises(self):
+        # the stored arrays recipes read are read-only: a write into a conv
+        # output or pre-activation would otherwise change its activation
+        graph, x = contract_net("toy")
+        ref = ann_forward(graph, x)
+        act = ref.outputs["act1"]
+        for stored in (ref.outputs["conv1"], ref.pre_activations["act1"], ref.outputs["in"]):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[...] = 7.0
+        assert ref.outputs["act1"].tobytes() == act.tobytes()
+        assert ref.outputs["pool1"].tobytes() == mean_avg_pool2d(act).tobytes()
+        trace = spiking_trace(convert(graph), x)
+        for lid in ("in", "conv1", "conv2", "head"):
+            with pytest.raises(ValueError, match="read-only"):
+                trace.sums[lid][...] = 7.0
+
+    def test_caller_input_stays_writeable(self):
+        # the input entry is a read-only view of the caller's own x, whose
+        # flags are left as they are
+        graph, x = contract_net("toy")
+        ref = ann_forward(graph, x)
+        trace = spiking_trace(convert(graph), x)
+        assert x.flags.writeable
+        for entry in (ref.outputs["in"], trace.sums["in"]):
+            assert np.shares_memory(entry, x) and not entry.flags.writeable
 
 
 class TestCheckEquivalence:

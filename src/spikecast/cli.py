@@ -172,8 +172,7 @@ def cmd_al_metric(args):
     graph = _load_graph(args)
     alpha = args.alpha
     if alpha is None:
-        k = args.alpha_k if args.alpha_k is not None else 0.5
-        alpha = sensitivity.default_alpha(len(graph.matmul_layers()), k)
+        alpha = sensitivity.default_alpha(len(graph.matmul_layers()))
     # check the settings before drawing weights and running the batch
     sensitivity._check_alpha(alpha)
     sensitivity._check_chi(args.chi)
@@ -350,8 +349,6 @@ def build_parser():
     p = sub.add_parser("al-metric", help="layer sensitivity metrics and clustering")
     common(p)
     p.add_argument("--alpha", type=float, help="agreement occupancy threshold")
-    p.add_argument("--alpha-k", dest="alpha_k", type=float,
-                   help="set alpha = k / (matmul layer count)")
     p.add_argument("--chi", type=int, default=1, help="cluster count")
     p.set_defaults(func=cmd_al_metric)
 

@@ -225,37 +225,31 @@ def dims_from_graph(graph, act_steps=None):
     Returns three aligned lists: MatMulDims, steps and source ids. A matmul
     is paired with the activation it feeds, directly or through residual
     adds of which it is the first predecessor, so a block's second conv is
-    paired and its projection shortcut is not. Its source is the activation
-    whose train it consumes, followed back through pools and residual adds
-    by their first predecessor, or None where it consumes the image. Its
-    step is the L of the activation it feeds, or else of its source (1 on
-    the image). act_steps, {activation id: L}, overrides the manifest's L.
+    paired and its projection shortcut is not. Its source is LayerSpec.source,
+    the activation whose train it consumes, followed back through pools and
+    residual adds by their first predecessor, or None where it consumes the
+    image. Its step is the L of the activation it feeds, or else of its
+    source (1 on the image). act_steps, {activation id: L}, overrides the manifest's L.
     Needs no weights; raises ConversionError where runtime.timestep_map does.
     """
     timestep_map(graph)     # rejects residual merges of unequal timestep counts
     steps_of = {l.id: l.qcfs.L for l in graph.qcfs_layers()}
     steps_of.update(act_steps or {})
-    source, fed = {}, {}
-    for layer in graph.layers:
-        if layer.kind == "input":
-            source[layer.id] = None
-        elif layer.kind == "qcfs_act":
-            source[layer.id] = layer.id
-            feeder = graph.layer(layer.preds[0])
-            while feeder.kind == "residual_add":
-                feeder = graph.layer(feeder.preds[0])
-            fed.setdefault(feeder.id, layer.id)
-        else:
-            source[layer.id] = source[layer.preds[0]]
-    dims, steps, sources = [], [], []
-    for layer in graph.matmul_layers():
-        act = fed.get(layer.id, source[layer.id])
+    fed = {}
+    for act in graph.qcfs_layers():
+        feeder = graph.layer(act.preds[0])
+        while feeder.kind == "residual_add":
+            feeder = graph.layer(feeder.preds[0])
+        fed.setdefault(feeder.id, act.id)
+    matmuls = graph.matmul_layers()
+    dims, steps = [], []
+    for layer in matmuls:
+        act = fed.get(layer.id, layer.source)
         # an fc layer has kernel (1, 1) and no spatial output dims
         dims.append(MatMulDims(layer.id, layer.kind, layer.in_channels, layer.out_channels,
                                *layer.kernel, *layer.out_shape[1:], paired=layer.id in fed))
         steps.append(1 if act is None else steps_of[act])
-        sources.append(source[layer.id])
-    return dims, steps, sources
+    return dims, steps, [l.source for l in matmuls]
 
 
 # Golden reference table for the CIFAR ResNet-18 operation counts. Several

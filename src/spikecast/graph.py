@@ -12,7 +12,8 @@ topological: each step takes the first listed layer whose predecessors have
 all been taken, so a layer moves only as far as its predecessors require.
 Graph order fixes the order of init_random's draws, how an ``energy --L``
 vector maps onto layers, the order of report rows, and the layer order of a
-converted bundle's manifest.json.
+converted bundle's manifest.json. One walk in graph order (_built) infers
+every layer's shapes and its LayerSpec.source.
 
 Graphs are immutable after construction (nothing here mutates a parsed
 graph in place); concurrent readers are safe.
@@ -64,6 +65,11 @@ class QcfsConfig:
 
 @dataclass(frozen=True)
 class LayerSpec:
+    """A layer as declared, plus in_shape, out_shape and source from the shape
+    walk. source is the activation whose train the layer's value carries: an
+    activation's own id, else its first predecessor's source (None on the
+    real-valued branch from the input). serialize_manifest does not write it."""
+
     id: str
     kind: str
     preds: tuple = ()
@@ -81,9 +87,10 @@ class LayerSpec:
     qcfs: QcfsConfig = None
     # input
     shape: tuple = ()
-    # filled in by shape inference
+    # filled in by the shape walk
     in_shape: tuple = ()
     out_shape: tuple = ()
+    source: str = None
 
     @property
     def is_matmul(self):
@@ -273,7 +280,8 @@ def _ordered(layers):
 
 def _built(order):
     """Check the input and output counts, then walk the ordered layers once:
-    apply each kind's predecessor rules and infer (C, H, W) / (F,) shapes."""
+    apply each kind's predecessor rules, infer (C, H, W) / (F,) shapes and
+    follow each layer's source back through its first predecessor."""
     inputs = [l for l in order if l.kind == "input"]
     if len(inputs) != 1:
         raise GraphError(f"graph must have exactly one input layer, found {len(inputs)}")
@@ -323,7 +331,9 @@ def _built(order):
         elif layer.kind == "residual_add" and pred_shapes[0] != pred_shapes[1]:
             _fail(layer.id, f"residual_add branch shapes differ: "
                             f"{pred_shapes[0]} vs {pred_shapes[1]}")
-        built[layer.id] = replace(layer, in_shape=in_shape, out_shape=out_shape)
+        source = layer.id if layer.kind == "qcfs_act" else (
+            built[preds[0]].source if preds else None)
+        built[layer.id] = replace(layer, in_shape=in_shape, out_shape=out_shape, source=source)
     return tuple(built.values())
 
 

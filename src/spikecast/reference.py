@@ -37,10 +37,12 @@ A trace holds only what it cannot rebuild. LayerTrace.outputs is a
 TraceValues map: a conv, fc, residual or input entry is stored, a
 read-only view of the array the walk made. An activation entry is the
 recipe qcfs(z, cfg), rebuilt from its stored pre-activation z by the same
-_levels and _level_values the pass ran, and a pool entry is avg_pool2d of
-its input entry, rebuilt in turn; neither keeps an array. Every read of a
-rebuilt entry allocates the whole array, and its bytes are those of the
-walk's value.
+_levels and _level_values the pass ran, and a pool entry is the recipe
+_pooled, the pool re-run on its input entry, rebuilt in turn; neither keeps
+an array. Every read of a rebuilt entry allocates the whole array, and its
+bytes are those of the walk's value. The spiking trace's pools of trains
+use the same _pooled, which ends in _timestep_sum, the one timestep-sum
+rule of both passes and of forward's logits.
 
 A SpikeTrain stores its spikes packed along time, eight timesteps to a
 byte (SpikeTrain.words, ceil(T/8) bytes per neuron), plus the shared
@@ -130,9 +132,17 @@ def _read(entry):
     return entry() if isinstance(entry, partial) else entry
 
 
-def _pooled(entry, window):
-    """The reference pool rebuilt from its input's trace entry."""
-    return kernels.avg_pool2d(_read(entry), window)
+def _timestep_sum(value, n):
+    """A value of T*N rows summed over its T timesteps; a single-shot value
+    of N rows as it is."""
+    return value if len(value) == n else value.reshape((-1, n) + value.shape[1:]).sum(axis=0)
+
+
+def _pooled(layer, source, n):
+    """The timestep sum of a pool, re-run on its source as the walk ran it
+    (a pool reads no graph). source is a trace entry of the reference pass
+    or a spike train of the spiking pass."""
+    return _timestep_sum(run_layer(None, layer, [_read(source)]), n)
 
 
 class TraceValues(Mapping):
@@ -180,14 +190,19 @@ class LayerTrace:
 
 
 def input_batch(graph, x):
-    """The input as a float64 (N, C, H, W) batch; one (C, H, W) image gets N = 1.
+    """The input as a C-contiguous float64 (N, C, H, W) batch; one (C, H, W)
+    image gets N = 1. Only another dtype or layout is copied, so no output
+    byte depends on how the caller's batch sits in memory.
 
     Both forward passes start here. Raises ValueError, naming the input
-    layer, for an empty batch, a sample shape other than the model's, or a
-    NaN or infinite value.
+    layer, for a complex or non-numeric dtype, an empty batch, a sample
+    shape other than the model's, or a NaN or infinite value.
     """
     layer = graph.input_layer
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if x.dtype.kind not in "biufO":     # complex, text, bytes, dates, void
+        raise ValueError(f"input layer '{layer.id}': input dtype {x.dtype} is not real-valued")
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim == 3:
         x = x[None]
     if tuple(x.shape[1:]) != layer.shape:
@@ -334,7 +349,7 @@ def forward(graph, x, activation, affines=None, record=None, streamed=()):
     if given, sees each layer's value as soon as it is made, and keeps
     whatever it needs of it. The walk drops each value once its last
     consumer has run, so only a few are alive at once. The logits are the
-    mean of the output value over its T timesteps.
+    output value's _timestep_sum divided by its T timesteps.
 
     streamed holds the ids of activation layers that read their input
     block by block. A conv or fc layer whose only consumer is such an
@@ -379,9 +394,7 @@ def forward(graph, x, activation, affines=None, record=None, streamed=()):
         values[layer.id] = out
         del out
     final = _rows(values[graph.output_layer.id])
-    if len(final) > n:
-        final = final.reshape((-1, n) + final.shape[1:]).mean(axis=0)
-    return final.reshape(n, -1)
+    return (_timestep_sum(final, n) / (len(final) // n)).reshape(n, -1)
 
 
 def ann_forward(graph, x):
@@ -399,7 +412,7 @@ def ann_forward(graph, x):
         if layer.kind == "qcfs_act":
             value = partial(qcfs, pre[layer.id], layer.qcfs)
         elif layer.kind == "avg_pool":
-            value = partial(_pooled, outputs._entry(layer.preds[0]), layer.window)
+            value = partial(_pooled, layer, outputs._entry(layer.preds[0]), n)
         outputs._put(layer.id, value)
 
     logits = forward(graph, x, staircase, record=record)

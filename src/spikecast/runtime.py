@@ -53,10 +53,10 @@ the words' popcounts, read without unpacking the train. A neuron with c
 spikes sums to theta_star added c times, looked up in a cumulative table
 by its count. That table holds the very float sums the dense path adds,
 so the sums are byte for byte those of the dense train. A pool of a train
-keeps only that train too: each read re-runs the pool on it (run_layer)
-and sums the result over T. Conv, fc, residual and single-shot entries
-are stored read-only arrays, returned as they are; a streamed matmul's
-entry is the running sum its integrate-and-fire layer kept.
+keeps only that train too: each read re-runs the pool on it by
+reference._pooled, the reference trace's pool recipe. Other entries are
+stored read-only arrays, summed over T by reference._timestep_sum; a
+streamed matmul's entry is the running sum its integrate-and-fire kept.
 check_equivalence compares each layer in chunks of one reused buffer, so
 its comparison holds no layer-sized temporary.
 
@@ -97,8 +97,8 @@ from functools import partial
 import numpy as np
 
 from .graph import layer_affine
-from .reference import (SpikeTrain, TraceValues, _fold, _levels, ann_forward, forward,
-                        run_layer)
+from .reference import (SpikeTrain, TraceValues, _fold, _levels, _pooled, _timestep_sum,
+                        ann_forward, forward)
 
 
 class ConversionError(ValueError):
@@ -158,28 +158,23 @@ class SpikingModel:
 
 
 def timestep_map(graph):
-    """Timestep count of every layer's output (None = single-shot real values).
+    """Timestep count of every layer's output, the L of its LayerSpec.source
+    (None = single-shot real values).
 
     Reads only the graph's structure, so it needs no weights. Raises
     ConversionError for residual merges whose branches arrive with
-    different timestep counts.
+    different timestep counts, which the reference pass can still run.
     """
-    t_map = {}
+    t_map = {l.id: None if l.source is None else graph.layer(l.source).qcfs.L
+             for l in graph.layers}
     for layer in graph.layers:
-        if layer.kind == "input":
-            t_map[layer.id] = None
-        elif layer.kind == "qcfs_act":
-            t_map[layer.id] = layer.qcfs.L
-        elif layer.kind == "residual_add":
+        if layer.kind == "residual_add":
             t_a, t_b = (t_map[p] for p in layer.preds)
             if t_a != t_b:
                 raise ConversionError(
                     f"layer '{layer.id}': residual branches carry unequal timestep "
                     f"counts ({t_a} vs {t_b}); branches must merge at equal "
                     f"quantization steps")
-            t_map[layer.id] = t_a
-        else:
-            t_map[layer.id] = t_map[layer.preds[0]]
     return t_map
 
 
@@ -411,18 +406,6 @@ def _train_sum(train):
     return table[train.spike_counts(np.min_scalar_type(t))]
 
 
-def _timestep_sum(value, n):
-    """A value of T*N rows summed over its T timesteps; a single-shot value
-    of N rows as it is."""
-    return value if len(value) == n else value.reshape((-1, n) + value.shape[1:]).sum(axis=0)
-
-
-def _pooled_sum(layer, train, n):
-    """The timestep sum of a pool of train, the pool re-run as the walk ran
-    it (a pool reads no graph)."""
-    return _timestep_sum(run_layer(None, layer, [train]), n)
-
-
 def snn_forward(model, x, trace=None, keep_counters=False):
     """Run the converted model. Returns (logits, stats).
 
@@ -456,8 +439,7 @@ def snn_forward(model, x, trace=None, keep_counters=False):
                 trace.sums._put(layer.id, partial(_train_sum, value))
                 trace.trains[layer.id] = value
             elif layer.kind == "avg_pool" and layer.preds[0] in trace.trains:
-                train = trace.trains[layer.preds[0]]
-                trace.sums._put(layer.id, partial(_pooled_sum, layer, train, n))
+                trace.sums._put(layer.id, partial(_pooled, layer, trace.trains[layer.preds[0]], n))
             else:
                 trace.sums._put(layer.id, _timestep_sum(value, n))
 

@@ -134,11 +134,11 @@ def _composite(a, g, k):
     return a * (g ** 2 + 1.0) * k
 
 
-def default_alpha(total_layers, k=0.5):
-    """Occupancy threshold k / total_layers; the default uses k = 1/2."""
+def default_alpha(total_layers):
+    """Occupancy threshold 1 / (2 * total_layers)."""
     if total_layers < 1:
         raise MetricError("total layer count must be positive")
-    return k / total_layers
+    return 0.5 / total_layers
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,21 @@ def resnet34_imagenet():
                                     imagenet_stem=True))
 
 
+def pooled_input_manifest():
+    """in -> avg_pool -> conv -> act -> fc: a pool that reads the caller's batch."""
+    return json.dumps({
+        "name": "pooled-input", "classes": 3,
+        "layers": [
+            {"id": "in", "kind": "input", "pred": [], "shape": [2, 8, 8]},
+            {"id": "pool0", "kind": "avg_pool", "pred": ["in"], "window": 2},
+            {"id": "conv", "kind": "conv", "pred": ["pool0"], "out_channels": 3,
+             "kernel": 3, "padding": 1, "bias": True},
+            {"id": "act", "kind": "qcfs_act", "pred": ["conv"], "L": 4, "theta": 1.0},
+            {"id": "fc", "kind": "fc", "pred": ["act"], "out_features": 3, "bias": True},
+        ],
+    })
+
+
 def clustering_sse(values, assignments):
     """Within-cluster sum of squared deviations for a given assignment."""
     values = np.asarray(values, dtype=np.float64)

@@ -217,7 +217,7 @@ class TestAlMetric:
         monkeypatch.setattr(cli, "init_random", fail)
         monkeypatch.setattr(cli, "ann_forward", fail)
 
-    @pytest.mark.parametrize("option", [["--alpha", "1.5"], ["--alpha-k", "-1"]])
+    @pytest.mark.parametrize("option", [["--alpha", "1.5"]])
     def test_alpha_out_of_range_exits_2(self, toy_manifest_path, capsys, monkeypatch,
                                         option):
         self.forbid_the_pass(monkeypatch)

@@ -9,7 +9,8 @@ from spikecast.energy import (ENERGY, EnergyModelError, MatMulDims,
                               op_counts, overall_r_e, r_e_layer, r_prime, t_eff,
                               t_norm)
 from spikecast.graph import parse_manifest
-from spikecast.zoo import resnet_manifest
+from spikecast.runtime import ConversionError
+from spikecast.zoo import residual_block_manifest, resnet_manifest
 
 from conftest import resnet18_cifar, resnet34_imagenet, vgg16_cifar, vgg16_imagenet
 
@@ -229,6 +230,12 @@ class TestReport:
         }
         proj = dims[[d.name for d in dims].index("s2b1_proj")]
         assert (proj.c_in, proj.c_out, proj.k_h, proj.h_out) == (4, 8, 1, 4)
+
+    def test_unequal_residual_merge_rejected(self):
+        doc = json.loads(residual_block_manifest())
+        doc["layers"][4]["L"] = 2               # branch activation differs from act0
+        with pytest.raises(ConversionError, match="layer 'merge': residual branches"):
+            dims_from_graph(parse_manifest(json.dumps(doc)))
 
     def test_residual_pairing_follows_the_first_predecessor(self):
         # a manifest that lists the shortcut first pairs the shortcut: the

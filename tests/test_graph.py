@@ -13,7 +13,7 @@ from spikecast.runtime import convert, snn_forward
 from spikecast.zoo import (residual_block_manifest, resnet_manifest, toy_manifest,
                            vgg16_manifest)
 
-from conftest import traced_peak_bytes
+from conftest import pooled_input_manifest, traced_peak_bytes
 
 
 def small_manifest(**overrides):
@@ -312,6 +312,47 @@ ZOO_MANIFESTS = {
                                          imagenet_stem=True),
     "residual-toy": residual_block_manifest(),
 }
+
+
+class TestSource:
+    """LayerSpec.source: the activation whose train a layer's value carries."""
+
+    def test_chain_carries_the_last_activation(self):
+        g = parse_manifest(vgg16_manifest(10))
+        last = None
+        for layer in g.layers:
+            if layer.kind == "qcfs_act":
+                last = layer.id
+            assert layer.source == last, layer.id
+        assert g.layer("conv1_1").source is None
+        assert g.layer("pool5").source == g.layer("fc1").source == "act5_3"
+
+    def test_resnet18_follows_first_predecessors(self):
+        g = parse_manifest(resnet_manifest())
+        assert g.layer("stem").source is None
+        # a projection shortcut carries its block's input activation
+        assert g.layer("s2b1_pool").source == g.layer("s2b1_proj").source == "s1b2_act2"
+        # a residual add carries its first branch's train
+        assert g.layer("s1b1_add").source == "s1b1_act1"
+        assert g.layer("s2b1_add").source == "s2b1_act1"
+        assert g.layer("gap").source == g.layer("fc").source == "s4b2_act2"
+        assert all(l.source == l.id for l in g.qcfs_layers())
+
+    def test_residual_block(self):
+        g = parse_manifest(residual_block_manifest())
+        assert {l.id: l.source for l in g.layers} == {
+            "in": None, "stem": None, "act0": "act0", "branch": "act0", "act1": "act1",
+            "merge": "act0", "act2": "act2", "head": "act2"}
+
+    def test_pool_after_input_is_real_valued(self):
+        g = parse_manifest(pooled_input_manifest())
+        assert {l.id: l.source for l in g.layers} == {
+            "in": None, "pool0": None, "conv": None, "act": "act", "fc": "act"}
+
+    @pytest.mark.parametrize("name", sorted(ZOO_MANIFESTS))
+    def test_round_trip_keeps_equal_layers(self, name):
+        g = parse_manifest(ZOO_MANIFESTS[name])
+        assert parse_manifest(serialize_manifest(g)).layers == g.layers
 
 
 def _ids(entries):

@@ -241,6 +241,21 @@ class TestAnnForward:
                 ann_forward(toy_graph, x)
         assert not caught
 
+    @pytest.mark.parametrize("x", [np.full((1, 2, 8, 8), 0.5 + 1j), np.full((1, 2, 8, 8), "0.5"),
+                                   np.full((1, 2, 8, 8), b"0.5"),
+                                   np.zeros((1, 2, 8, 8), dtype="datetime64[s]"),
+                                   np.zeros((1, 2, 8, 8), dtype="V8")],
+                             ids=["complex", "string", "bytes", "datetime", "void"])
+    def test_non_real_dtype_names_input_layer(self, toy_graph, x):
+        with pytest.raises(ValueError, match="input layer 'in': input dtype .* is not real-valued"):
+            ann_forward(toy_graph, x)
+
+    def test_real_dtypes_give_the_float64_bytes(self, toy_graph):
+        x = np.random.default_rng(6).integers(0, 2, size=(2, 2, 8, 8))
+        want = ann_forward(toy_graph, x.astype(np.float64)).logits.tobytes()
+        for v in (x, x.astype(bool), x.astype(np.float32), x.astype(object), x.tolist()):
+            assert ann_forward(toy_graph, v).logits.tobytes() == want
+
 
     def test_kernel_error_names_layer(self, toy_graph):
         weights = dict(toy_graph.weights)

@@ -22,8 +22,8 @@ from spikecast.runtime import (ConversionError, IfLayer, IfStats, SnnTrace, Spik
 from spikecast.zoo import residual_block_manifest, resnet_manifest, toy_manifest
 
 from conftest import (full_array_if, level_grid, mean_avg_pool2d, negative_weight_graph,
-                      probe_graph, random_graph, step_train_sum, traced_held_bytes,
-                      traced_peak_bytes, vgg_edge_graph)
+                      pooled_input_manifest, probe_graph, random_graph, step_train_sum,
+                      traced_held_bytes, traced_peak_bytes, vgg_edge_graph)
 
 CHUNK = runtime._IF_CHUNK
 
@@ -939,6 +939,24 @@ class TestTraceMaps:
         assert x.flags.writeable
         for entry in (ref.outputs["in"], trace.sums["in"]):
             assert np.shares_memory(entry, x) and not entry.flags.writeable
+
+    @pytest.mark.parametrize("layout", ["fortran", "negative-stride"])
+    def test_batch_layout_changes_no_byte(self, layout):
+        # pool0 reads the caller's batch, and numpy's mean, the pool's
+        # fallback for other layouts, adds their windows in other orders
+        graph = init_random(parse_manifest(pooled_input_manifest()), 21)
+        model = convert(graph)
+        x = np.random.default_rng(21).uniform(0, 1, size=(4, 2, 8, 8))
+        other = np.asfortranarray(x) if layout == "fortran" else x[::-1].copy()[::-1]
+        assert not other.flags.c_contiguous and np.array_equal(other, x)
+        ref, ref_other = ann_forward(graph, x), ann_forward(graph, other)
+        assert ref_other.logits.tobytes() == ref.logits.tobytes()
+        trace, trace_other = SnnTrace(), SnnTrace()
+        logits, _ = snn_forward(model, x, trace=trace)
+        assert snn_forward(model, other, trace=trace_other)[0].tobytes() == logits.tobytes()
+        for want, got in ((ref.outputs, ref_other.outputs), (trace.sums, trace_other.sums)):
+            for lid in want:
+                assert got[lid].tobytes() == want[lid].tobytes(), lid
 
 
 class TestCheckEquivalence:

@@ -73,7 +73,6 @@ class TestAgreement:
 
     def test_default_alpha(self):
         assert default_alpha(16) == pytest.approx(1 / 32)
-        assert default_alpha(16, k=1.0) == pytest.approx(1 / 16)
 
 
 class TestMoments:

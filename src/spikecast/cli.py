@@ -142,6 +142,8 @@ def cmd_convert(args):
 
 
 def cmd_check_equiv(args):
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise CliError(f"--tol must be a finite number >= 0, got {args.tol}")
     graph = _add_weights(args, _load_graph(args))
     inputs = _load_inputs(args, graph)
     report = runtime.check_equivalence(graph, inputs)
@@ -248,14 +250,33 @@ def _measured_rates(model, sources, inputs):
     return [max(rates.get(src, mean_rate), 1e-12) for src in sources]
 
 
+def _check_rate(args):
+    """--rate as "measured" (with --manifest only) or a finite positive float,
+    energy.ASSUMED_SPIKE_RATE when it is not given."""
+    if args.rate == "measured" and args.golden:
+        raise CliError("--rate measured needs --manifest: a golden target has no "
+                       "weights to measure")
+    if args.rate is None:
+        return energy_model.ASSUMED_SPIKE_RATE
+    if args.rate == "measured":
+        return args.rate
+    try:
+        rate = float(args.rate)
+    except ValueError:
+        rate = math.nan
+    if not (math.isfinite(rate) and rate > 0):
+        raise CliError(f"--rate must be 'measured' or a finite positive number, "
+                       f"got {args.rate!r}")
+    return rate
+
+
 def cmd_energy(args):
+    rate = _check_rate(args)
     steps = _parse_steps(args.L)
     if args.golden:
         rows, totals = energy_model.golden_table(args.golden)
         timesteps = None
         if args.L is not None:
-            rate = (energy_model.ASSUMED_SPIKE_RATE if args.rate in (None, "measured")
-                    else float(args.rate))
             graph = energy_model.golden_graph(args.golden)
             dims = energy_model.dims_from_graph(graph)[0]
             if isinstance(steps, int):
@@ -279,7 +300,7 @@ def cmd_energy(args):
 
     if not args.manifest:
         raise CliError("energy needs --golden or --manifest")
-    measured = args.rate == "measured"
+    measured = rate == "measured"
     graph = _load_graph(args)
     dims, graph_steps, sources = energy_model.dims_from_graph(graph)
     if measured:
@@ -287,7 +308,7 @@ def cmd_energy(args):
         rates = _measured_rates(convert(graph), sources, _load_inputs(args, graph))
         rate_label = "measured"
     else:
-        rates = float(args.rate) if args.rate else energy_model.ASSUMED_SPIKE_RATE
+        rates = rate
         rate_label = "assumed"
     if args.L is None:
         steps = graph_steps

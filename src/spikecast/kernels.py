@@ -1,123 +1,52 @@
 """Dense NCHW inference kernels.
 
-Minimal deterministic numpy kernels used by both the real-valued reference
-path and the unrolled spiking path: cross-correlation convolution,
-fully-connected product, fused batch-norm affine, and average pooling.
-Both passes call them the same way: an unrolled layer's T
-timesteps arrive folded into the batch axis as T*N rows, and its affine
-comes already divided by T (BnAffine.scaled, applied in conversion), so no
-kernel knows how many timesteps its rows hold.
+Deterministic numpy kernels shared by both passes: cross-correlation
+convolution, fully-connected product, fused batch-norm affine and average
+pooling. An unrolled layer's T timesteps arrive folded into the batch axis
+as T*N rows, and its affine comes already divided by T (BnAffine.scaled,
+applied in conversion), so no kernel knows how many timesteps its rows hold.
 
-All kernels are pure functions: they never mutate their arguments and
-return freshly allocated arrays, so they are safe to call concurrently
-across batch elements or layers. The exceptions are the out argument of
-fused_bn_affine, which callers point at a matmul output they own, and
-conv2d's consumer, which gets each block of the output in place of an
-output array (see "Blocks"). The only shared state is conv2d's cache of
-patch-gather indices, which holds read-only arrays keyed by geometry (take
-reads the writeable grid each one is a flat view of, because it copies a
-read-only index; nothing writes it).
+All kernels are pure functions that return fresh arrays and never mutate
+their arguments, so they are safe to call concurrently. The exceptions are
+the out argument of fused_bn_affine, which callers point at a matmul output
+they own, and conv2d's consumer, which gets each block of the output in
+place of an output array. The only shared state is conv2d's cache of
+read-only patch-gather indices, keyed by geometry.
 
-Lowerings: conv2d turns a convolution into matrix products in one of two
-layouts, picked from the geometry alone. Write P = H_o*W_o for one image's
-output positions and taps = C*K_h*K_w. ``flat_w`` is the C-contiguous
-(C_out, taps) weight matrix, and a patch's taps run in (channel,
-kernel-row, kernel-col) order in both.
+The rules below exist to keep bytes equal across layouts and block splits,
+to bound memory, or to save time; docs/numerics.md gives, per rule, the
+measurements behind it and the test that pins it. The byte-equality
+figures hold for OpenBLAS 0.3.31's SkylakeX kernel, and three of
+tests/test_kernels.py's multi-block tests fail on its Haswell kernel.
 
-- By image, ``flat_w @ cols_t``: when P >= C_out, P and C_out are
+Lowerings. conv2d picks one of two layouts from the geometry alone. Write
+P = H_o*W_o for one image's output positions and taps = C*K_h*K_w. flat_w
+is the C-contiguous (C_out, taps) weight matrix, and a patch's taps run in
+(channel, kernel-row, kernel-col) order in both layouts.
+
+- By image, ``flat_w @ cols_t``, when P >= C_out, P and C_out are
   multiples of 8, and one image's product P*taps*C_out reaches
-  ``_BLOCK_MIN_MACS``. Each image goes into a zero-bordered padded buffer
-  (scaled bits or floats), and K_h*K_w strided copies, one window per
-  kernel offset, fill a C-contiguous (taps, P) patch buffer. The product
-  writes the image's (C_out, P) slab, which is its NCHW output, straight
-  into the output or into a one-image consumer block. There is no index,
-  gather, product buffer or transposed read. On VGG-16/CIFAR these are
-  conv1_2, conv2_1 and conv2_2, in both passes.
-- By block, ``cols @ flat_w.T``: every other geometry, which covers the
-  small nets of the acceptance gate and VGG's conv1_1 and conv3-5. One take
+  ``_BLOCK_MIN_MACS``. K_h*K_w strided copies of the zero-bordered image
+  fill a C-contiguous (taps, P) patch buffer, and the product writes the
+  image's (C_out, P) slab, which is its NCHW output. On VGG-16/CIFAR these
+  are conv1_2, conv2_1 and conv2_2.
+- By block, ``cols @ flat_w.T``, for every other geometry. One take
   through a cached index gathers a block of m images' patches into a
-  C-contiguous (m*P, taps) matrix. Its product with the transposed view of
-  flat_w is the block's (m*P, C_out) output in NHWC order.
+  C-contiguous (m*P, taps) matrix, whose product is the block's
+  (m*P, C_out) output in NHWC order. When the whole patch matrix would
+  exceed ``_PATCH_BLOCK_BYTES``, the batch is split into the fewest
+  balanced blocks of whole images that fit, but no block falls below
+  ``_BLOCK_MIN_MACS``, and a conv with C_out = 1 is never split.
 
-Accumulation order: BLAS fixes each output's reduction order over its taps,
-and repeats it on every call with the same operand shapes and layouts. The
-two lowerings run different BLAS kernels (column-major NN with P rows, and
-TN with C_out rows), so they are bytewise equal only where that was
-measured. The figures below are for OpenBLAS 0.3.31 (a DYNAMIC_ARCH build)
-on 2 threads, under its SkylakeX kernel unless they name another:
-- Small products round differently in the two layouts. Lowered by image,
-  79 of the 111 small geometries of tests/test_kernels.py's bitwise_cases
-  change bits, and so did 21 of 300 random products below the floor whose
-  P and C_out are multiples of 8 (0 of 300 on Haswell). Hence the floor.
-- Off the multiples of 8 the layouts disagree on large products too. On
-  the SkylakeX and Haswell kernels, every P above the floor and below 1100
-  that is not a multiple of 8 changed bits (C_out 64 to 256, taps 64 to
-  1152). So did every C_out that is not a multiple of 4 on Haswell, and
-  every one above 192 that is not a multiple of 8 on SkylakeX (C_out 7 to
-  255 at P = 256 and 1024). On Sandybridge none of these differed. Hence
-  the multiples of 8.
-- With every rule met, 0 of 200 random products (C_out 8 to 512, taps 1 to
-  4608, 4e6 to 3e8 multiply-adds) differed on any of the three kernels or
-  on one thread. Neither did the VGG, stride-2, 1x1 and 7x7 geometries in
-  tests/test_kernels.py, which a test re-checks under each kernel in a
-  child process.
-- P >= C_out is for speed, not for bytes. Deep layers run slower by image
-  (2-core x86 box): eight images of C = 512 at 4x4 took 24.9 ms against
-  11.4 ms by block, and of C = 256 at 8x8 20.0 ms against 13.6 ms.
-The layout of the by-block product is part of the contract as well: the
-same product on an F-ordered ``cols`` runs another kernel whose rounding
-differs (seen with C_out <= 3).
+Each finished block or image goes into the output or to consumer(lo,
+block). Its batch-norm affine runs in the buffer that holds it, as the
+IEEE operations of fused_bn_affine in the same order.
 
-Blocks: the by-image lowering runs one image at a time. The by-block one,
-when the whole patch matrix would exceed ``_PATCH_BLOCK_BYTES`` (8 MiB),
-splits the batch into balanced blocks of whole images and runs the same
-product once per block through one reused patch buffer. Each finished
-block goes into the output or, when conv2d is given a consumer, to
-consumer(lo, block) through one reused block buffer, and no output is
-built; the spiking pass streams a conv's blocks this way into the
-integrate-and-fire layer that reads them. By block, conv2d takes the
-fewest blocks whose largest block fits the budget, so an image of more
-than 4 MiB of patches gets a block of its own (and one of more than 8 MiB
-exceeds the budget alone). It never takes so many that a block's product
-falls below ``_BLOCK_MIN_MACS`` (4e6 multiply-adds, rows * C_out * taps):
-a conv with few output channels gets fewer, larger blocks than the budget
-asks for. A row's result does not depend on how many other rows share its
-product as long as BLAS picks the same kernel, so blocking leaves every
-byte unchanged. That claim, and the figures below, were measured on
-OpenBLAS 0.3.31's SkylakeX kernel (2 threads) and hold for that kernel
-only: with OPENBLAS_CORETYPE=Haswell, test_multi_block_bitwise_equal[0-8]
-and [1-8] and test_affine_matches_conv_then_affine in tests/test_kernels.py
-fail, because a 9-block product there differs from the one-block product.
-Blocks must stay large for the claim: OpenBLAS runs small products through
-kernels that round differently. Of 300 random balanced splits of 288-tap products with
-C_out 2 to 64, 27 changed bits, all with blocks below 1.1e6
-multiply-adds; the 167 with blocks of 1.6e6 and more matched byte for
-byte. Over VGG's tap counts (27 to 4608), C_out 2 to 512 and blocks of
-2e6 to 4e7 multiply-adds, 157 of 158 splits matched; the other had
-one-row blocks, which run as a matrix-vector product. Splitting small
-random conv batches into one-image products changed bits in 123 of 400
-geometries. C_out = 1 is never split: that product runs as a
-matrix-vector kernel whose rounding depends on where a row sits, and
-splitting it changed bits in 77 of 80 cases.
-
-Epilogues run in the buffer that holds their data. conv2d applies a
-batch-norm affine per block or image, as the IEEE operations of
-fused_bn_affine in the same order, and tests/test_kernels.py pins the
-bytes against conv followed by fused_bn_affine. By image, all four
-operations run in place on the image's output slab. By block, the first
-add reads the product through its NCHW transposed view and writes the
-block, in the output or in a consumer's block buffer, so the transpose
-costs no copy of its own; the multiply, divide and add follow in place.
-
-Pooling order: avg_pool2d adds a 2 x 2 window from four strided slices in
-the order numpy's mean over the 6-D window view uses, (x00 + x01) +
-(x10 + x11), then divides by 4. The one exception is an output with one
-column: numpy then adds the window as one run, ((x00 + x01) + x10) + x11.
-The rule holds for inputs whose strides fall from the first axis to the
-last (C-contiguous tensors and slices of them); other layouts keep numpy's
-mean. TestPooling.test_slice_sums_match_mean pins it byte for byte over
-1200 random geometries, and test_one_column_order_is_pinned holds a
-window the two orders round apart.
+Pooling order. avg_pool2d adds a 2 x 2 window from four strided slices as
+(x00 + x01) + (x10 + x11), or as ((x00 + x01) + x10) + x11 when the output
+has one column, then divides by 4: the order numpy's mean over the 6-D
+window view uses for inputs whose strides fall from the first axis to the
+last. Other windows and layouts take numpy's mean.
 """
 
 from dataclasses import dataclass
@@ -261,7 +190,8 @@ def _patch_index(c, h_p, w_p, kernel, stride, out_hw):
 
 
 # Most patch-matrix bytes conv2d holds at once, and fewest multiply-adds
-# (rows * C_out * taps) a block of a split product may have; see "Blocks" above.
+# (rows * C_out * taps) a block of a split product may have (docs/numerics.md,
+# "Patch blocks and the multiply-add floor").
 _PATCH_BLOCK_BYTES = 8 << 20
 _BLOCK_MIN_MACS = 4_000_000
 
@@ -285,7 +215,7 @@ def _block_count(n, patch_entries, c_out, itemsize):
 def conv2d(x, params, scale=None, affine=None, consumer=None):
     """2-D cross-correlation of an (N, C, H, W) batch with ConvParams.
 
-    The geometry picks the lowering (see "Lowerings" above): image by
+    The geometry picks the lowering (see "Lowerings" in the module): image by
     image as ``flat_w @ cols_t`` when H_o*W_o >= C_out, both are multiples
     of 8 and one image's product reaches ``_BLOCK_MIN_MACS``, otherwise in
     blocks of images as ``cols @ flat_w.T``. Both give the same bytes.
@@ -318,7 +248,6 @@ def conv2d(x, params, scale=None, affine=None, consumer=None):
     terms = () if affine is None else _affine_terms(affine, 4, c_out)
     flat_w = params.weights.reshape(c_out, taps)
     dtype = x.dtype if scale is None else np.dtype(np.float64)
-    # see "Lowerings" above
     by_image = (positions >= c_out and positions % 8 == c_out % 8 == 0
                 and positions * taps * c_out >= _BLOCK_MIN_MACS)
     if by_image:
@@ -439,8 +368,7 @@ def _window_sums(x00, x01, x10, x11, one_column):
     numpy's mean over the window axes uses.
 
     numpy reduces a window row by row, (x00 + x01) + (x10 + x11), except
-    when the output has one column, where it adds the four in sequence;
-    see "Pooling order" above.
+    when the output has one column, where it adds the four in sequence.
     """
     out = np.add(x00, x01)
     if one_column:

@@ -6,16 +6,11 @@ The activation is the clip-floor staircase
 
 whose outputs live exactly on the level grid {0, 1, ..., L} * theta / L.
 A boundary input landing exactly on a level edge, z = (k - 1/2) * theta/L,
-maps to level k (the floor argument hits the integer k exactly).
-
-The staircase is built in one float64 buffer: z * L, / theta, + 1/2 and
-clip run in place, in that order. _levels casts that buffer to the
-narrowest unsigned integer that holds L (np.min_scalar_type(L)); on
-[0, L] the cast truncates, which is the floor. Every caller reads those
-levels: qcfs, qcfs_levels, ann_forward (which takes the level histogram
-from them, in chunks) and runtime.if_input_layer. The activation output
-the next layers read is levels * theta / L, built as a new float64 array,
-which is qcfs(z).
+maps to level k (the floor argument hits the integer k exactly). _levels
+computes every level the program reads, for qcfs, qcfs_levels, ann_forward
+and runtime.if_input_layer: z * L, / theta, + 1/2 and clip, in that order
+in one float64 buffer, then a cast to the narrowest unsigned integer that
+holds L. The activation output is levels * theta / L, which is qcfs(z).
 
 One walk, forward, runs a graph for both passes: input_batch, then every
 layer in graph order, then the logits. A value carries its timesteps folded
@@ -29,33 +24,22 @@ ann_forward applies the staircase, streams nothing, and records every
 layer output plus, per activation layer, the pre-activation tensor and a
 histogram of the emitted levels; those histograms feed the
 layer-sensitivity metric. runtime.snn_forward runs integrate-and-fire
-layers instead, and a conv or fc layer that feeds only a generic one with
-more than one input timestep hands it its row blocks as run_layer makes
-them (see forward), so its T*N-row output is never built.
+layers instead, and a conv or fc layer that feeds only a generic one hands
+it its row blocks as run_layer makes them (see forward), so its T*N-row
+output is never built.
 
 A trace holds only what it cannot rebuild. LayerTrace.outputs is a
 TraceValues map: a conv, fc, residual or input entry is stored, a
 read-only view of the array the walk made. An activation entry is the
-recipe qcfs(z, cfg), rebuilt from its stored pre-activation z by the same
-_levels and _level_values the pass ran, and a pool entry is the recipe
-_pooled, the pool re-run on its input entry, rebuilt in turn; neither keeps
-an array. Every read of a rebuilt entry allocates the whole array, and its
-bytes are those of the walk's value. The spiking trace's pools of trains
-use the same _pooled, which ends in _timestep_sum, the one timestep-sum
-rule of both passes and of forward's logits.
+recipe qcfs(z, cfg) on its stored pre-activation, and a pool entry is the
+recipe _pooled, the pool re-run on its input entry; neither keeps an
+array, and each read rebuilds the walk's bytes. _timestep_sum is the one
+timestep-sum rule of both passes and of forward's logits.
 
 A SpikeTrain stores its spikes packed along time, eight timesteps to a
-byte (SpikeTrain.words, ceil(T/8) bytes per neuron), plus the shared
-theta_star scalar, so the "every element is 0 or theta_star" guarantee is
-structural. An integrate-and-fire layer always emits a thermometer train, a
-neuron with c spikes firing in its first c timesteps, and
-SpikeTrain.thermometer builds the words straight from the counts. Spike
-counts are read from the words by popcount, without unpacking them.
-SpikeTrain.bits unpacks the bool (T, N, ...) tensor as a new array on each
-read, like a derived trace entry. run_layer unpacks a train once for each
-layer that reads it, and drops the bits when the kernel returns. It reads
-a train in one of three ways, and only fc and a residual add build a
-float64 copy of a whole train:
+byte, plus the shared theta_star scalar, so the "every element is 0 or
+theta_star" guarantee is structural. run_layer reads a train in one of
+three ways, and only fc and a residual add build a float64 copy of it:
 
   conv          kernels.conv2d scales the bits into its patch buffer one
                 block at a time.
@@ -63,8 +47,8 @@ float64 copy of a whole train:
                 count, so kernels.avg_pool2d looks each window up by count.
   fc, residual  the dense train, T*N rows of theta_star or 0.
 
-The pooling table holds the very float sums the dense path adds, so its
-results are byte for byte those of the dense train.
+Each gives byte for byte the result of the dense train. docs/numerics.md
+gives the memory bounds and measurements behind these rules.
 """
 
 from collections import Counter
@@ -90,19 +74,9 @@ def _levels(z, cfg):
     return levels.astype(np.min_scalar_type(cfg.L))
 
 
-# Levels per np.bincount call of _histogram, so its intp cast stays small
-_HIST_CHUNK = 1 << 16
-
-
 def _histogram(levels, L):
-    """The (L + 1,) level counts, np.bincount(levels.ravel(), minlength=L + 1)
-    summed over chunks: bincount casts its input to intp, and a whole
-    layer's cast would be eight bytes per uint8 level."""
-    flat = levels.reshape(-1)
-    counts = np.bincount(flat[:_HIST_CHUNK], minlength=L + 1)
-    for lo in range(_HIST_CHUNK, flat.size, _HIST_CHUNK):
-        counts += np.bincount(flat[lo:lo + _HIST_CHUNK], minlength=L + 1)
-    return counts
+    """The (L + 1,) level counts."""
+    return np.bincount(levels.reshape(-1), minlength=L + 1)
 
 
 def _level_values(levels, step):
@@ -359,7 +333,7 @@ def forward(graph, x, activation, affines=None, record=None, streamed=()):
     row blocks to the consumer.
     The matmul's value is never made, so record does not see it. The
     reference pass streams nothing; the spiking pass streams every generic
-    integrate-and-fire layer with more than one input timestep.
+    integrate-and-fire layer.
 
     A KernelError raised by a layer, deferred or not, is re-raised with a
     message that starts with the layer's id.

@@ -28,62 +28,35 @@ theta_star / 2:
            accumulated input could leave the counter one level too high.
   stage 3  re-emit: the final counter value s maps to
            clamp(s, 0, L_out) output spikes, placed in the first
-           timesteps of the emitted train.
-
-Stage 3 is implemented directly through that counter mapping (the
-threshold cascade started at s * theta_star provably emits exactly
-clamp(s, 0, L_out) spikes, and the integer form keeps the spike count
-exact instead of re-deriving it from rounded float subtractions).
+           timesteps of the emitted train. The threshold cascade started
+           at s * theta_star provably emits exactly that many, and the
+           integer form keeps the count exact.
 
 The first activation after the real-valued input needs no settling: the
 preceding matmul runs once at full precision, the staircase's levels
 (reference._levels, the reference pass's own) are taken, and each level
 directly becomes the spike count.
 
-A spike train (reference.SpikeTrain, also exported here) holds its spikes
-packed eight timesteps to a byte, plus the shared theta_star; see the
-reference module for how each layer reads one. Stage 3 and the input
-layer build their trains straight from the clipped counters or levels
-(SpikeTrain.thermometer), so no (L_out, N, ...) bool tensor is made at
-emission. SnnTrace.sums is a reference.TraceValues map: a layer whose
-value is a spike train keeps only the train, ceil(T/8) bytes per neuron,
-and reading its sum builds the sum from the train's spike counts on each
-read, so every such read allocates a new float64 array. The counts are
-the words' popcounts, read without unpacking the train. A neuron with c
-spikes sums to theta_star added c times, looked up in a cumulative table
-by its count. That table holds the very float sums the dense path adds,
-so the sums are byte for byte those of the dense train. A pool of a train
-keeps only that train too: each read re-runs the pool on it by
-reference._pooled, the reference trace's pool recipe. Other entries are
-stored read-only arrays, summed over T by reference._timestep_sum; a
-streamed matmul's entry is the running sum its integrate-and-fire kept.
-check_equivalence compares each layer in chunks of one reused buffer, so
-its comparison holds no layer-sized temporary.
-
 One driver runs stages 1 to 3 of every generic layer (_IfDriver): a
 consumer fed the layer's L_in*N input rows, timestep-major, in blocks of
-any size in row order. Stage 1 reads its input one timestep at a time, so
-a generic layer with L_in > 1 whose input is a conv or fc layer feeding
-nothing else never sees that layer's (L_in*N, ...) output: the walk
-defers the matmul to the activation, which hands it the driver as its
-consumer, and each block of rows the matmul finishes goes straight into
-stage 1. Every other generic layer (after a residual add, or with
-L_in = 1) gets its input as one stored value, which the driver takes as
-a single block; if_generic_layer does the same with a (L_in, N, ...)
-stack. The driver is built from the layer's (N, ...) row shape, and at
-the first block it allocates one membrane and one counter per neuron of a
-timestep and, for a deferred matmul whose pass records a trace, the
-running timestep sum that becomes the matmul's entry in SnnTrace.sums.
-It steps the neurons in spans of at most 32K, so its masks and scratch
-are chunk-sized, and it reads every block without writing it. Stage 2
-runs only on neurons whose membrane can still move (below 0 or at
-threshold and above).
+any size in row order, which it reads without writing. A conv or fc layer
+that feeds only a generic layer is deferred to it, and each block of rows
+the matmul finishes goes straight into stage 1, so the layer's
+(L_in*N, ...) output is never built. A generic layer after a residual
+add, or after a matmul with more than one consumer, gets its input as one
+stored value, which the driver takes as a single block; if_generic_layer
+does the same with a (L_in, N, ...) stack.
 
 The counter is int16 whenever L_in plus the stage-2 steps fits that dtype
 and int64 otherwise. IfStats keeps it, when asked, in that dtype as
-IfStats.counts, unclipped; IfStats.counter widens it to int64 on each
-read, as a new array. The walk drops each layer's value as soon as its last consumer has
-run, so only a few layers' values are alive at once.
+IfStats.counts, unclipped; IfStats.counter widens it to int64 on each read.
+
+SnnTrace.sums is a reference.TraceValues map. A train's entry, and a pool
+of a train's, keeps only the train and rebuilds its timestep sum on each
+read, byte for byte the axis-0 sum of the dense train; a streamed matmul's
+entry is the running sum its driver kept; other entries are stored
+read-only arrays. docs/numerics.md gives the memory bounds and byte rules
+behind the driver, the traces and check_equivalence.
 
 Converted models are immutable; the forward pass keeps all mutable neuron
 state local to the call, so batches and models can be run concurrently.
@@ -244,8 +217,7 @@ def _integrate(mem, count, x, th, fire, drop):
     x enters the membranes mem; a membrane at th or above fires, adds one
     to its count and soft-resets by th. fire and drop are scratch of mem's
     length. Subtracting th * fire from every membrane is exact where
-    nothing fires (x - 0.0 is x, a -0.0 included) and runs much faster
-    than a subtract masked by fire.
+    nothing fires (x - 0.0 is x, a -0.0 included).
     """
     mem += x
     np.greater_equal(mem, th, out=fire)
@@ -256,15 +228,7 @@ def _integrate(mem, count, x, th, fire, drop):
 
 def _settle(mem, count, th, steps):
     """Stage 2 on a span of membranes and counters, in place; returns the
-    (excitatory, inhibitory) spike totals.
-
-    A membrane in [0, th) neither fires nor inhibits, so it never moves:
-    the steps run on the span's other neurons only.
-    """
-    if not steps:
-        return 0, 0
-    moving = np.flatnonzero((mem < 0.0) | (mem >= th))
-    mem, moved = mem[moving], count[moving]
+    (excitatory, inhibitory) spike totals."""
     fire = np.empty(mem.shape, dtype=bool)
     inhib = np.empty(mem.shape, dtype=bool)
     excitatory = inhibitory = 0
@@ -274,13 +238,12 @@ def _settle(mem, count, th, steps):
         # th * 0.0 would give +0.0; no comparison can see the sign of a zero.
         np.greater_equal(mem, th, out=fire)
         np.less(mem, 0.0, out=inhib)
-        moved += fire
-        moved -= inhib
+        count += fire
+        count -= inhib
         np.add(mem, th, out=mem, where=inhib)
         np.subtract(mem, th, out=mem, where=fire)
         excitatory += int(np.count_nonzero(fire))
         inhibitory += int(np.count_nonzero(inhib))
-    count[moving] = moved
     return excitatory, inhibitory
 
 
@@ -312,13 +275,13 @@ class _IfDriver:
     stage-1 step, _integrate. It holds one membrane and one counter per
     neuron of a timestep and, with keep_sum, the running timestep sum:
     zeros, then each slice added in turn, which is numpy's axis-0 sum of
-    the C-contiguous stack (a stack of -0.0 sums to +0.0). Its fire and
-    drop scratch are one chunk each, so it never writes a block. shape is
-    one timestep's (N, ...) rows. finish runs stages 2 and 3.
+    the C-contiguous stack (a stack of -0.0 sums to +0.0). It never writes
+    a block. shape is one timestep's (N, ...) rows. finish runs stages 2
+    and 3.
 
     The state is allocated when the first block arrives, after a deferred
-    matmul has freed its product and, for fc, its dense input train; built
-    with the driver, it would sit beside them and raise the pass's peak.
+    matmul has freed its product (docs/numerics.md, "Driver state at the
+    first block").
     """
 
     def __init__(self, plan, shape, keep_sum=False):
@@ -414,8 +377,7 @@ def snn_forward(model, x, trace=None, keep_counters=False):
     its IfStats. Pass an SnnTrace to capture per-layer sums and spike trains.
     """
     stats = {}
-    streamed = {lid for lid, plan in model.if_plans.items()
-                if not plan.input_mode and plan.l_in > 1}
+    streamed = {lid for lid, plan in model.if_plans.items() if not plan.input_mode}
 
     def integrate_and_fire(layer, value, n):
         plan = model.if_plans[layer.id]
@@ -485,11 +447,11 @@ class EquivalenceReport:
 
 def _deviation(layer_id, ann_out, snn_sum):
     """The LayerDeviation of a spiking timestep sum from the reference
-    output: max |snn_sum - ann_out|, absolute and over max |ann_out|.
+    output: max |snn_sum - ann_out|, absolute and over max |ann_out| (the
+    absolute figure where that is 0). A NaN anywhere propagates.
 
-    The difference is taken chunk by chunk in one reused buffer, so no
-    temporary spans the layer; max is exact in any order, so the chunked
-    result is the whole-layer one.
+    The difference is taken chunk by chunk in one reused buffer; max is
+    exact in any order, so the result is the whole-layer one.
     """
     snn_sum = np.asarray(snn_sum, dtype=np.float64).reshape(-1)
     ann_out = np.asarray(ann_out, dtype=np.float64).reshape(snn_sum.shape)
@@ -524,10 +486,7 @@ def check_equivalence(graph, inputs, model=None):
     per_layer = [_deviation(layer.id, trace.outputs[layer.id], snn_trace.sums[layer.id])
                  for layer in graph.layers]
 
-    snn_total = logits_snn * model.final_timesteps
-    logit_dev = float(np.max(np.abs(snn_total - trace.logits)))
-    logit_scale = float(np.max(np.abs(trace.logits)))
-    max_logit_dev = logit_dev / logit_scale if logit_scale > 0 else logit_dev
+    max_logit_dev = _deviation("logits", trace.logits, logits_snn * model.final_timesteps).rel_dev
     agreement = float(np.mean(trace.logits.argmax(axis=1) == logits_snn.argmax(axis=1)))
     inhibitory = sum(st.stage2_inhibitory for st in stats.values())
     return EquivalenceReport(

@@ -23,6 +23,10 @@ def read_tree(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
 
 
+def forbid_weights(*args):
+    raise AssertionError("weights were drawn before the options were checked")
+
+
 class TestConvert:
     def test_bundle_records_thresholds(self, toy_manifest_path, tmp_path, capsys):
         # the bundle is the manifest plus its blobs; convert derives the plan
@@ -103,6 +107,18 @@ class TestCheckEquiv:
         captured = capsys.readouterr()
         assert code == 1
         assert "FAILED" in captured.err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_invalid_tol_exits_2(self, toy_manifest_path, capsys, monkeypatch, tol):
+        # checked before weights are drawn; the toy net agrees to ~1e-16,
+        # so a negative or NaN tolerance would otherwise read "check FAILED"
+        monkeypatch.setattr(cli, "init_random", forbid_weights)
+        code = main(["check-equiv", "--manifest", toy_manifest_path, "--seed", "3",
+                     "--n", "4", "--tol", tol])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
 
     def test_inhibitory_fixture_counts(self, tmp_path):
         from conftest import negative_weight_graph
@@ -339,6 +355,23 @@ class TestEnergy:
         path.write_text(vgg16_manifest(classes=10, steps=4))
         assert main(["energy", "--manifest", str(path), "--seed", "3"]) == 0
         assert "total matmul ops: 332,111,872" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--golden", "vgg16-cifar", "--L", "4", "--rate", "measured"],   # nothing to measure
+        ["--manifest", "toy.json", "--seed", "3", "--rate", "abc"],
+        ["--manifest", "toy.json", "--seed", "3", "--rate", "inf"],
+        ["--manifest", "toy.json", "--seed", "3", "--rate", "-0.5"],
+    ], ids=["golden-measured", "text", "inf", "negative"])
+    def test_invalid_rate_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "toy.json").write_text(toy_manifest())
+        monkeypatch.setattr(cli, "init_random", forbid_weights)
+        code = main(["energy", *argv, "--out", "energy.json"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "--rate" in err
+        assert not (tmp_path / "energy.json").exists()
 
     def test_measured_rate_mode(self, toy_manifest_path, tmp_path, capsys):
         code = main(["energy", "--manifest", toy_manifest_path, "--seed", "3",

@@ -6,10 +6,9 @@ import pytest
 
 from spikecast.graph import QcfsConfig, init_random, parse_manifest
 from spikecast.kernels import KernelError
-from spikecast.reference import (_HIST_CHUNK, SpikeTrain, _histogram, _levels, ann_forward, qcfs,
-                                 qcfs_levels)
+from spikecast.reference import SpikeTrain, _levels, ann_forward, qcfs, qcfs_levels
 
-from conftest import expression_levels, traced_peak_bytes
+from conftest import expression_levels
 
 
 class TestQcfs:
@@ -206,16 +205,6 @@ class TestAnnForward:
         assert trace.outputs["act"].tobytes() == (levels * (cfg.theta / cfg.L)).tobytes()
         want = np.bincount(levels.astype(np.int64).ravel(), minlength=L + 1)
         assert counts.dtype == want.dtype and counts.tobytes() == want.tobytes()
-
-    def test_histogram_sums_chunks(self):
-        # more levels than one bincount chunk, ending in a partial chunk;
-        # the counts and their dtype are those of one whole bincount, and
-        # the chunked count holds no intp copy of the whole layer
-        levels = np.random.default_rng(29).integers(0, 5, size=(3, _HIST_CHUNK + 7), dtype=np.uint8)
-        want = np.bincount(levels.ravel(), minlength=5)
-        got = _histogram(levels, 4)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert traced_peak_bytes(lambda: _histogram(levels, 4)) < 2 * _HIST_CHUNK * 8
 
     def test_deterministic(self, toy_graph):
         x = np.random.default_rng(3).uniform(0, 1, size=(2, 2, 8, 8))

@@ -178,11 +178,10 @@ def fed(monkeypatch):
 
 class TestStreamedIfLayer:
     """A conv or fc layer whose only consumer is a generic integrate-and-fire
-    layer with more than one input timestep hands it its row blocks; the
-    (T*N, ...) output is never built."""
+    layer hands it its row blocks; the (T*N, ...) output is never built."""
 
     @pytest.mark.parametrize("n", [1, 3, 8])
-    @pytest.mark.parametrize("l_in", [2, 4, 8])
+    @pytest.mark.parametrize("l_in", [1, 2, 4, 8])
     def test_bitwise_equal_to_array_path(self, l_in, n, fed, monkeypatch):
         # blocks of at most two images: with n = 3 some blocks hold the last
         # image of one timestep and the first of the next
@@ -271,8 +270,8 @@ class TestStreamedIfLayer:
     @pytest.mark.parametrize("name", ["toy", "residual", "l_in_1"])
     def test_snn_forward_writes_no_block(self, name, monkeypatch):
         # every block the spiking pass hands a driver, streamed by a deferred
-        # conv or fc, a residual sum or an L_in = 1 value, is unchanged
-        # once the driver has read it
+        # conv or fc (an L_in = 1 layer's included) or given as a residual
+        # sum, is unchanged once the driver has read it
         read = runtime._IfDriver.__call__
         seen = []
 
@@ -500,8 +499,9 @@ class TestGenericIfLayer:
             assert np.array_equal(train.bits, ticks <= np.clip(count, 0, l_out))
 
     def test_moving_neurons_match_full_array_loop(self):
-        # stage 2 on the gathered moving neurons against the loop over every
-        # neuron; a third of the inputs sit on exact level edges
+        # stage 2 in place over the whole span against the loop over every
+        # neuron; membranes in [0, th) must stay as they are, and a third of
+        # the inputs sit on exact level edges
         rng = np.random.default_rng(45)
         for _ in range(200):
             l_in = int(rng.choice([1, 2, 3, 4, 8]))
@@ -706,8 +706,8 @@ class TestSnnForward:
                 check_equivalence(graph, x)
 
     def test_single_step_layer_keeps_matmul_sum(self):
-        # with L_in = 1 the generic layer reads c2's output, which the trace
-        # stores as c2's sum; the layer must leave it as the matmul made it
+        # with L_in = 1, c2 streams into the generic layer a2, and c2's trace
+        # entry is the driver's running sum: byte-equal to the matmul's output
         graph = init_random(parse_manifest(chain_manifest(1, 1)), 31)
         model = convert(graph)
         assert model.if_plans["a2"].l_in == 1 and not model.if_plans["a2"].input_mode

@@ -56,6 +56,6 @@ for lid, st in stats.items():
           f"{st.timesteps} timesteps, {st.stage2_inhibitory} inhibitory")
 
 train = trace.trains["act2"]
-neuron = np.unravel_index(np.argmax(train.spike_counts()), train.words.shape[1:])
+neuron = np.unravel_index(np.argmax(train.spike_counts()), train.counts.shape)
 print(f"\nbusiest neuron of act2 {tuple(int(v) for v in neuron)} emits "
       f"{train.dense()[(slice(None),) + neuron]} (theta* = {train.theta_star})")

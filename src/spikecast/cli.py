@@ -212,10 +212,10 @@ def cmd_al_metric(args):
 def _parse_steps(text):
     if text is None:
         return 4
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = text.split(",")
+    if not all(p.strip().isdecimal() and int(p) >= 1 for p in parts):
+        raise CliError(f"--L takes integers >= 1, one or comma-separated, got {text!r}")
     values = [int(p) for p in parts]
-    if any(v < 1 for v in values):
-        raise CliError("quantization steps must be >= 1")
     return values[0] if len(values) == 1 else values
 
 

@@ -22,7 +22,8 @@ A graph stores each weight field once, as a read-only float64 array
 (about 270 MB for VGG-16/CIFAR), and both passes read those very arrays.
 Blob values are float32, so the widening is exact. Construction keeps an
 array that is already read-only float64 and owns its data, and copies
-anything else, so a caller's arrays are never frozen or shared.
+anything else, so a caller's arrays are never frozen or shared. Weights
+that miss a field a matmul layer declares raise a GraphError naming both.
 """
 
 import json
@@ -126,6 +127,10 @@ class ModelGraph:
         object.__setattr__(self, "weights", {
             lid: {name: _stored(a) for name, a in arrays.items()}
             for lid, arrays in self.weights.items()})
+        for layer in self.matmul_layers() if self.weights else ():
+            missing = [f for f in _field_names(layer) if f not in self.weights.get(layer.id, {})]
+            if missing:
+                _fail(layer.id, f"missing weight field {', '.join(map(repr, missing))}")
 
     def layer(self, layer_id):
         return self._by_id[layer_id]
@@ -396,14 +401,15 @@ def serialize_manifest(graph):
 # variance (C_out each) if batch_norm is set.
 
 
+def _field_names(layer):
+    """The weight fields a matmul layer declares, in blob order."""
+    return (("weight",) + ("bias",) * layer.has_bias
+            + ("gamma", "beta", "mu", "sigma_sq") * layer.has_bn)
+
+
 def _weight_fields(layer):
-    fields = [("weight", layer.weight_shape())]
-    if layer.has_bias:
-        fields.append(("bias", (layer.out_channels,)))
-    if layer.has_bn:
-        fields += [(name, (layer.out_channels,)) for name in
-                   ("gamma", "beta", "mu", "sigma_sq")]
-    return fields
+    return [(name, layer.weight_shape() if name == "weight" else (layer.out_channels,))
+            for name in _field_names(layer)]
 
 
 def load_weights(graph, blob_dir):

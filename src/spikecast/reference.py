@@ -36,10 +36,11 @@ recipe _pooled, the pool re-run on its input entry; neither keeps an
 array, and each read rebuilds the walk's bytes. _timestep_sum is the one
 timestep-sum rule of both passes and of forward's logits.
 
-A SpikeTrain stores its spikes packed along time, eight timesteps to a
-byte, plus the shared theta_star scalar, so the "every element is 0 or
-theta_star" guarantee is structural. run_layer reads a train in one of
-three ways, and only fc and a residual add build a float64 copy of it:
+A SpikeTrain stores each neuron's spike count, which fixes its bits (its
+first c timesteps fire), plus the shared theta_star scalar, so the "every
+element is 0 or theta_star" guarantee is structural. run_layer reads a
+train in one of three ways, and only fc and a residual add build a
+float64 copy of it:
 
   conv          kernels.conv2d scales the bits into its patch buffer one
                 block at a time.
@@ -189,72 +190,50 @@ def input_batch(graph, x):
     return x
 
 
-# _STEP_BITS[j] is the bit of timestep j in its byte
-_STEP_BITS = (1 << np.arange(8)).astype(np.uint8)
-
-
 class SpikeTrain:
     """Binary spikes over T timesteps, scaled by a shared threshold.
 
-    words packs the spikes along time, eight timesteps to a byte: bit
-    t % 8 of words[t // 8] is timestep t, so words has shape
-    (ceil(T / 8), N, ...) and the bits past T are zero. It is read-only.
-    SpikeTrain(bits, theta_star) packs any bool (T, N, ...) tensor;
-    thermometer builds an integrate-and-fire layer's train from its counts.
+    counts is each neuron's spike count, a read-only (N, ...) array in
+    np.min_scalar_type(T). Every train the passes make fires a neuron's c
+    spikes in its first c timesteps, so counts fix the bits.
+    SpikeTrain(bits, theta_star) keeps the counts of any bool (T, N, ...)
+    tensor, not the timesteps its spikes fell on.
     """
 
     def __init__(self, bits, theta_star):
         bits = np.asarray(bits, dtype=bool)
-        self._hold(np.packbits(bits, axis=0, bitorder="little"), theta_star, len(bits))
+        self._hold(bits.sum(axis=0), len(bits), theta_star)
 
-    def _hold(self, words, theta_star, timesteps):
-        words.flags.writeable = False
-        self.words, self.theta_star, self.timesteps = words, theta_star, timesteps
+    def _hold(self, counts, timesteps, theta_star):
+        # the clip runs before the cast, so the unsafe cast is exact
+        self.counts = np.clip(counts, 0, timesteps, casting="unsafe",
+                              out=np.empty(np.shape(counts), np.min_scalar_type(timesteps)))
+        self.counts.flags.writeable = False
+        self.theta_star, self.timesteps = theta_star, timesteps
 
     @classmethod
     def thermometer(cls, counts, timesteps, theta_star):
         """The T-step train in which a neuron of count c fires in its first
-        clip(c, 0, T) timesteps, built byte by byte from the counts: byte k
-        holds timesteps 8k to 8k + 7, and its first clip(c - 8k, 0, 8) fire."""
-        counts = np.asarray(counts)
-        fired = np.empty(counts.shape, dtype=np.promote_types(counts.dtype, np.int16))
-        words = np.empty((-(-timesteps // 8),) + counts.shape, dtype=np.uint8)
-        for k in range(len(words)):
-            np.clip(counts, 8 * k, min(8 * k + 8, timesteps), out=fired)
-            if k:
-                fired -= 8 * k
-            # m steps fire: the byte 2**m - 1, m <= 8 (a table lookup runs
-            # several times slower)
-            np.left_shift(1, fired, out=fired)
-            np.subtract(fired, 1, out=words[k], casting="unsafe")
+        clip(c, 0, T) timesteps."""
         train = cls.__new__(cls)
-        train._hold(words, theta_star, timesteps)
+        train._hold(counts, timesteps, theta_star)
         return train
 
     @property
     def bits(self):
-        """The bool (T, N, ...) spikes, unpacked as a new array on each read."""
-        words = self.words
-        steps = min(self.timesteps, 8)      # only the last byte may hold fewer
-        step_bits = _STEP_BITS[:steps].reshape((steps,) + (1,) * (words.ndim - 1))
-        masked = np.empty((len(words), steps) + words.shape[1:], dtype=np.uint8)
-        np.bitwise_and(words[:, None], step_bits, out=masked)
-        bits = masked.view(bool)
-        np.not_equal(masked, 0, out=bits)
-        return bits.reshape((-1,) + words.shape[1:])[:self.timesteps]
+        """The bool (T, N, ...) spikes, built as a new array on each read:
+        timestep t fires where t < count."""
+        counts = self.counts
+        steps = np.arange(self.timesteps, dtype=counts.dtype)
+        return steps.reshape((-1,) + (1,) * counts.ndim) < counts
 
     def dense(self):
         """The float64 (T, N, ...) train: theta_star where a spike fires, else 0."""
         return np.multiply(self.bits, self.theta_star, dtype=np.float64)
 
-    def spike_counts(self, dtype=np.int64):
-        """Spikes per neuron, shape (N, ...), the words' popcounts summed
-        without unpacking them. dtype must hold T; the default int64 is
-        that of bits.sum(axis=0)."""
-        counts = np.bitwise_count(self.words[0]).astype(dtype, copy=False)
-        for word in self.words[1:]:
-            counts += np.bitwise_count(word)
-        return counts
+    def spike_counts(self):
+        """Spikes per neuron as int64, shape (N, ...): bits.sum(axis=0)."""
+        return self.counts.astype(np.int64)
 
 
 def _fold(stack):
@@ -336,8 +315,11 @@ def forward(graph, x, activation, affines=None, record=None, streamed=()):
     integrate-and-fire layer.
 
     A KernelError raised by a layer, deferred or not, is re-raised with a
-    message that starts with the layer's id.
+    message that starts with the layer's id; a graph without weights
+    raises ValueError.
     """
+    if not graph.weights and graph.matmul_layers():
+        raise ValueError(f"layer '{graph.matmul_layers()[0].id}': graph has no weights loaded")
     x = input_batch(graph, x)
     n = len(x)
     last_use = {p: i for i, l in enumerate(graph.layers) for p in l.preds}

@@ -336,7 +336,7 @@ class _IfDriver:
             stage1_spikes=spikes[0],
             stage2_excitatory=spikes[1],
             stage2_inhibitory=spikes[2],
-            emitted_spikes=int(np.bitwise_count(train.words).sum()),
+            emitted_spikes=int(train.counts.sum()),
             elements=count.size,
             timesteps=plan.l_out,
             counts=count if keep_counter else None,
@@ -366,7 +366,7 @@ def _train_sum(train):
     t = train.timesteps
     table = np.zeros(t + 1)
     np.cumsum(np.full(t, train.theta_star), out=table[1:])
-    return table[train.spike_counts(np.min_scalar_type(t))]
+    return table[train.counts]
 
 
 def snn_forward(model, x, trace=None, keep_counters=False):

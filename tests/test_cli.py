@@ -373,6 +373,22 @@ class TestEnergy:
         assert "--rate" in err
         assert not (tmp_path / "energy.json").exists()
 
+    @pytest.mark.parametrize("steps", ["4,,2", "4,2,", ",", "", "abc", "2.5", "0", "4,-1"])
+    def test_invalid_L_exits_2(self, toy_manifest_path, capsys, monkeypatch, steps):
+        # every entry must be an integer >= 1: an empty one is not skipped
+        monkeypatch.setattr(cli, "init_random", forbid_weights)
+        code = main(["energy", "--manifest", toy_manifest_path, "--L", steps])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert f"--L takes integers >= 1, one or comma-separated, got {steps!r}" in err
+
+    def test_L_entries_may_carry_spaces(self, toy_manifest_path, capsys):
+        assert main(["energy", "--manifest", toy_manifest_path, "--L", " 4, 2"]) == 0
+        spaced = capsys.readouterr().out
+        assert main(["energy", "--manifest", toy_manifest_path, "--L", "4,2"]) == 0
+        assert capsys.readouterr().out == spaced
+
     def test_measured_rate_mode(self, toy_manifest_path, tmp_path, capsys):
         code = main(["energy", "--manifest", toy_manifest_path, "--seed", "3",
                      "--n", "4", "--rate", "measured"])

@@ -430,6 +430,23 @@ class TestWeights:
         trace = ann_forward(toy_graph.with_weights(zeros), np.ones((1, 2, 8, 8)))
         np.testing.assert_array_equal(trace.logits, 0.0)
 
+    @pytest.mark.parametrize("layer, field", [
+        ("conv1", "weight"), ("conv1", "bias"), ("conv1", "gamma"), ("conv1", "beta"),
+        ("conv1", "mu"), ("conv1", "sigma_sq"), ("conv2", "bias"), ("head", "weight")])
+    def test_missing_field_names_layer(self, toy_graph, layer, field):
+        # fields are checked where the weights are attached, not where a
+        # pass first reads them
+        weights = dict(toy_graph.weights)
+        weights[layer] = {k: v for k, v in weights[layer].items() if k != field}
+        with pytest.raises(GraphError, match=f"layer '{layer}': missing weight field '{field}'"):
+            toy_graph.with_weights(weights)
+
+    def test_missing_entry_names_every_field(self, toy_graph):
+        weights = {lid: w for lid, w in toy_graph.weights.items() if lid != "conv2"}
+        with pytest.raises(GraphError,
+                           match="layer 'conv2': missing weight field 'weight', 'bias'"):
+            toy_graph.with_weights(weights)
+
 
 class TestInitRandom:
     def test_same_seed_bit_identical(self, toy_graph):

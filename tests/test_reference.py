@@ -100,27 +100,40 @@ class TestQcfs:
 
 
 class TestSpikeTrain:
-    @pytest.mark.parametrize("t", [1, 7, 8, 9, 16, 17])
+    @pytest.mark.parametrize("t", [1, 7, 8, 9, 16, 17, 255, 256])
     def test_arbitrary_bits_round_trip(self, t):
-        # the bool tensor is the oracle: every read must be byte for byte
-        # what the parent's one-byte-per-step train gave
+        # a train holds its spike counts, so thermometer bits (each neuron's
+        # spikes in its first timesteps, as every pass emits them) read back
+        # byte for byte: the bool tensor is the oracle. Scattered bits keep
+        # their per-neuron counts and read back in thermometer order.
         rng = np.random.default_rng(60 + t)
         for density in (0.0, 0.3, 0.8, 1.0):
-            bits = rng.random((t, 2, 3, 5)) < density
-            train = SpikeTrain(bits=bits, theta_star=0.1)
-            assert train.timesteps == t and train.theta_star == 0.1
-            assert train.words.shape == (-(-t // 8), 2, 3, 5)
-            assert train.words.dtype == np.uint8 and not train.words.flags.writeable
-            unused = np.unpackbits(train.words, axis=0, bitorder="little")[t:]
-            assert not unused.any()
-            for got, want in ((train.bits, bits),
-                              (train.dense(), bits.astype(np.float64) * 0.1),
-                              (train.spike_counts(), bits.sum(axis=0))):
-                assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                assert got.tobytes() == want.tobytes()
-            again = train.bits
-            again[...] = ~bits
-            assert train.bits.tobytes() == bits.tobytes()
+            scattered = rng.random((t, 2, 3, 5)) < density
+            bits = np.sort(scattered, axis=0)[::-1]     # the same counts, first steps
+            for given in (bits, scattered):
+                train = SpikeTrain(bits=given, theta_star=0.1)
+                assert train.timesteps == t and train.theta_star == 0.1
+                assert train.counts.shape == (2, 3, 5)
+                assert train.counts.dtype == np.min_scalar_type(t)
+                assert not train.counts.flags.writeable
+                for got, want in ((train.bits, bits),
+                                  (train.dense(), bits.astype(np.float64) * 0.1),
+                                  (train.spike_counts(), bits.sum(axis=0))):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes()
+                again = train.bits
+                again[...] = ~bits
+                assert train.bits.tobytes() == bits.tobytes()
+
+    def test_spike_order_is_not_kept(self):
+        # removed behaviour: a train no longer keeps a non-thermometer order.
+        # A neuron that fired at timesteps 1 and 3 of 4 reads back as firing
+        # at 0 and 1; its count, sum and dense total are unchanged.
+        scattered = np.array([False, True, False, True]).reshape(4, 1)
+        train = SpikeTrain(bits=scattered, theta_star=0.5)
+        assert train.bits[:, 0].tolist() == [True, True, False, False]
+        assert train.spike_counts().tolist() == [2]
+        assert train.dense().sum(axis=0).tolist() == [1.0]
 
     @pytest.mark.parametrize("t", [1, 3, 8, 9, 16, 17])
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
@@ -134,7 +147,8 @@ class TestSpikeTrain:
         want = ticks <= np.clip(counts, 0, t)
         assert (train.timesteps, train.theta_star) == (t, 0.25)
         assert train.bits.shape == want.shape and train.bits.tobytes() == want.tobytes()
-        assert train.words.tobytes() == SpikeTrain(want, 0.25).words.tobytes()
+        assert train.counts.dtype == np.min_scalar_type(t)
+        assert train.counts.tobytes() == SpikeTrain(want, 0.25).counts.tobytes()
         assert train.spike_counts().tobytes() == want.sum(axis=0).tobytes()
 
 
@@ -245,6 +259,11 @@ class TestAnnForward:
         for v in (x, x.astype(bool), x.astype(np.float32), x.astype(object), x.tolist()):
             assert ann_forward(toy_graph, v).logits.tobytes() == want
 
+
+    def test_graph_without_weights_raises_value_error(self, toy_graph):
+        x = np.random.default_rng(4).uniform(0, 1, size=(2, 2, 8, 8))
+        with pytest.raises(ValueError, match="layer 'conv1': graph has no weights loaded"):
+            ann_forward(toy_graph.with_weights({}), x)
 
     def test_kernel_error_names_layer(self, toy_graph):
         weights = dict(toy_graph.weights)

@@ -560,7 +560,7 @@ class TestGenericIfLayer:
     @pytest.mark.parametrize("l_in", [1, 4, 8])
     def test_peak_does_not_grow_with_steps(self, l_in):
         # the layer holds one float64 membrane and one int16 counter per
-        # neuron, scratch of one chunk and the emitted words: nothing that
+        # neuron, scratch of one chunk and the emitted counts: nothing that
         # grows with L_in
         neurons, l_out = 4 * 64 * 32 * 32, 4
         stack = np.random.default_rng(l_in).uniform(-0.5, 0.5, size=(l_in, 4, 64, 32, 32))
@@ -863,7 +863,7 @@ class TestTraceMaps:
     def test_traces_hold_levels_and_bits(self):
         # a LayerTrace holds its stored outputs and nothing of its
         # activations and pools; an SnnTrace its stored sums plus its
-        # trains' words, ceil(T / 8) bytes per neuron. Keeping levels,
+        # trains' counts, one byte per neuron at T <= 255. Keeping levels,
         # float64 activation or pool outputs, train sums or one byte per
         # spike breaks the upper bounds; a trace that only the cyclic
         # garbage collector frees reads 0 held and breaks the lower ones.
@@ -880,8 +880,7 @@ class TestTraceMaps:
 
         derived = set(trace.trains) | pooled_trains(graph, trace.trains)
         stored = self.stored_bytes(graph, trace.sums, derived)
-        stored += sum(-(-train.timesteps // 8) * train.bits[0].size
-                      for train in trace.trains.values())
+        stored += sum(train.counts.nbytes for train in trace.trains.values())
         held = traced_held_bytes(lambda: spiking_trace(model, x))
         assert stored <= held < stored + slack
 
@@ -1129,3 +1128,19 @@ class TestBenchmarkContract:
         snn_forward(convert(toy_graph), x, trace=trace)
         rebuilt = SnnTrace(sums=trace.sums, trains=trace.trains)
         assert rebuilt.sums is trace.sums and rebuilt.trains is trace.trains
+
+    @pytest.mark.parametrize("t", [1, 2, 4, 8, 9])
+    def test_one_flipped_spike_moves_the_train(self, t):
+        # the bench's "one emitted spike flipped" mutation rebuilds a train
+        # from its bits with one bit flipped; a train keeps spike counts, so
+        # the flip must move that neuron's count by one to stay rejectable
+        counts = np.arange(t + 1)
+        clean = SpikeTrain.thermometer(counts, t, 0.5)
+        for step in range(t):
+            for neuron in range(t + 1):
+                flipped = clean.bits
+                flipped[step, neuron] ^= True
+                bad = SpikeTrain(bits=flipped, theta_star=clean.theta_star)
+                assert not np.array_equal(bad.bits, clean.bits)
+                moved = bad.spike_counts() - clean.spike_counts()
+                assert np.abs(moved).tolist() == [int(i == neuron) for i in range(t + 1)]

@@ -361,8 +361,11 @@ def build_report(layers, l_steps, spike_rate=ASSUMED_SPIKE_RATE, rate_label=None
 
     l_steps is a uniform int or a vector aligned with the matmul layers.
     spike_rate is a scalar assumption or a per-matmul vector of measured
-    rates; rate_label records which mode produced the numbers.
+    rates; rate_label records which mode produced the numbers. Raises
+    EnergyModelError for an empty layer list.
     """
+    if not layers:
+        raise EnergyModelError("no matmul layers to report")
     steps = _step_vector(layers, l_steps)
     rates = ([float(spike_rate)] * len(layers) if np.isscalar(spike_rate)
              else [float(v) for v in spike_rate])

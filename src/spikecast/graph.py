@@ -343,7 +343,8 @@ def _built(order):
 
 
 def parse_manifest(text):
-    """Parse and validate a manifest JSON document into a weightless graph."""
+    """Parse and validate a manifest JSON document into a weightless graph
+    with at least one conv or fc layer."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -356,6 +357,8 @@ def parse_manifest(text):
             raise GraphError(f"manifest field '{fld}' must be {want}, got {json.dumps(doc[fld])}")
     layers = _built(_ordered([_parse_layer(e) for e in doc["layers"]]))
     graph = ModelGraph(doc["name"], doc["classes"], layers)
+    if not graph.matmul_layers():
+        raise GraphError(f"model '{graph.name}' has no conv or fc layer")
     out = graph.output_layer.out_shape
     if int(np.prod(out)) != graph.classes:
         _fail(graph.output_layer.id,

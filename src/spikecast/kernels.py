@@ -1,16 +1,16 @@
 """Dense NCHW inference kernels.
 
-Deterministic numpy kernels shared by both passes: cross-correlation
-convolution, fully-connected product, fused batch-norm affine and average
-pooling. An unrolled layer's T timesteps arrive folded into the batch axis
-as T*N rows, and its affine comes already divided by T (BnAffine.scaled,
-applied in conversion), so no kernel knows how many timesteps its rows hold.
+Deterministic numpy kernels shared by both passes: kernels.conv2d
+(cross-correlation convolution) and kernels.fully_connected, each with an
+optional batch-norm affine, and kernels.avg_pool2d (average pooling). An
+unrolled layer's T timesteps arrive folded into the batch axis as T*N rows,
+and its affine comes already divided by T (BnAffine.scaled, applied in
+conversion), so no kernel knows how many timesteps its rows hold.
 
 All kernels are pure functions that return fresh arrays and never mutate
-their arguments, so they are safe to call concurrently. The exceptions are
-the out argument of fused_bn_affine, which callers point at a matmul output
-they own, and conv2d's consumer, which gets each block of the output in
-place of an output array. The only shared state is conv2d's cache of
+their arguments, so they are safe to call concurrently. The exception is
+conv2d's consumer, which gets each block of the output in place of an
+output array. The only shared state is conv2d's cache of
 read-only patch-gather indices, keyed by geometry.
 
 The rules below exist to keep bytes equal across layouts and block splits,
@@ -40,13 +40,15 @@ is the C-contiguous (C_out, taps) weight matrix, and a patch's taps run in
 
 Each finished block or image goes into the output or to consumer(lo,
 block). Its batch-norm affine runs in the buffer that holds it, as the
-IEEE operations of fused_bn_affine in the same order.
+four IEEE operations of gamma * (y + shift) / denom + beta in that order
+(_affine_into). fully_connected runs the same operations in its product.
 
 Pooling order. avg_pool2d adds a 2 x 2 window from four strided slices as
 (x00 + x01) + (x10 + x11), or as ((x00 + x01) + x10) + x11 when the output
 has one column, then divides by 4: the order numpy's mean over the 6-D
-window view uses for inputs whose strides fall from the first axis to the
-last. Other windows and layouts take numpy's mean.
+window view uses for a C-contiguous input. The sums are elementwise, so
+an input in any layout gets the bytes of its C-ordered copy. Other
+windows, and unscaled input other than float64, take numpy's mean.
 """
 
 from dataclasses import dataclass
@@ -222,8 +224,8 @@ def conv2d(x, params, scale=None, affine=None, consumer=None):
 
     With scale given, x is a bool spike tensor and the input convolved is
     x * scale; the float64 input is only ever built one block (or image)
-    at a time. With affine given, the result is fused_bn_affine(conv,
-    affine), applied one block at a time in the output buffer.
+    at a time. With affine given, the result is the affine of the conv,
+    applied one block at a time in the output buffer (_affine_into).
 
     With consumer given, no output is built: each finished block of rows
     lo..lo + m, affine applied and checked finite, goes to consumer(lo,
@@ -306,14 +308,23 @@ def conv2d(x, params, scale=None, affine=None, consumer=None):
     return np.broadcast_to(np.zeros((), dtype=out.dtype), (n, c_out, h_o, w_o))
 
 
-def fully_connected(x, weights):
-    """Batched y = W @ x for x of shape (N, C_in) and weights (C_out, C_in)."""
+def fully_connected(x, weights, affine=None):
+    """Batched y = W @ x for x of shape (N, C_in) and weights (C_out, C_in).
+
+    With affine given, the result is the affine of y, applied as conv2d
+    applies it, in the product's own buffer when the product already has
+    the dtype the affine promotes to.
+    """
     _check(x.ndim == 2, "fully-connected input must be 2-D, got shape {}", x.shape)
     _check(weights.ndim == 2, "fully-connected weights must be 2-D (C_out, C_in)")
     _check(x.shape[1] == weights.shape[1],
            "fully-connected width mismatch: input {}, weights expect {}",
            x.shape[1], weights.shape[1])
     out = x @ weights.T
+    if affine is not None:
+        terms = _affine_terms(affine, 2, out.shape[1])
+        y, out = out, out.astype(np.result_type(out, *terms), copy=False)
+        _affine_into(y, terms, out)
     _check_finite(out, "fully-connected output")
     return out
 
@@ -341,47 +352,6 @@ def _affine_into(y, terms, out):
     np.add(out, beta, out=out)
 
 
-def fused_bn_affine(y, affine, out=None):
-    """Apply a BnAffine per output channel.
-
-    A layer unrolled over T timesteps gets the affine its conversion
-    divided down (BnAffine.scaled(1 / T)), so the T outputs sum to the
-    single-shot output. out, if given, receives the result and may be y
-    itself; it must have y's shape and the dtype the expression promotes to.
-    """
-    _check(y.ndim in (2, 4), "affine input must be 2-D or 4-D, got shape {}", y.shape)
-    terms = _affine_terms(affine, y.ndim, y.shape[1])
-    dtype = np.result_type(y, *terms)
-    if out is None:
-        out = np.empty(y.shape, dtype=dtype)
-    else:
-        _check(out.shape == y.shape and out.dtype == dtype,
-               "affine out must be {} of shape {}, got {} of shape {}",
-               dtype, y.shape, out.dtype, out.shape)
-    _affine_into(y, terms, out)
-    _check_finite(out, "affine output")
-    return out
-
-
-def _window_sums(x00, x01, x10, x11, one_column):
-    """Sums of 2x2 windows from their four corner views, added in the order
-    numpy's mean over the window axes uses.
-
-    numpy reduces a window row by row, (x00 + x01) + (x10 + x11), except
-    when the output has one column, where it adds the four in sequence.
-    """
-    out = np.add(x00, x01)
-    if one_column:
-        out += x10
-        out += x11
-        return out
-    pair = np.empty(out.shape[1:], dtype=out.dtype)  # one image: bounds the temporary
-    for i in range(out.shape[0]):
-        np.add(x10[i], x11[i], out=pair)
-        out[i] += pair
-    return out
-
-
 def avg_pool2d(x, window, scale=None):
     """Non-overlapping k x k mean pooling; H and W must tile exactly.
 
@@ -389,7 +359,7 @@ def avg_pool2d(x, window, scale=None):
     x * scale. A 2 x 2 window reads it as spike counts: a window's float
     sum depends only on how many of its elements are scale, so each output
     is looked up in the five sums of 0 to 4 spikes. The result is byte
-    for byte numpy's mean of the same float input.
+    for byte numpy's mean of the same float input in C order.
     """
     _check(x.ndim == 4, "pool input must be 4-D, got shape {}", x.shape)
     _check(scale is None or x.dtype == np.bool_,
@@ -398,27 +368,32 @@ def avg_pool2d(x, window, scale=None):
     n, c, h, w = x.shape
     _check(h % k == 0 and w % k == 0,
            "pool window {} does not divide input {}x{}", k, h, w)
-    # numpy's mean adds the windows of other layouts in other orders
-    strides_fall = all(a >= b for a, b in zip(x.strides, x.strides[1:])) and x.strides[3] > 0
-    if k != 2 or not strides_fall or (scale is None and x.dtype != np.float64):
+    if k != 2 or (scale is None and x.dtype != np.float64):
         if scale is not None:
             x = x * scale
         out = x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
         _check_finite(out, "pool output")
         return out
-    corners = (x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2], x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2])
-    if scale is None:
-        out = _window_sums(*corners, one_column=w == 2)
-        np.divide(out, 4, out=out)
-        _check_finite(out, "pool output")
-        return out
-    count = np.add(corners[0], corners[1], dtype=np.uint8)
-    np.add(count, corners[2], out=count)
-    np.add(count, corners[3], out=count)
-    # window j of a one-image ladder of five windows holds j spikes, so its
-    # sums, added as above, are the pooled value of every count
-    ladder = (np.arange(5)[:, None] > np.arange(4)) * scale
-    table = _window_sums(*ladder.T[:, None], one_column=w == 2)[0] / 4
-    _check_finite(table, "pool output")
-    return table[count]
-
+    x00, x01, x10, x11 = (x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1))
+    if scale is not None:
+        count = np.add(x00, x01, dtype=np.uint8)
+        np.add(count, x10, out=count)
+        np.add(count, x11, out=count)
+        # 2 * scale is exact, so k <= 4 spikes sum to the float k * scale in
+        # either add order (docs/numerics.md, "Pooling spikes by count")
+        table = np.arange(5) * scale / 4
+        _check_finite(table, "pool output")
+        return table[count]
+    out = np.add(x00, x01)
+    if w == 2:
+        # one output column: numpy's mean adds the window in sequence
+        out += x10
+        out += x11
+    else:
+        pair = np.empty(out.shape[1:], dtype=out.dtype)  # one image: bounds the temporary
+        for i in range(n):
+            np.add(x10[i], x11[i], out=pair)
+            out[i] += pair
+    np.divide(out, 4, out=out)
+    _check_finite(out, "pool output")
+    return out

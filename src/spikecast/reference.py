@@ -266,10 +266,9 @@ def run_layer(graph, layer, srcs, affine=None, consumer=None):
         return _rows(a) + _rows(b)
     if kind == "fc":
         x = _rows(srcs[0])
-        out = kernels.fully_connected(x.reshape(len(x), -1), graph.weights[layer.id]["weight"])
+        out = kernels.fully_connected(x.reshape(len(x), -1), graph.weights[layer.id]["weight"],
+                                      affine)
         del x           # a dense train is freed before the consumer runs
-        if affine is not None:
-            kernels.fused_bn_affine(out, affine, out=out)
         if consumer is None:
             return out
         consumer(0, out)
@@ -318,7 +317,7 @@ def forward(graph, x, activation, affines=None, record=None, streamed=()):
     message that starts with the layer's id; a graph without weights
     raises ValueError.
     """
-    if not graph.weights and graph.matmul_layers():
+    if not graph.weights:
         raise ValueError(f"layer '{graph.matmul_layers()[0].id}': graph has no weights loaded")
     x = input_batch(graph, x)
     n = len(x)

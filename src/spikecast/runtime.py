@@ -255,6 +255,9 @@ def if_generic_layer(stack, plan, keep_counter=False):
     SpikeTrain of length L_out plus the stage statistics.
     """
     stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim < 2:
+        raise ConversionError(f"layer '{plan.layer_id}': expected an (L_in, N, ...) stack, "
+                              f"got shape {stack.shape}")
     if stack.shape[0] != plan.l_in:
         raise ConversionError(
             f"layer '{plan.layer_id}': expected {plan.l_in} input timesteps, "

@@ -56,6 +56,13 @@ def pooled_input_manifest():
     })
 
 
+def no_matmul_manifest():
+    """in -> avg_pool: a net with no conv or fc layer."""
+    return json.dumps({"name": "nomm", "classes": 1, "layers": [
+        {"id": "in", "kind": "input", "pred": [], "shape": [1, 2, 2]},
+        {"id": "p", "kind": "avg_pool", "pred": ["in"], "window": 2}]})
+
+
 def clustering_sse(values, assignments):
     """Within-cluster sum of squared deviations for a given assignment."""
     values = np.asarray(values, dtype=np.float64)
@@ -136,6 +143,14 @@ def sliding_window_conv2d(x, params):
 
 # ---------------------------------------------------------------------------
 # earlier epilogues, kept as bitwise oracles for the kernels that replaced them
+
+
+def affine_expression(y, affine):
+    """A BnAffine on each channel of y as one plain expression."""
+    shape = (1, -1) + (1,) * (y.ndim - 2)
+    shift = (affine.bias - affine.mu).reshape(shape)
+    denom = np.sqrt(affine.sigma_sq + affine.epsilon).reshape(shape)
+    return affine.gamma.reshape(shape) * (y + shift) / denom + affine.beta.reshape(shape)
 
 
 def mean_avg_pool2d(x, k=2):

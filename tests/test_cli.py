@@ -11,6 +11,8 @@ from spikecast.graph import init_random, load_weights, parse_manifest
 from spikecast.runtime import SnnTrace, convert, snn_forward
 from spikecast.zoo import toy_manifest, vgg16_manifest
 
+from conftest import no_matmul_manifest
+
 
 @pytest.fixture
 def toy_manifest_path(tmp_path):
@@ -193,6 +195,19 @@ class TestCheckEquiv:
             main(["check-equiv", "--manifest", toy_manifest_path, "--seed", "3",
                   "--n", "10", "--out", str(p)])
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestManifestWithoutMatmul:
+    @pytest.mark.parametrize("argv", [["energy"], ["check-equiv", "--seed", "1"],
+                                      ["convert", "--seed", "1", "--out", "bundle"]],
+                             ids=["energy", "check-equiv", "convert"])
+    def test_exits_2_naming_the_model(self, tmp_path, capsys, argv):
+        path = tmp_path / "nomm.json"
+        path.write_text(no_matmul_manifest())
+        argv = [str(tmp_path / a) if a == "bundle" else a for a in argv]
+        assert main(argv + ["--manifest", str(path)]) == 2
+        assert capsys.readouterr().err == "error: model 'nomm' has no conv or fc layer\n"
+        assert not (tmp_path / "bundle").exists()
 
 
 class TestAlMetric:

@@ -197,6 +197,10 @@ class TestOverallRatio:
 
 
 class TestReport:
+    def test_empty_report(self):
+        with pytest.raises(EnergyModelError, match="no matmul layers"):
+            build_report([], 4)
+
     def test_uniform_report(self):
         report = build_report(vgg16_cifar(10), 4)
         agg = report["aggregates"]

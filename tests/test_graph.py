@@ -13,7 +13,7 @@ from spikecast.runtime import convert, snn_forward
 from spikecast.zoo import (residual_block_manifest, resnet_manifest, toy_manifest,
                            vgg16_manifest)
 
-from conftest import pooled_input_manifest, traced_peak_bytes
+from conftest import no_matmul_manifest, pooled_input_manifest, traced_peak_bytes
 
 
 def small_manifest(**overrides):
@@ -261,6 +261,10 @@ class TestParse:
     def test_invalid_json(self):
         with pytest.raises(GraphError, match="^manifest is not valid JSON: "):
             parse_manifest(json.dumps(small_manifest())[:-1])
+
+    def test_model_needs_a_matmul_layer(self):
+        with pytest.raises(GraphError, match="^model 'nomm' has no conv or fc layer$"):
+            parse_manifest(no_matmul_manifest())
 
     def test_output_size_must_match_classes(self):
         doc = small_manifest(classes=5)

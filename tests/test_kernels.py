@@ -13,10 +13,10 @@ import pytest
 
 from spikecast import kernels
 from spikecast.kernels import (BnAffine, ConvParams, KernelError, avg_pool2d,
-                               conv2d, fully_connected, fused_bn_affine)
+                               conv2d, fully_connected)
 
-from conftest import (mean_avg_pool2d, naive_conv2d, sliding_window_conv2d,
-                      traced_peak_bytes)
+from conftest import (affine_expression, mean_avg_pool2d, naive_conv2d,
+                      sliding_window_conv2d, traced_peak_bytes)
 
 
 def random_conv_case(rng, c_out=None, n=None):
@@ -106,12 +106,13 @@ def per_block_cases():
 
 def conv_variants(x, p, rng):
     """(input, scale, affine, wanted bytes) for floats and bits, each without
-    and with an affine: the sliding-window lowering, then fused_bn_affine."""
+    and with an affine: the sliding-window lowering, then the affine's plain
+    expression."""
     a = random_affine(rng, p.out_channels).scaled(0.25)
     for inp, scale, dense in ((x, None, x), (x > 0.0, 0.25, (x > 0.0) * 0.25)):
         plain = sliding_window_conv2d(dense, p)
         for affine in (None, a):
-            want = plain if affine is None else fused_bn_affine(plain, affine)
+            want = plain if affine is None else affine_expression(plain, affine)
             yield inp, scale, affine, want.tobytes()
 
 
@@ -381,9 +382,9 @@ class TestConv2d:
             for affine in (a, a.scaled(1.0 / 3.0)):
                 got = conv2d(x, p, affine=affine)
                 assert got.flags.c_contiguous
-                assert got.tobytes() == fused_bn_affine(plain, affine).tobytes()
+                assert got.tobytes() == affine_expression(plain, affine).tobytes()
                 got = conv2d(bits, p, scale=0.25, affine=affine)
-                assert got.tobytes() == fused_bn_affine(spiking, affine).tobytes()
+                assert got.tobytes() == affine_expression(spiking, affine).tobytes()
 
     def test_affine_channel_mismatch(self):
         p = ConvParams(weights=np.ones((2, 1, 1, 1)))
@@ -440,27 +441,36 @@ class TestFullyConnected:
 
 
 class TestFusedBnAffine:
+    """The affine epilogue, run through fully_connected with an identity
+    weight matrix, whose product is exact."""
+
+    @staticmethod
+    def affine(y, a):
+        return fully_connected(y, np.eye(y.shape[1], dtype=y.dtype), a)
+
     def test_identity_affine(self):
-        y = np.random.default_rng(1).normal(size=(2, 3, 4, 4))
-        out = fused_bn_affine(y, BnAffine.bias_only(np.zeros(3)))
+        y = np.random.default_rng(1).normal(size=(2, 3))
+        out = self.affine(y, BnAffine.bias_only(np.zeros(3)))
         np.testing.assert_array_equal(out, y)
 
     def test_scalar_hand_eval(self):
         eps = 1e-5
         a = BnAffine(gamma=np.array([2.0]), beta=np.array([1.0]), mu=np.array([3.0]),
                      sigma_sq=np.array([4.0 - eps]), bias=np.array([0.0]), epsilon=eps)
-        out = fused_bn_affine(np.full((1, 1, 1, 1), 5.0), a)
-        assert out[0, 0, 0, 0] == pytest.approx(3.0, abs=1e-12)
+        out = self.affine(np.full((1, 1), 5.0), a)
+        assert out[0, 0] == pytest.approx(3.0, abs=1e-12)
 
     def test_scaled_constants(self):
         eps = 1e-5
         a = BnAffine(gamma=np.array([2.0]), beta=np.array([1.0]), mu=np.array([3.0]),
                      sigma_sq=np.array([4.0 - eps]), bias=np.array([0.0]), epsilon=eps)
-        out = fused_bn_affine(np.full((1, 1, 1, 1), 5.0), a.scaled(0.25))
-        assert out[0, 0, 0, 0] == pytest.approx(4.5, abs=1e-12)
+        out = self.affine(np.full((1, 1), 5.0), a.scaled(0.25))
+        assert out[0, 0] == pytest.approx(4.5, abs=1e-12)
 
     def test_bytes_match_expression(self):
+        # fc's epilogue, and conv2d's through a 1x1 identity conv
         rng = np.random.default_rng(29)
+        identity = ConvParams(weights=np.eye(5).reshape(5, 5, 1, 1))
         for shape in ((3, 5), (2, 5, 4, 3)):
             a = BnAffine(gamma=rng.uniform(-1.5, 1.5, 5), beta=rng.uniform(-1, 1, 5),
                          mu=rng.uniform(-1, 1, 5), sigma_sq=rng.uniform(0.2, 2.0, 5),
@@ -473,10 +483,8 @@ class TestFusedBnAffine:
                 shift = (s.bias - s.mu).reshape(bshape)
                 want = (s.gamma.reshape(bshape) * (y + shift) / denom
                         + s.beta.reshape(bshape))
-                assert fused_bn_affine(y, s).tobytes() == want.tobytes()
-                z = y.copy()
-                assert fused_bn_affine(z, s, out=z) is z
-                assert z.tobytes() == want.tobytes()
+                got = self.affine(y, s) if y.ndim == 2 else conv2d(y, identity, affine=s)
+                assert got.tobytes() == want.tobytes()
             assert y.tobytes() == y_before.tobytes()
 
     def test_mixed_dtypes_promote_like_expression(self):
@@ -492,13 +500,9 @@ class TestFusedBnAffine:
         assert a.bias.dtype == np.float32
         shift = (a.bias - a.mu)[None]
         want = a.gamma * (y + shift) / np.sqrt(a.sigma_sq + a.epsilon) + a.beta
-        got = fused_bn_affine(y, a)
+        got = self.affine(y, a)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()
-        out = np.empty(y.shape)
-        assert fused_bn_affine(y, a, out=out).tobytes() == want.tobytes()
-        with pytest.raises(KernelError, match="affine out"):
-            fused_bn_affine(y, a, out=y)
 
     def test_bad_epsilon(self):
         with pytest.raises(KernelError, match="epsilon"):
@@ -515,10 +519,20 @@ class TestFusedBnAffine:
             a = BnAffine(gamma=rng.uniform(0.5, 1.5, c), beta=rng.uniform(-1, 1, c),
                          mu=rng.uniform(-1, 1, c), sigma_sq=rng.uniform(0.2, 2.0, c),
                          bias=rng.uniform(-1, 1, c))
-            pieces = rng.uniform(-1, 1, size=(L, 2, c, 3, 3))
-            whole = fused_bn_affine(pieces.sum(axis=0), a)
-            split = sum(fused_bn_affine(p, a.scaled(1.0 / L)) for p in pieces)
+            pieces = rng.uniform(-1, 1, size=(L, 18, c))
+            whole = self.affine(pieces.sum(axis=0), a)
+            split = sum(self.affine(p, a.scaled(1.0 / L)) for p in pieces)
             np.testing.assert_allclose(split, whole, atol=1e-4)
+
+    def test_fc_affine_channel_mismatch(self):
+        with pytest.raises(KernelError, match="affine expects 3 channels"):
+            fully_connected(np.ones((1, 2)), np.ones((2, 2)), BnAffine.bias_only(np.zeros(3)))
+
+    def test_fc_non_finite_output_is_rejected(self):
+        a = BnAffine(gamma=np.ones(2), beta=np.zeros(2), mu=np.zeros(2),
+                     sigma_sq=np.ones(2), bias=np.array([0.0, np.inf]))
+        with pytest.raises(KernelError, match="fully-connected output contains non-finite"):
+            fully_connected(np.ones((1, 2)), np.eye(2), a)
 
 
 class TestPooling:
@@ -538,23 +552,36 @@ class TestPooling:
             avg_pool2d(np.zeros((1, 1, 5, 5)), 2)
 
     def test_slice_sums_match_mean(self):
-        # row-major inputs, contiguous or sliced, take the slice adds; other
-        # layouts keep numpy's mean; every one is byte-equal to the mean
+        # row-major inputs, contiguous or sliced, give numpy's mean of the
+        # same array; layouts no pass makes (channels-last, negative or zero
+        # strides, Fortran order) give the pool of their C-ordered copy
         rng = np.random.default_rng(47)
-        for i in range(1200):
+        for i in range(1400):
             n, c = (int(v) for v in rng.integers(1, 4, size=2))
             h_o, w_o = (int(v) for v in rng.integers(1, 6, size=2))   # H = 2, W = 2 included
-            kind = i % 4
+            h, w = 2 * h_o, 2 * w_o
+            scale = 10.0 ** int(rng.integers(-3, 4))
+            kind = i % 7
             if kind == 0:
-                x = rng.normal(size=(n, c, 2 * h_o, 2 * w_o))
+                x = rng.normal(size=(n, c, h, w)) * scale
             elif kind == 1:
-                x = rng.normal(size=(n, c + 1, 2 * h_o + 1, 2 * w_o + 3))[:, 1:, 1:, 1:-2]
+                x = (rng.normal(size=(n, c + 1, h + 1, w + 3)) * scale)[:, 1:, 1:, 1:-2]
             elif kind == 2:
-                x = rng.normal(size=(n, c, 2 * h_o, 4 * w_o))[..., ::2]
+                x = (rng.normal(size=(n, c, h, 2 * w)) * scale)[..., ::2]
+            elif kind == 3:
+                x = np.moveaxis(rng.normal(size=(n, h, w, c)) * scale, 3, 1)
+            elif kind == 4:
+                x = (rng.normal(size=(n, c, h, w)) * scale)[::-1, :, ::-1, ::-1]
+            elif kind == 5:
+                x = np.broadcast_to(rng.normal(size=(1, c, 1, w)) * scale, (n, c, h, w))
             else:
-                x = np.moveaxis(rng.normal(size=(n, 2 * h_o, 2 * w_o, c)), 3, 1)
-            x *= 10.0 ** int(rng.integers(-3, 4))
-            assert avg_pool2d(x, 2).tobytes() == mean_avg_pool2d(x).tobytes()
+                x = np.asfortranarray(rng.normal(size=(n, c, h, w)) * scale)
+            got = avg_pool2d(x, 2).tobytes()
+            if kind < 3:
+                assert got == mean_avg_pool2d(x).tobytes()
+            else:
+                copy = np.ascontiguousarray(x)
+                assert got == mean_avg_pool2d(copy).tobytes() == avg_pool2d(copy, 2).tobytes()
 
     def test_one_column_order_is_pinned(self):
         # one output column: numpy adds the window in sequence, which the
@@ -566,11 +593,17 @@ class TestPooling:
         wide = np.concatenate([x, x], axis=3)
         assert avg_pool2d(wide, 2).tobytes() == mean_avg_pool2d(wide).tobytes()
 
-    @pytest.mark.parametrize("theta", [0.1, 1.0 / 3.0, 0.7])
+    @pytest.mark.parametrize("theta", [0.1, 1.0 / 3.0, 0.7, 7 * 2.0 ** -1074])
     def test_bits_match_dense_pooling(self, theta):
-        assert Fraction((theta + theta) + theta) != 3 * Fraction(theta)
-        # 2 theta + theta rounds for each of these, so the 3-spike entry must be
-        # the rounded sum the dense pool adds; every third batch is channels-last
+        if theta > 2.0 ** -1022:
+            # 2 theta + theta rounds, so the 3-spike entry must be the rounded
+            # sum the dense pool adds
+            assert Fraction((theta + theta) + theta) != 3 * Fraction(theta)
+        else:
+            # subnormal: the sums are exact and the division by 4 rounds, so
+            # the table must divide the sum, not multiply a quarter theta
+            assert (np.arange(5) * (theta / 4)).tobytes() != (np.arange(5) * theta / 4).tobytes()
+        # every third batch is channels-last
         rng = np.random.default_rng(53)
         for i in range(300):
             n, c = (int(v) for v in rng.integers(1, 4, size=2))

@@ -12,8 +12,7 @@ import pytest
 from spikecast import kernels, reference, runtime
 from spikecast.graph import (LayerSpec, ModelGraph, QcfsConfig, init_random,
                              parse_manifest)
-from spikecast.kernels import (BnAffine, ConvParams, KernelError, conv2d, fully_connected,
-                               fused_bn_affine)
+from spikecast.kernels import BnAffine, ConvParams, KernelError, conv2d, fully_connected
 from spikecast.reference import (LayerTrace, _fold, ann_forward, forward, qcfs, qcfs_levels,
                                  run_layer)
 from spikecast.runtime import (ConversionError, IfLayer, IfStats, SnnTrace, SpikeTrain,
@@ -21,9 +20,9 @@ from spikecast.runtime import (ConversionError, IfLayer, IfStats, SnnTrace, Spik
                                if_generic_layer, if_input_layer, snn_forward)
 from spikecast.zoo import residual_block_manifest, resnet_manifest, toy_manifest
 
-from conftest import (full_array_if, level_grid, mean_avg_pool2d, negative_weight_graph,
-                      pooled_input_manifest, probe_graph, random_graph, step_train_sum,
-                      traced_held_bytes, traced_peak_bytes, vgg_edge_graph)
+from conftest import (affine_expression, full_array_if, level_grid, mean_avg_pool2d,
+                      negative_weight_graph, pooled_input_manifest, probe_graph, random_graph,
+                      step_train_sum, traced_held_bytes, traced_peak_bytes, vgg_edge_graph)
 
 CHUNK = runtime._IF_CHUNK
 
@@ -441,6 +440,12 @@ class TestGenericIfLayer:
         with pytest.raises(ConversionError, match="expected 4 input timesteps"):
             if_generic_layer(np.zeros((2, 1, 1)), plan)
 
+    @pytest.mark.parametrize("shape", [(), (2,)])
+    def test_stack_without_batch_axis(self, shape):
+        plan = IfLayer("a", theta_star=0.5, l_in=2, l_out=2)
+        with pytest.raises(ConversionError, match=r"layer 'a': expected an \(L_in, N"):
+            if_generic_layer(np.zeros(shape), plan)
+
     def test_input_stack_left_untouched(self):
         # the stack is the caller's: the layer reads it and writes nothing
         # into it, also where neurons fire
@@ -598,7 +603,7 @@ class TestUnrolledMatmul:
         x = rng.uniform(-1, 1, size=(1, 2, 4))
         graph, layer = lone_layer("fc", w)
         out = run_layer(graph, layer, [_fold(x)], affine)
-        want = fused_bn_affine(fully_connected(x[0], w), affine)
+        want = affine_expression(fully_connected(x[0], w), affine)
         np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_sum_matches_single_shot(self):
@@ -617,7 +622,7 @@ class TestUnrolledMatmul:
                                theta_star=float(rng.uniform(0.1, 1.0)))
             graph, layer = lone_layer("conv", p.weights, padding=(1, 1))
             out = run_layer(graph, layer, [train], affine.scaled(1.0 / t))
-            want = fused_bn_affine(conv2d(train.dense().sum(axis=0), p), affine)
+            want = affine_expression(conv2d(train.dense().sum(axis=0), p), affine)
             np.testing.assert_allclose(out.reshape((t, 1) + out.shape[1:]).sum(axis=0), want,
                                        atol=1e-4)
 
@@ -941,8 +946,7 @@ class TestTraceMaps:
 
     @pytest.mark.parametrize("layout", ["fortran", "negative-stride"])
     def test_batch_layout_changes_no_byte(self, layout):
-        # pool0 reads the caller's batch, and numpy's mean, the pool's
-        # fallback for other layouts, adds their windows in other orders
+        # pool0 reads the caller's batch
         graph = init_random(parse_manifest(pooled_input_manifest()), 21)
         model = convert(graph)
         x = np.random.default_rng(21).uniform(0, 1, size=(4, 2, 8, 8))

@@ -19,14 +19,15 @@ timestep-major, and a single-shot (N, ...) value is just T = 1. Every conv,
 fc, pool and residual layer runs through run_layer, whatever its T; an
 unrolled matmul's affine arrives already divided by T (runtime.convert does
 that split, through BnAffine.scaled). The two passes differ only in what an
-activation does, what they record and which matmuls they stream.
-ann_forward applies the staircase, streams nothing, and records every
+activation does, what they record and which matmuls they defer.
+ann_forward applies the staircase, defers nothing, and records every
 layer output plus, per activation layer, the pre-activation tensor and a
 histogram of the emitted levels; those histograms feed the
 layer-sensitivity metric. runtime.snn_forward runs integrate-and-fire
-layers instead, and a conv or fc layer that feeds only a generic one hands
-it its row blocks as run_layer makes them (see forward), so its T*N-row
-output is never built.
+layers instead, and defers to each one a conv or fc layer that feeds only
+it (see forward): a generic layer takes the row blocks as run_layer makes
+them, so the T*N-row output is never built, and an input-mode layer may
+take its pre-activation from a reference trace and never run the matmul.
 
 A trace holds only what it cannot rebuild. LayerTrace.outputs is a
 TraceValues map: a conv, fc, residual or input entry is stored, a
@@ -303,22 +304,24 @@ def forward(graph, x, activation, affines=None, record=None, streamed=()):
     consumer has run, so only a few are alive at once. The logits are the
     output value's _timestep_sum divided by its T timesteps.
 
-    streamed holds the ids of activation layers that read their input
-    block by block. A conv or fc layer whose only consumer is such an
+    streamed holds the ids of activation layers that a matmul may be
+    deferred to. A conv or fc layer whose only consumer is such an
     activation is deferred to it: the walk does not run the matmul, and
-    the activation's value is instead a functools.partial of run_layer;
-    calling it with consumer=... runs the matmul and hands its finished
-    row blocks to the consumer.
-    The matmul's value is never made, so record does not see it. The
-    reference pass streams nothing; the spiking pass streams every generic
-    integrate-and-fire layer.
+    the activation's value is instead a functools.partial of run_layer.
+    Calling it with consumer=... runs the matmul and hands its finished
+    row blocks to the consumer; calling it bare runs it and returns its
+    output. The walk never sees the matmul's value, so record does not
+    see it either. The reference pass defers nothing; the spiking pass
+    defers to every activation.
 
     A KernelError raised by a layer, deferred or not, is re-raised with a
     message that starts with the layer's id; a graph without weights
     raises ValueError.
     """
     if not graph.weights:
-        raise ValueError(f"layer '{graph.matmul_layers()[0].id}': graph has no weights loaded")
+        matmuls = graph.matmul_layers()
+        where = f"layer '{matmuls[0].id}'" if matmuls else f"model '{graph.name}'"
+        raise ValueError(f"{where}: graph has no weights loaded")
     x = input_batch(graph, x)
     n = len(x)
     last_use = {p: i for i, l in enumerate(graph.layers) for p in l.preds}

@@ -32,10 +32,15 @@ theta_star / 2:
            at s * theta_star provably emits exactly that many, and the
            integer form keeps the count exact.
 
-The first activation after the real-valued input needs no settling: the
-preceding matmul runs once at full precision, the staircase's levels
-(reference._levels, the reference pass's own) are taken, and each level
-directly becomes the spike count.
+The first activation after the real-valued input needs no settling: its
+input is the preceding matmul's single-shot output at full precision, the
+staircase's levels (reference._levels, the reference pass's own) are taken,
+and each level directly becomes the spike count. Every layer in front of it
+reads real values, so it is the very float computation of the reference
+pass. A matmul that feeds only this activation is deferred to it, like one
+that feeds a generic layer: given an SnnTrace whose reference is that
+pass's trace, the activation reads the reference's pre-activation and the
+matmul never runs; otherwise it runs the matmul, which gives the same bytes.
 
 One driver runs stages 1 to 3 of every generic layer (_IfDriver): a
 consumer fed the layer's L_in*N input rows, timestep-major, in blocks of
@@ -54,8 +59,10 @@ IfStats.counts, unclipped; IfStats.counter widens it to int64 on each read.
 SnnTrace.sums is a reference.TraceValues map. A train's entry, and a pool
 of a train's, keeps only the train and rebuilds its timestep sum on each
 read, byte for byte the axis-0 sum of the dense train; a streamed matmul's
-entry is the running sum its driver kept; other entries are stored
-read-only arrays. docs/numerics.md gives the memory bounds and byte rules
+entry is the running sum its driver kept; a matmul deferred to an
+input-mode activation has the pre-activation that layer read, a view of
+the reference's when it was borrowed; other entries are stored read-only
+arrays. docs/numerics.md gives the memory bounds and byte rules
 behind the driver, the traces and check_equivalence.
 
 Converted models are immutable; the forward pass keeps all mutable neuron
@@ -70,8 +77,8 @@ from functools import partial
 import numpy as np
 
 from .graph import layer_affine
-from .reference import (SpikeTrain, TraceValues, _fold, _levels, _pooled, _timestep_sum,
-                        ann_forward, forward)
+from .reference import (LayerTrace, SpikeTrain, TraceValues, _fold, _levels, _pooled,
+                        _timestep_sum, ann_forward, forward, input_batch)
 
 
 class ConversionError(ValueError):
@@ -356,10 +363,28 @@ class SnnTrace:
     """Optional capture of the spiking pass: per-layer timestep sums
     (the quantity the layer invariant constrains) and the emitted trains.
     The sum of a train, or of a pool of a train, is built from the train
-    on each read of sums."""
+    on each read of sums.
+
+    reference, when set, is the ann_forward trace of the model's own graph
+    on the very array the spiking pass reads (the input_batch of its x; a
+    C-contiguous float64 batch is its own). Each input-mode activation
+    then reads reference.pre_activations instead of running the matmul
+    deferred to it, and that matmul's sums entry views the reference's
+    array. snn_forward raises ValueError, before it runs any layer, when
+    the reference's input entry is not that array. That the reference ran
+    the same graph is the caller's to keep: check_equivalence sets it only
+    when model.graph is graph.
+    """
 
     sums: Mapping = field(default_factory=TraceValues)
     trains: dict = field(default_factory=dict)
+    reference: LayerTrace = None
+
+
+def _same_array(a, b):
+    """Whether a and b view the same bytes with the same dtype and layout."""
+    return ((a.__array_interface__["data"][0], a.dtype, a.shape, a.strides)
+            == (b.__array_interface__["data"][0], b.dtype, b.shape, b.strides))
 
 
 def _train_sum(train):
@@ -377,14 +402,19 @@ def snn_forward(model, x, trace=None, keep_counters=False):
 
     logits is the mean over the final value's timesteps, shape
     (N, classes). stats maps each generic integrate-and-fire layer id to
-    its IfStats. Pass an SnnTrace to capture per-layer sums and spike trains.
+    its IfStats. Pass an SnnTrace to capture per-layer sums and spike trains,
+    and to borrow pre-activations from its reference.
     """
     stats = {}
-    streamed = {lid for lid, plan in model.if_plans.items() if not plan.input_mode}
+    reference = None if trace is None else trace.reference
 
     def integrate_and_fire(layer, value, n):
         plan = model.if_plans[layer.id]
         if plan.input_mode:
+            if isinstance(value, partial):      # the deferred matmul
+                value = value() if reference is None else reference.pre_activations[layer.id]
+                if trace is not None:
+                    trace.sums._put(layer.preds[0], value)
             return if_input_layer(value, layer.qcfs)
         deferred = isinstance(value, partial)
         layer_in = _IfDriver(plan, (n,) + layer.in_shape, keep_sum=deferred and trace is not None)
@@ -400,6 +430,11 @@ def snn_forward(model, x, trace=None, keep_counters=False):
     record = None
     if trace is not None:
         def record(layer, value, n):
+            if layer.kind == "input" and reference is not None:
+                given = reference.outputs.get(layer.id)
+                if given is None or not _same_array(given, value):
+                    raise ValueError(f"input layer '{layer.id}': the trace's reference was "
+                                     f"made from another input batch")
             if isinstance(value, SpikeTrain):
                 trace.sums._put(layer.id, partial(_train_sum, value))
                 trace.trains[layer.id] = value
@@ -408,7 +443,8 @@ def snn_forward(model, x, trace=None, keep_counters=False):
             else:
                 trace.sums._put(layer.id, _timestep_sum(value, n))
 
-    logits = forward(model.graph, x, integrate_and_fire, model.scaled_affines, record, streamed)
+    logits = forward(model.graph, x, integrate_and_fire, model.scaled_affines, record,
+                     streamed=model.if_plans)
     return logits, stats
 
 
@@ -477,12 +513,18 @@ def check_equivalence(graph, inputs, model=None):
     against the reference tensor; the logits are compared on the summed
     scale (the spiking mean times its timestep count). Argmax agreement is
     the fraction of batch rows whose predicted class matches.
+
+    Both passes read one input_batch array. When model was converted from
+    graph itself, the spiking pass borrows the reference's pre-activation
+    at every input-mode activation (SnnTrace.reference) instead of running
+    the same real-valued matmul again.
     """
     if model is None:
         model = convert(graph)
-    trace = ann_forward(graph, inputs)
-    snn_trace = SnnTrace()
-    logits_snn, stats = snn_forward(model, inputs, trace=snn_trace)
+    x = input_batch(graph, inputs)
+    trace = ann_forward(graph, x)
+    snn_trace = SnnTrace(reference=trace if model.graph is graph else None)
+    logits_snn, stats = snn_forward(model, x, trace=snn_trace)
 
     # each layer's arrays are read, compared and dropped inside _deviation,
     # so no two layers' arrays are alive at once

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spikecast.graph import QcfsConfig, init_random, parse_manifest
+from spikecast.graph import LayerSpec, ModelGraph, QcfsConfig, init_random, parse_manifest
 from spikecast.kernels import KernelError
 from spikecast.reference import SpikeTrain, _levels, ann_forward, qcfs, qcfs_levels
 
@@ -264,6 +264,15 @@ class TestAnnForward:
         x = np.random.default_rng(4).uniform(0, 1, size=(2, 2, 8, 8))
         with pytest.raises(ValueError, match="layer 'conv1': graph has no weights loaded"):
             ann_forward(toy_graph.with_weights({}), x)
+
+    def test_graph_without_matmul_names_the_model(self):
+        # parse_manifest rejects such a graph, so it is built by hand
+        layers = (LayerSpec("in", "input", shape=(1, 2, 2), out_shape=(1, 2, 2)),
+                  LayerSpec("p", "avg_pool", preds=("in",), window=2, in_shape=(1, 2, 2),
+                            out_shape=(1, 1, 1)))
+        graph = ModelGraph("nomm", 1, layers)
+        with pytest.raises(ValueError, match="model 'nomm': graph has no weights loaded"):
+            ann_forward(graph, np.zeros((1, 1, 2, 2)))
 
     def test_kernel_error_names_layer(self, toy_graph):
         weights = dict(toy_graph.weights)

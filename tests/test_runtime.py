@@ -3,6 +3,7 @@ import json
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import fields
 
@@ -18,7 +19,8 @@ from spikecast.reference import (LayerTrace, _fold, ann_forward, forward, qcfs, 
 from spikecast.runtime import (ConversionError, IfLayer, IfStats, SnnTrace, SpikeTrain,
                                _train_sum, check_equivalence, convert,
                                if_generic_layer, if_input_layer, snn_forward)
-from spikecast.zoo import residual_block_manifest, resnet_manifest, toy_manifest
+from spikecast.zoo import (residual_block_manifest, resnet_manifest, toy_manifest,
+                           vgg16_manifest)
 
 from conftest import (affine_expression, full_array_if, level_grid, mean_avg_pool2d,
                       negative_weight_graph, pooled_input_manifest, probe_graph, random_graph,
@@ -1087,6 +1089,174 @@ class TestCheckEquivalence:
                             "inhibitory_spikes"}
         assert all(set(row) == {"id", "max_abs_dev", "rel_dev"}
                    for row in doc["per_layer"])
+
+
+MIXED_STEPS = [8, 4, 2, 1, 2, 4, 8, 4, 1, 2, 8, 2, 4, 1, 4]
+
+
+def prefix_net(name):
+    """A net with an input-mode activation, and a batch of inputs for it."""
+    if name == "probe":         # fc1 -> act1 on the level-edge grid
+        return probe_graph(0), level_grid()
+    manifest = {"toy": toy_manifest(), "residual": residual_block_manifest(),
+                "pooled-input": pooled_input_manifest(),
+                "vgg16-mixed": vgg16_manifest(classes=10, steps=MIXED_STEPS)}[name]
+    graph = init_random(parse_manifest(manifest), 31)
+    return graph, np.random.default_rng(31).uniform(0, 1, size=(2,) + graph.input_layer.shape)
+
+
+def borrowed_matmuls(graph, model):
+    """matmul id -> the input-mode activation it alone feeds."""
+    uses = Counter(p for layer in graph.layers for p in layer.preds)
+    return {act.preds[0]: act.id for act in graph.qcfs_layers()
+            if model.if_plans[act.id].input_mode and uses[act.preds[0]] == 1
+            and graph.layer(act.preds[0]).is_matmul}
+
+
+def certify_kept(graph, x, monkeypatch, model=None):
+    """check_equivalence(graph, x, model) with both its passes kept, as the
+    bench's Capture keeps them: returns the report, the reference trace,
+    and the spiking pass's SnnTrace and stats, run with its counters kept."""
+    kept = {}
+    ann, snn = runtime.ann_forward, runtime.snn_forward
+
+    def keeping_ann(graph, x):
+        kept["ref"] = ann(graph, x)
+        return kept["ref"]
+
+    def keeping_snn(model, x, trace=None, keep_counters=False):
+        logits, kept["stats"] = snn(model, x, trace=trace, keep_counters=True)
+        kept["trace"] = trace
+        return logits, kept["stats"]
+
+    monkeypatch.setattr(runtime, "ann_forward", keeping_ann)
+    monkeypatch.setattr(runtime, "snn_forward", keeping_snn)
+    report = check_equivalence(graph, x, model)
+    monkeypatch.undo()
+    return report, kept["ref"], kept["trace"], kept["stats"]
+
+
+def counting_matmuls(monkeypatch):
+    """Counts of kernels.conv2d and kernels.fully_connected calls from now on."""
+    calls = Counter()
+    for kind, name in (("conv", "conv2d"), ("fc", "fully_connected")):
+        def counted(*args, _run=getattr(kernels, name), _kind=kind, **kwargs):
+            calls[_kind] += 1
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+class TestBorrowedPrefix:
+    """check_equivalence hands the spiking pass its reference trace, and
+    each input-mode activation reads its pre-activation there instead of
+    running the single-shot matmul that feeds it (docs/numerics.md,
+    "Borrowed prefix")."""
+
+    NETS = ["toy", "residual", "pooled-input", "probe", "vgg16-mixed"]
+
+    @pytest.mark.parametrize("net", NETS)
+    def test_borrowed_trace_keeps_every_byte(self, net, monkeypatch):
+        graph, x = prefix_net(net)
+        model = convert(graph)
+        _, ref, trace, stats = certify_kept(graph, x, monkeypatch, model)
+        alone = SnnTrace()
+        _, alone_stats = snn_forward(model, x, trace=alone, keep_counters=True)
+        assert trace.reference is ref and alone.reference is None
+        assert list(trace.sums) == list(alone.sums)
+        for lid, want in alone.sums.items():
+            got = trace.sums[lid]
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), lid
+        assert list(trace.trains) == list(alone.trains)
+        for lid, want in alone.trains.items():
+            got = trace.trains[lid]
+            assert (got.timesteps, got.theta_star) == (want.timesteps, want.theta_star), lid
+            assert got.counts.tobytes() == want.counts.tobytes(), lid
+        assert list(stats) == list(alone_stats)
+        for lid, want in alone_stats.items():
+            got = stats[lid]
+            assert got.counts.dtype == want.counts.dtype, lid
+            assert got.counts.tobytes() == want.counts.tobytes(), lid
+            assert (got.stage_steps, got.stage1_spikes, got.stage2_excitatory,
+                    got.stage2_inhibitory, got.emitted_spikes) == (
+                want.stage_steps, want.stage1_spikes, want.stage2_excitatory,
+                want.stage2_inhibitory, want.emitted_spikes), lid
+        borrowed = borrowed_matmuls(graph, model)
+        assert borrowed
+        for matmul, act in borrowed.items():
+            assert np.shares_memory(trace.sums[matmul], ref.pre_activations[act]), matmul
+
+    @pytest.mark.parametrize("net", NETS)
+    def test_borrowed_matmuls_never_run(self, net, monkeypatch):
+        # the certificate runs one matmul fewer than the two passes alone
+        # for each input-mode activation fed by a matmul of its own
+        graph, x = prefix_net(net)
+        model = convert(graph)
+        calls = counting_matmuls(monkeypatch)
+        ann_forward(graph, x)
+        snn_forward(model, x, trace=SnnTrace())
+        alone = dict(calls)
+        calls.clear()
+        check_equivalence(graph, x, model)
+        borrowed = Counter(graph.layer(lid).kind for lid in borrowed_matmuls(graph, model))
+        for kind in ("conv", "fc"):
+            assert calls[kind] == alone.get(kind, 0) - borrowed[kind], kind
+
+    def test_certificate_holds_one_copy_of_the_first_conv(self):
+        # c1's 2.1 MB output feeds the input-mode a1. The certificate's peak
+        # is the reference trace it holds, the spiking pass's own peak and
+        # the c2 running sum the SnnTrace keeps; running c1 a second time
+        # and storing its output in the SnnTrace adds one more c1 output.
+        layers = [{"id": "in", "kind": "input", "pred": [], "shape": [3, 32, 32]},
+                  {"id": "c1", "kind": "conv", "pred": ["in"], "out_channels": 64,
+                   "kernel": 3, "padding": 1, "bias": True, "batch_norm": True},
+                  {"id": "a1", "kind": "qcfs_act", "pred": ["c1"], "L": 8, "theta": 1.0},
+                  {"id": "c2", "kind": "conv", "pred": ["a1"], "out_channels": 64,
+                   "kernel": 3, "padding": 1, "bias": True, "batch_norm": True},
+                  {"id": "a2", "kind": "qcfs_act", "pred": ["c2"], "L": 2, "theta": 1.0},
+                  {"id": "pool", "kind": "avg_pool", "pred": ["a2"], "window": 2},
+                  {"id": "head", "kind": "fc", "pred": ["pool"], "out_features": 10}]
+        graph = init_random(parse_manifest(json.dumps(
+            {"name": "vgg-head", "classes": 10, "layers": layers})), 23)
+        model = convert(graph)
+        x = np.random.default_rng(23).uniform(0, 1, size=(4, 3, 32, 32))
+        check_equivalence(graph, x, model)          # warms weight views and indices
+        layer_bytes = 4 * 64 * 32 * 32 * 8          # c1's output, and c2's sum
+        held = traced_held_bytes(lambda: ann_forward(graph, x))
+        alone = traced_peak_bytes(lambda: snn_forward(model, x))
+        peak = traced_peak_bytes(lambda: check_equivalence(graph, x, model))
+        assert peak < held + alone + layer_bytes + layer_bytes // 2
+
+    def test_model_of_another_graph_borrows_nothing(self):
+        # conv1_1 of the model's own graph is perturbed: its sum must differ
+        # from the reference's, so the spiking pass may not read the latter
+        graph, x = prefix_net("vgg16-mixed")
+        weights = dict(graph.weights)
+        weights["conv1_1"] = dict(weights["conv1_1"],
+                                  weight=weights["conv1_1"]["weight"] * 1.001)
+        report = check_equivalence(graph, x[:1], convert(graph.with_weights(weights)))
+        assert report.per_layer[1].layer_id == "conv1_1"
+        assert report.per_layer[1].rel_dev > 0
+        assert check_equivalence(graph, x[:1]).per_layer[1].rel_dev == 0.0
+
+    @pytest.mark.parametrize("other", ["values", "copy", "float32"])
+    def test_reference_of_another_batch_is_rejected(self, other, monkeypatch):
+        graph, x = prefix_net("toy")
+        model = convert(graph)
+        batch = {"values": x[::-1].copy(), "copy": x.copy(), "float32": x.astype(np.float32)}
+        ref = ann_forward(graph, batch[other])
+        calls = counting_matmuls(monkeypatch)
+        with pytest.raises(ValueError, match="input layer 'in': the trace's reference "
+                                             "was made from another input batch"):
+            snn_forward(model, x, trace=SnnTrace(reference=ref))
+        assert not calls
+        # the array the pass reads is the reference's own: a C-contiguous
+        # float64 batch, or the one input_batch made of any other
+        x32 = batch["float32"]
+        same = reference.input_batch(graph, x32)
+        logits, _ = snn_forward(model, same, trace=SnnTrace(reference=ann_forward(graph, same)))
+        assert logits.tobytes() == snn_forward(model, x32)[0].tobytes()
 
 
 class TestBenchmarkContract:

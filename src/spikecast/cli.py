@@ -151,13 +151,18 @@ def cmd_check_equiv(args):
     doc["config"] = _config_echo(args, {"n": inputs.shape[0], "tol": args.tol})
     if args.out:
         write_json(args.out, doc)
-    ok = report.argmax_agreement == 1.0 and report.max_rel_dev <= args.tol
+    mismatched = [d for d in report.per_layer if d.level_mismatches]
+    ok = (report.argmax_agreement == 1.0 and report.max_rel_dev <= args.tol
+          and not mismatched)
     print(f"argmax agreement {report.argmax_agreement * 100:.6g}% over "
           f"{inputs.shape[0]} inputs; max relative layer deviation "
           f"{_fmt(report.max_rel_dev)} (tolerance {_fmt(args.tol)}); "
           f"max logit deviation {_fmt(report.max_logit_dev)}; "
           f"{report.inhibitory_spikes} inhibitory spikes")
     if not ok:
+        for d in mismatched:
+            print(f"check FAILED: layer '{d.layer_id}': {d.level_mismatches} spike counts "
+                  f"differ from the reference level", file=sys.stderr)
         worst = max(report.per_layer, key=lambda d: d.rel_dev)
         print(f"check FAILED: worst layer '{worst.layer_id}' deviates "
               f"{_fmt(worst.rel_dev)} relative", file=sys.stderr)

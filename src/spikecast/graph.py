@@ -249,8 +249,15 @@ def _parse_layer(entry):
     if kind == "qcfs_act":
         if "L" not in entry or "theta" not in entry:
             _fail(lid, "activation layer needs 'L' and 'theta'")
-        return LayerSpec(lid, kind, preds, qcfs=QcfsConfig(
-            L=_positive(entry, lid, "L"), theta=_real(entry["theta"], lid, "theta")))
+        L, theta = _positive(entry, lid, "L"), _real(entry["theta"], lid, "theta")
+        # the spike value theta / L is a normal float, so distinct spike
+        # counts give distinct values, and a 2 x 2 pool's sums of up to
+        # four spike values, 4 * theta / L at most, stay finite
+        if theta / L < sys.float_info.min:
+            _fail(lid, f"theta / L = {theta / L!r} is below the smallest normal float")
+        if theta > sys.float_info.max / 4:
+            _fail(lid, f"theta = {theta!r} exceeds the largest float / 4")
+        return LayerSpec(lid, kind, preds, qcfs=QcfsConfig(L=L, theta=theta))
     if kind == "residual_add":
         return LayerSpec(lid, kind, preds)
     _fail(lid, f"unknown layer kind '{kind}'")

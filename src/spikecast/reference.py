@@ -29,13 +29,14 @@ it (see forward): a generic layer takes the row blocks as run_layer makes
 them, so the T*N-row output is never built, and an input-mode layer may
 take its pre-activation from a reference trace and never run the matmul.
 
-A trace holds only what it cannot rebuild. LayerTrace.outputs is a
-TraceValues map: a conv, fc, residual or input entry is stored, a
-read-only view of the array the walk made. An activation entry is the
-recipe qcfs(z, cfg) on its stored pre-activation, and a pool entry is the
-recipe _pooled, the pool re-run on its input entry; neither keeps an
-array, and each read rebuilds the walk's bytes. _timestep_sum is the one
-timestep-sum rule of both passes and of forward's logits.
+A trace holds only what it cannot rebuild. TraceValues._record makes the
+entries of LayerTrace.outputs and of runtime.SnnTrace.sums by one rule.
+An activation entry is its levels times theta / L, rebuilt on each read:
+qcfs of the stored pre-activation, or a train's counts times theta_star.
+A pool or residual add entry is that layer re-run on its inputs' entries.
+Any other entry is stored, a read-only view of the value's timestep sum.
+_timestep_sum is the one timestep-sum rule of both traces and of
+forward's logits.
 
 A SpikeTrain stores each neuron's spike count, which fixes its bits (its
 first c timesteps fire), plus the shared theta_star scalar, so the "every
@@ -114,21 +115,19 @@ def _timestep_sum(value, n):
     return value if len(value) == n else value.reshape((-1, n) + value.shape[1:]).sum(axis=0)
 
 
-def _pooled(layer, source, n):
-    """The timestep sum of a pool, re-run on its source as the walk ran it
-    (a pool reads no graph). source is a trace entry of the reference pass
-    or a spike train of the spiking pass."""
-    return _timestep_sum(run_layer(None, layer, [_read(source)]), n)
+def _rerun(layer, sources):
+    """A pool or residual add re-run on its inputs' trace entries."""
+    return run_layer(None, layer, [_read(source) for source in sources])
 
 
 class TraceValues(Mapping):
     """A trace's read-only map of layer id -> array, in graph order.
 
-    An entry is stored or derived. A stored entry is a read-only view of
-    the array the walk made, returned as it is: writing into it raises,
-    and the array's own flags are left alone. A derived entry is a recipe,
-    a functools.partial that builds the array on each read from the
-    stored arrays or spike trains it holds: every read allocates and
+    An entry is stored or derived (_record). A stored entry is a read-only
+    view of an array, returned as it is: writing into it raises, and the
+    array's own flags are left alone. A derived entry is a recipe, a
+    functools.partial that builds the array on each read from the
+    arrays, counts or recipes it holds: every read allocates and
     returns a fresh array, so writing into one changes no later read. A
     recipe holds its sources themselves, never the map, so dropping a
     trace frees its bytes at once, without the cyclic garbage collector.
@@ -141,9 +140,17 @@ class TraceValues(Mapping):
         """Add an entry: an array to store read-only, or a partial to call on each read."""
         self._entries[key] = value if isinstance(value, partial) else _frozen(value)
 
-    def _entry(self, key):
-        """The stored array or the recipe itself, for a recipe to read."""
-        return self._entries[key]
+    def _record(self, layer, value, n):
+        """Add layer's entry by the rule of both traces (module docstring).
+        value is the walk's value for a batch of n; a reference activation
+        passes the recipe of its output."""
+        if layer.kind in ("avg_pool", "residual_add"):
+            value = partial(_rerun, layer, [self._entries[p] for p in layer.preds])
+        elif isinstance(value, SpikeTrain):
+            value = partial(_level_values, value.counts, value.theta_star)
+        elif not isinstance(value, partial):
+            value = _timestep_sum(value, n)
+        self._put(layer.id, value)
 
     def __getitem__(self, key):
         return _read(self._entries[key])
@@ -369,9 +376,7 @@ def ann_forward(graph, x):
     def record(layer, value, n):
         if layer.kind == "qcfs_act":
             value = partial(qcfs, pre[layer.id], layer.qcfs)
-        elif layer.kind == "avg_pool":
-            value = partial(_pooled, layer, outputs._entry(layer.preds[0]), n)
-        outputs._put(layer.id, value)
+        outputs._record(layer, value, n)
 
     logits = forward(graph, x, staircase, record=record)
     return LayerTrace(outputs=outputs, pre_activations=pre, histograms=hists, logits=logits)

@@ -56,14 +56,14 @@ The counter is int16 whenever L_in plus the stage-2 steps fits that dtype
 and int64 otherwise. IfStats keeps it, when asked, in that dtype as
 IfStats.counts, unclipped; IfStats.counter widens it to int64 on each read.
 
-SnnTrace.sums is a reference.TraceValues map. A train's entry, and a pool
-of a train's, keeps only the train and rebuilds its timestep sum on each
-read, byte for byte the axis-0 sum of the dense train; a streamed matmul's
-entry is the running sum its driver kept; a matmul deferred to an
-input-mode activation has the pre-activation that layer read, a view of
-the reference's when it was borrowed; other entries are stored read-only
-arrays. docs/numerics.md gives the memory bounds and byte rules
-behind the driver, the traces and check_equivalence.
+SnnTrace.sums is a reference.TraceValues map with the reference trace's
+entry rule: a train is its counts times theta_star, and a pool or add
+re-runs on its inputs' entries. A streamed matmul's entry is the running
+sum its driver kept; a matmul deferred to an input-mode activation has
+the pre-activation that layer read, a view of the reference's when it
+was borrowed; other entries are stored timestep sums. docs/numerics.md
+gives the memory bounds and byte rules behind the driver, the traces and
+check_equivalence.
 
 Converted models are immutable; the forward pass keeps all mutable neuron
 state local to the call, so batches and models can be run concurrently.
@@ -77,8 +77,8 @@ from functools import partial
 import numpy as np
 
 from .graph import layer_affine
-from .reference import (LayerTrace, SpikeTrain, TraceValues, _fold, _levels, _pooled,
-                        _timestep_sum, ann_forward, forward, input_batch)
+from .reference import (LayerTrace, SpikeTrain, TraceValues, _fold, _levels, ann_forward,
+                        forward, input_batch)
 
 
 class ConversionError(ValueError):
@@ -362,8 +362,8 @@ class _IfDriver:
 class SnnTrace:
     """Optional capture of the spiking pass: per-layer timestep sums
     (the quantity the layer invariant constrains) and the emitted trains.
-    The sum of a train, or of a pool of a train, is built from the train
-    on each read of sums.
+    sums follows the reference trace's entry rule: a train's sum is its
+    counts times theta_star, and pools and adds re-run on their inputs'.
 
     reference, when set, is the ann_forward trace of the model's own graph
     on the very array the spiking pass reads (the input_batch of its x; a
@@ -385,16 +385,6 @@ def _same_array(a, b):
     """Whether a and b view the same bytes with the same dtype and layout."""
     return ((a.__array_interface__["data"][0], a.dtype, a.shape, a.strides)
             == (b.__array_interface__["data"][0], b.dtype, b.shape, b.strides))
-
-
-def _train_sum(train):
-    """The train's timestep sum as numpy's axis-0 sum of the dense train
-    gives it, read from spike counts: adding a zero step is exact, so a
-    neuron with c spikes sums to theta_star added c times in sequence."""
-    t = train.timesteps
-    table = np.zeros(t + 1)
-    np.cumsum(np.full(t, train.theta_star), out=table[1:])
-    return table[train.counts]
 
 
 def snn_forward(model, x, trace=None, keep_counters=False):
@@ -436,12 +426,8 @@ def snn_forward(model, x, trace=None, keep_counters=False):
                     raise ValueError(f"input layer '{layer.id}': the trace's reference was "
                                      f"made from another input batch")
             if isinstance(value, SpikeTrain):
-                trace.sums._put(layer.id, partial(_train_sum, value))
                 trace.trains[layer.id] = value
-            elif layer.kind == "avg_pool" and layer.preds[0] in trace.trains:
-                trace.sums._put(layer.id, partial(_pooled, layer, trace.trains[layer.preds[0]], n))
-            else:
-                trace.sums._put(layer.id, _timestep_sum(value, n))
+            trace.sums._record(layer, value, n)
 
     logits = forward(model.graph, x, integrate_and_fire, model.scaled_affines, record,
                      streamed=model.if_plans)
@@ -457,6 +443,8 @@ class LayerDeviation:
     layer_id: str
     max_abs_dev: float
     rel_dev: float
+    level_mismatches: int = None    # activations only: neurons whose spike
+                                    # count is not the reference level
 
 
 @dataclass
@@ -475,7 +463,8 @@ class EquivalenceReport:
     def to_dict(self):
         return {
             "per_layer": [
-                {"id": d.layer_id, "max_abs_dev": d.max_abs_dev, "rel_dev": d.rel_dev}
+                {"id": d.layer_id, "max_abs_dev": d.max_abs_dev, "rel_dev": d.rel_dev,
+                 "level_mismatches": d.level_mismatches}
                 for d in self.per_layer
             ],
             "argmax_agreement": self.argmax_agreement,
@@ -506,13 +495,20 @@ def _deviation(layer_id, ann_out, snn_sum):
     return LayerDeviation(layer_id, dev, dev / scale if scale > 0 else dev)
 
 
+def _level_mismatches(pre, cfg, train):
+    """The number of neurons whose spike count is not the reference level of pre."""
+    return int(np.count_nonzero(_levels(pre, cfg) != train.counts))
+
+
 def check_equivalence(graph, inputs, model=None):
     """Run both passes on a batch and report per-layer deviations.
 
     At every layer boundary the spiking path's timestep sum is compared
     against the reference tensor; the logits are compared on the summed
-    scale (the spiking mean times its timestep count). Argmax agreement is
-    the fraction of batch rows whose predicted class matches.
+    scale (the spiking mean times its timestep count). At every activation
+    the spike counts are also compared with the reference levels, one
+    integer per neuron (LayerDeviation.level_mismatches). Argmax agreement
+    is the fraction of batch rows whose predicted class matches.
 
     Both passes read one input_batch array. When model was converted from
     graph itself, the spiking pass borrows the reference's pre-activation
@@ -526,10 +522,14 @@ def check_equivalence(graph, inputs, model=None):
     snn_trace = SnnTrace(reference=trace if model.graph is graph else None)
     logits_snn, stats = snn_forward(model, x, trace=snn_trace)
 
-    # each layer's arrays are read, compared and dropped inside _deviation,
-    # so no two layers' arrays are alive at once
+    # each layer's arrays are read, compared and dropped inside _deviation
+    # and _level_mismatches, so no two layers' arrays are alive at once
     per_layer = [_deviation(layer.id, trace.outputs[layer.id], snn_trace.sums[layer.id])
                  for layer in graph.layers]
+    for dev, layer in zip(per_layer, graph.layers):
+        if layer.kind == "qcfs_act":
+            dev.level_mismatches = _level_mismatches(
+                trace.pre_activations[layer.id], layer.qcfs, snn_trace.trains[layer.id])
 
     max_logit_dev = _deviation("logits", trace.logits, logits_snn * model.final_timesteps).rel_dev
     agreement = float(np.mean(trace.logits.argmax(axis=1) == logits_snn.argmax(axis=1)))

@@ -165,14 +165,6 @@ def expression_levels(z, cfg):
                    0.0, float(cfg.L))
 
 
-def step_train_sum(train):
-    """A train's timestep sum, theta_star added one step at a time."""
-    total = np.zeros(train.bits.shape[1:])
-    for step in train.bits:
-        np.add(total, train.theta_star, out=total, where=step)
-    return total
-
-
 def full_array_if(stack, plan):
     """Stages 1 and 2 of the IF layer, run on every neuron in every step.
 

@@ -16,7 +16,7 @@ from spikecast.energy import (MatMulDims, RESNET18_CIFAR_GOLDEN,
                               t_eff, t_norm)
 from spikecast.graph import QcfsConfig
 from spikecast.kernels import ConvParams, avg_pool2d, conv2d, fully_connected
-from spikecast.reference import ann_forward, qcfs
+from spikecast.reference import ann_forward, qcfs, qcfs_levels
 from spikecast.runtime import SnnTrace, convert, snn_forward
 from spikecast.sensitivity import (LevelHistogram, cluster_1d, kurtosis, skewness,
                                    van_der_eijk_a)
@@ -43,6 +43,7 @@ def certification():
         "pairs": 0, "agree": 0, "max_logit_dev": 0.0, "max_layer_dev": 0.0,
         "inhibitory": 0, "mixed_step_layers": 0, "membership_ok": True,
         "stage_ok": True, "mapping_ok": True, "neg_counter_seen": False,
+        "level_mismatches": 0,
     }
     start = time.perf_counter()
     for _ in range(N_MODELS):
@@ -69,6 +70,8 @@ def certification():
             vals = train.dense()
             if not np.all((vals == 0.0) | (vals == train.theta_star)):
                 rec["membership_ok"] = False
+            levels = qcfs_levels(ref.pre_activations[lid], graph.layer(lid).qcfs)
+            rec["level_mismatches"] += int(np.count_nonzero(levels != train.counts))
         for lid, st in stats.items():
             plan = model.if_plans[lid]
             if plan.l_in != plan.l_out:
@@ -100,10 +103,11 @@ def test_criterion_1_equivalence_certificate(certification):
 
 def test_criterion_2_layer_invariant(certification):
     c = certification
-    ok = (c["max_layer_dev"] <= REL_TOL and c["membership_ok"]
-          and c["stage_ok"] and c["mapping_ok"])
+    ok = (c["max_layer_dev"] <= REL_TOL and c["level_mismatches"] == 0
+          and c["membership_ok"] and c["stage_ok"] and c["mapping_ok"])
     _report(2, ok,
             f"max relative layer deviation {c['max_layer_dev']:.3e} (tol {REL_TOL}); "
+            f"spike counts off their reference level: {c['level_mismatches']}; "
             f"spike values bitwise in {{0, theta*}}: {c['membership_ok']}; "
             f"stage lengths exact: {c['stage_ok']}; "
             f"counter-to-spike mapping exact: {c['mapping_ok']}")

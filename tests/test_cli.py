@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spikecast import cli
+from spikecast import cli, runtime
 from spikecast import energy as energy_model
 from spikecast.cli import main
 from spikecast.graph import init_random, load_weights, parse_manifest
@@ -100,10 +100,32 @@ class TestCheckEquiv:
         assert doc["argmax_agreement"] == 1.0
         assert {"per_layer", "argmax_agreement", "max_logit_dev",
                 "inhibitory_spikes", "config"} <= set(doc)
+        assert [row["level_mismatches"] for row in doc["per_layer"]] == [
+            None, None, 0, None, None, 0, None]        # act1 and act2
+
+    def test_level_mismatch_fails_at_any_tolerance(self, toy_manifest_path, tmp_path, capsys,
+                                                   monkeypatch):
+        # three act1 counts off their level fail the check even where every
+        # float deviation is inside --tol
+        certify = runtime.check_equivalence
+
+        def three_off(*args):
+            report = certify(*args)
+            report.per_layer[2].level_mismatches = 3
+            return report
+
+        monkeypatch.setattr(runtime, "check_equivalence", three_off)
+        report = tmp_path / "report.json"
+        code = main(["check-equiv", "--manifest", toy_manifest_path, "--seed", "3",
+                     "--n", "4", "--tol", "1", "--out", str(report)])
+        assert code == 1
+        assert "check FAILED: layer 'act1': 3 spike counts" in capsys.readouterr().err
+        assert json.loads(report.read_text())["per_layer"][2]["level_mismatches"] == 3
 
     def test_zero_tolerance_fails_on_rounding(self, toy_manifest_path, capsys):
-        # theta = 0.7 puts spike values off the dyadic grid, so the split
-        # accumulation rounds differently from the single-shot pass
+        # act2's theta* = 0.35 is off the dyadic grid, so the head's sum of
+        # its two 1/T-scaled timestep slices rounds apart from the
+        # single-shot product; every spike count is still its level
         code = main(["check-equiv", "--manifest", toy_manifest_path, "--seed", "3",
                      "--n", "20", "--tol", "0"])
         captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from spikecast.graph import (GraphError, QcfsConfig, conv_params, init_random,
                              layer_affine, load_weights, parse_manifest, save_weights,
                              serialize_manifest)
 from spikecast.reference import ann_forward
-from spikecast.runtime import convert, snn_forward
+from spikecast.runtime import check_equivalence, convert, snn_forward
 from spikecast.zoo import (residual_block_manifest, resnet_manifest, toy_manifest,
                            vgg16_manifest)
 
@@ -117,6 +118,33 @@ class TestParse:
         doc = small_manifest()
         del doc["layers"][2]["L"]
         with pytest.raises(GraphError, match="'L' and 'theta'"):
+            parse_manifest(json.dumps(doc))
+
+    @pytest.mark.parametrize("L, theta", [
+        (1, sys.float_info.min), (4, 4 * sys.float_info.min),       # theta / L = min
+        (3, sys.float_info.max / 4), (4, 4.4e307)])
+    def test_theta_inside_the_domain_runs(self, L, theta):
+        # a1 feeds a 2 x 2 pool, whose spike-count table reaches 4 * theta / L
+        doc = swept_manifest()
+        doc["layers"][2].update(L=L, theta=theta)
+        graph = init_random(parse_manifest(json.dumps(doc)), 5)
+        assert graph.layer("a1").qcfs.theta == theta
+        x = np.random.default_rng(5).uniform(0.0, 1.0, size=(4, 3, 4, 4))
+        report = check_equivalence(graph, x)
+        assert report.max_rel_dev <= 1e-4 and report.argmax_agreement == 1.0
+
+    @pytest.mark.parametrize("L, theta, match", [
+        (1, float(np.nextafter(sys.float_info.min, 0.0)),
+         "theta / L = 2.225073858507201e-308 is below the smallest normal float$"),
+        (3, 7.9e-323, "theta / L = 2.5e-323 is below the smallest normal float$"),
+        (4, 1e-310, "theta / L = 2.5e-311 is below the smallest normal float$"),
+        (3, float(np.nextafter(sys.float_info.max / 4, np.inf)),
+         r"theta = 4.49423283715579e\+307 exceeds the largest float / 4$"),
+        (3, 1.7e308, r"theta = 1.7e\+308 exceeds the largest float / 4$")])
+    def test_theta_outside_the_domain_names_the_layer(self, L, theta, match):
+        doc = swept_manifest()
+        doc["layers"][2].update(L=L, theta=theta)
+        with pytest.raises(GraphError, match="^layer 'a1': " + match):
             parse_manifest(json.dumps(doc))
 
     def test_non_positive_step_or_threshold(self):

@@ -17,14 +17,14 @@ from spikecast.kernels import BnAffine, ConvParams, KernelError, conv2d, fully_c
 from spikecast.reference import (LayerTrace, _fold, ann_forward, forward, qcfs, qcfs_levels,
                                  run_layer)
 from spikecast.runtime import (ConversionError, IfLayer, IfStats, SnnTrace, SpikeTrain,
-                               _train_sum, check_equivalence, convert,
-                               if_generic_layer, if_input_layer, snn_forward)
+                               check_equivalence, convert, if_generic_layer, if_input_layer,
+                               snn_forward)
 from spikecast.zoo import (residual_block_manifest, resnet_manifest, toy_manifest,
                            vgg16_manifest)
 
 from conftest import (affine_expression, full_array_if, level_grid, mean_avg_pool2d,
                       negative_weight_graph, pooled_input_manifest, probe_graph, random_graph,
-                      step_train_sum, traced_held_bytes, traced_peak_bytes, vgg_edge_graph)
+                      traced_held_bytes, traced_peak_bytes, vgg_edge_graph)
 
 CHUNK = runtime._IF_CHUNK
 
@@ -97,9 +97,12 @@ def array_path(model, x):
     """snn_forward as it runs without streaming, on independent oracles:
     every generic layer gets its materialized (T, N, ...) stack, its
     counters and spike totals come from conftest.full_array_if and its
-    train from SpikeTrain.thermometer, and a T*N-row value's trace sum is
-    numpy's axis-0 sum of that stack. Returns the logits, trains, IfStats
-    (counters kept) and sums."""
+    train from SpikeTrain.thermometer. The trace sums take the one entry
+    rule in plain numpy: a train's is np.multiply(counts, theta_star), a
+    pool's conftest.mean_avg_pool2d of its input's sum, a residual add's
+    the sum of its inputs' sums, and any other T*N-row value's numpy's
+    axis-0 sum of its stack. Returns the logits, trains, IfStats (counters
+    kept) and sums."""
     trains, stats, sums = {}, {}, {}
 
     def act(layer, value, n):
@@ -119,7 +122,12 @@ def array_path(model, x):
     def record(layer, value, n):
         if isinstance(value, SpikeTrain):
             trains[layer.id] = value
-            sums[layer.id] = value.dense().sum(axis=0)
+            sums[layer.id] = np.multiply(value.counts, value.theta_star)
+        elif layer.kind == "avg_pool":
+            sums[layer.id] = mean_avg_pool2d(sums[layer.preds[0]], layer.window)
+        elif layer.kind == "residual_add":
+            a, b = (sums[p] for p in layer.preds)
+            sums[layer.id] = a + b
         else:
             sums[layer.id] = (value if len(value) == n else
                               value.reshape((-1, n) + value.shape[1:]).sum(axis=0))
@@ -734,20 +742,25 @@ class TestSnnForward:
             assert np.all((vals == 0.0) | (vals == train.theta_star))
 
 
-    def test_trace_sums_of_trains_match_dense_sum(self, toy_graph):
-        x = np.random.default_rng(15).uniform(0, 1, size=(3, 2, 8, 8))
+    def test_trace_sums_of_trains_are_counts_times_theta_star(self):
+        # theta* = 0.7 / 8 is off the dyadic grid: 6, 7 and 8 spikes give
+        # other floats when theta* is added one timestep at a time
+        doc = {"name": "ladder", "classes": 2, "layers": [
+            {"id": "in", "kind": "input", "pred": [], "shape": [9, 1, 1]},
+            {"id": "fc1", "kind": "fc", "pred": ["in"], "out_features": 9},
+            {"id": "act1", "kind": "qcfs_act", "pred": ["fc1"], "L": 8, "theta": 0.7},
+            {"id": "head", "kind": "fc", "pred": ["act1"], "out_features": 2}]}
+        graph = init_random(parse_manifest(json.dumps(doc)), 15)
+        graph = graph.with_weights({**graph.weights,
+                                    "fc1": {"weight": np.eye(9, dtype=np.float32)}})
+        x = (np.arange(9) * (0.7 / 8)).reshape(1, 9, 1, 1)
         trace = SnnTrace()
-        snn_forward(convert(toy_graph), x, trace=trace)
-        for lid, train in trace.trains.items():
-            assert trace.sums[lid].tobytes() == train.dense().sum(axis=0).tobytes()
-
-    def test_train_sum_matches_step_adds(self):
-        # random bits, not thermometer codes: spikes anywhere in the train
-        rng = np.random.default_rng(18)
-        for t in (1, 2, 3, 4, 7, 8, 9, 16, 17, 300):
-            for theta in (0.1, 1.0 / 3.0, 0.7, float(rng.uniform(0.01, 2.0))):
-                train = SpikeTrain(rng.random((t, 2, 3, 4)) < rng.random(), theta)
-                assert _train_sum(train).tobytes() == step_train_sum(train).tobytes()
+        snn_forward(convert(graph), x, trace=trace)
+        train = trace.trains["act1"]
+        assert train.counts.reshape(-1).tolist() == list(range(9))
+        want = train.counts.astype(np.float64) * train.theta_star
+        assert_same_bytes(trace.sums["act1"], want, "act1")
+        assert want.tobytes() != train.dense().sum(axis=0).tobytes()
 
     def test_spiking_pool_reads_bits(self):
         rng = np.random.default_rng(19)
@@ -816,10 +829,11 @@ def assert_trace_map(entries, ids, want, derived):
         entries[ids[0]] = want[ids[0]]
 
 
-def pooled_trains(graph, trains):
-    """The ids of the pools whose input is one of trains."""
+def derived_ids(graph):
+    """The ids of the entries both traces rebuild on each read: every
+    activation, pool and residual add."""
     return {layer.id for layer in graph.layers
-            if layer.kind == "avg_pool" and layer.preds[0] in trains}
+            if layer.kind in ("qcfs_act", "avg_pool", "residual_add")}
 
 
 def spiking_trace(model, x):
@@ -831,39 +845,55 @@ def spiking_trace(model, x):
 
 class TestTraceMaps:
     """LayerTrace.outputs and SnnTrace.sums: read-only maps in graph order
-    whose activation, train and pool entries are built on each read."""
+    whose activation, pool and residual-add entries are built on each read."""
 
     @pytest.mark.parametrize("net", ["toy", "residual", "input-mode-fc"])
     def test_layer_trace_outputs(self, net):
         graph, x = contract_net(net)
         ref = ann_forward(graph, x)
-        derived = {layer.id for layer in graph.layers if layer.kind in ("qcfs_act", "avg_pool")}
         assert_trace_map(ref.outputs, [layer.id for layer in graph.layers],
-                         walked_outputs(graph, x), derived)
+                         walked_outputs(graph, x), derived_ids(graph))
 
     @pytest.mark.parametrize("net", ["toy", "residual", "input-mode-fc"])
     def test_snn_trace_sums(self, net):
         graph, x = contract_net(net)
         trace = spiking_trace(convert(graph), x)
         assert set(trace.trains) == {layer.id for layer in graph.qcfs_layers()}
-        want = {lid: train.dense().sum(axis=0) for lid, train in trace.trains.items()}
-        for lid in pooled_trains(graph, trace.trains):
-            pred = graph.layer(lid).preds[0]
-            t = trace.trains[pred].timesteps
-            pooled = mean_avg_pool2d(_fold(trace.trains[pred].dense()))
-            want[lid] = pooled.reshape((t, -1) + pooled.shape[1:]).sum(axis=0)
-        for lid, total in trace.sums.items():
-            want.setdefault(lid, total)
-        if net == "residual":
-            dense = trace.trains["act0"].dense() + trace.trains["act1"].dense()
-            assert want["merge"].tobytes() == dense.sum(axis=0).tobytes()
+        want = {}
+        for layer in graph.layers:
+            if layer.id in trace.trains:
+                train = trace.trains[layer.id]
+                want[layer.id] = np.multiply(train.counts, train.theta_star)
+            elif layer.kind == "avg_pool":
+                want[layer.id] = mean_avg_pool2d(want[layer.preds[0]])
+            elif layer.kind == "residual_add":
+                want[layer.id] = want[layer.preds[0]] + want[layer.preds[1]]
+            else:
+                want[layer.id] = trace.sums[layer.id]
         assert_trace_map(trace.sums, [layer.id for layer in graph.layers], want,
-                         set(trace.trains) | pooled_trains(graph, trace.trains))
+                         derived_ids(graph))
+
+    def test_rebuilt_entries_equal_the_reference(self):
+        # nets of the acceptance gate's kind, with residual merges, pools and
+        # theta off the dyadic grid: where every spike count is its level,
+        # every activation, pool and residual-add entry is the reference's
+        rng = np.random.default_rng(20240813)
+        kinds = Counter()
+        for _ in range(40):
+            graph = random_graph(rng)
+            x = rng.uniform(0.0, 1.0, size=(5,) + graph.input_layer.shape)
+            ref = ann_forward(graph, x)
+            trace = spiking_trace(convert(graph), x)
+            for lid in sorted(derived_ids(graph)):
+                assert_same_bytes(trace.sums[lid], ref.outputs[lid], lid)
+                kinds[graph.layer(lid).kind] += 1
+        assert kinds["residual_add"] > 0 and kinds["avg_pool"] > 0
 
     @staticmethod
-    def stored_bytes(graph, entries, derived):
+    def stored_bytes(graph, entries):
         """The bytes of the entries a trace stores, the input's aside: the
         input entry is a view of the caller's x."""
+        derived = derived_ids(graph)
         return sum(entries[layer.id].nbytes for layer in graph.layers
                    if layer.kind != "input" and layer.id not in derived)
 
@@ -880,13 +910,11 @@ class TestTraceMaps:
         ref = ann_forward(graph, x)                 # also warms weight views and indices
         trace = spiking_trace(model, x)
         slack = 32 << 10
-        derived = {layer.id for layer in graph.layers if layer.kind in ("qcfs_act", "avg_pool")}
-        stored = self.stored_bytes(graph, ref.outputs, derived)
+        stored = self.stored_bytes(graph, ref.outputs)
         held = traced_held_bytes(lambda: ann_forward(graph, x))
         assert stored <= held < stored + slack
 
-        derived = set(trace.trains) | pooled_trains(graph, trace.trains)
-        stored = self.stored_bytes(graph, trace.sums, derived)
+        stored = self.stored_bytes(graph, trace.sums)
         stored += sum(train.counts.nbytes for train in trace.trains.values())
         held = traced_held_bytes(lambda: spiking_trace(model, x))
         assert stored <= held < stored + slack
@@ -1045,6 +1073,7 @@ class TestCheckEquivalence:
         rep = check_equivalence(probe_graph(seed), level_grid())
         assert rep.argmax_agreement == 1.0
         assert rep.max_rel_dev <= 1e-4
+        assert not any(d.level_mismatches for d in rep.per_layer)
 
     @staticmethod
     def edge_ties(graph, x):
@@ -1081,14 +1110,18 @@ class TestCheckEquivalence:
                f"max_rel_dev {rep.max_rel_dev}")
         assert rep.argmax_agreement == 1.0, msg
         assert rep.max_rel_dev <= 1e-4, msg
+        assert not any(d.level_mismatches for d in rep.per_layer), msg
 
     def test_report_dict_schema(self, toy_graph):
         x = np.random.default_rng(14).uniform(0, 1, size=(2, 2, 8, 8))
         doc = check_equivalence(toy_graph, x).to_dict()
         assert set(doc) == {"per_layer", "argmax_agreement", "max_logit_dev",
                             "inhibitory_spikes"}
-        assert all(set(row) == {"id", "max_abs_dev", "rel_dev"}
+        assert all(set(row) == {"id", "max_abs_dev", "rel_dev", "level_mismatches"}
                    for row in doc["per_layer"])
+        acts = {layer.id for layer in toy_graph.qcfs_layers()}
+        assert [row["level_mismatches"] for row in doc["per_layer"]] == [
+            0 if layer.id in acts else None for layer in toy_graph.layers]
 
 
 MIXED_STEPS = [8, 4, 2, 1, 2, 4, 8, 4, 1, 2, 8, 2, 4, 1, 4]

@@ -16,8 +16,8 @@ read-only patch-gather indices, keyed by geometry.
 The rules below exist to keep bytes equal across layouts and block splits,
 to bound memory, or to save time; docs/numerics.md gives, per rule, the
 measurements behind it and the test that pins it. The byte-equality
-figures hold for OpenBLAS 0.3.31's SkylakeX kernel, and three of
-tests/test_kernels.py's multi-block tests fail on its Haswell kernel.
+figures hold for OpenBLAS 0.3.31's SkylakeX kernel, and five of
+tests/test_kernels.py's by-block split tests fail on its Haswell kernel.
 
 Lowerings. conv2d picks one of two layouts from the geometry alone. Write
 P = H_o*W_o for one image's output positions and taps = C*K_h*K_w. flat_w
@@ -26,22 +26,36 @@ is the C-contiguous (C_out, taps) weight matrix, and a patch's taps run in
 
 - By image, ``flat_w @ cols_t``, when P >= C_out, P and C_out are
   multiples of 8, and one image's product P*taps*C_out reaches
-  ``_BLOCK_MIN_MACS``. K_h*K_w strided copies of the zero-bordered image
-  fill a C-contiguous (taps, P) patch buffer, and the product writes the
-  image's (C_out, P) slab, which is its NCHW output. On VGG-16/CIFAR these
-  are conv1_2, conv2_1 and conv2_2.
+  ``_BLOCK_MIN_MACS``. For a chunk of the image's output rows, K_h*K_w
+  strided copies of the zero-bordered image fill a C-contiguous
+  (taps, positions) patch buffer. The product writes the image's
+  (C_out, P) slab, its NCHW output, when the image is one chunk; else it
+  goes to a reused C-contiguous (C_out, positions) buffer that is copied
+  into the chunk's rows of the slab. On VGG-16/CIFAR these are conv1_2
+  (in two chunks), conv2_1 and conv2_2.
 - By block, ``cols @ flat_w.T``, for every other geometry. One take
   through a cached index gathers a block of m images' patches into a
   C-contiguous (m*P, taps) matrix, whose product is the block's
-  (m*P, C_out) output in NHWC order. When the whole patch matrix would
-  exceed ``_PATCH_BLOCK_BYTES``, the batch is split into the fewest
-  balanced blocks of whole images that fit, but no block falls below
-  ``_BLOCK_MIN_MACS``, and a conv with C_out = 1 is never split.
+  (m*P, C_out) output in NHWC order.
 
-Each finished block or image goes into the output or to consumer(lo,
-block). Its batch-norm affine runs in the buffer that holds it, as the
-four IEEE operations of gamma * (y + shift) / denom + beta in that order
-(_affine_into). fully_connected runs the same operations in its product.
+One patch budget. Neither lowering holds more than ``_PATCH_BLOCK_BYTES``
+of patch matrix where its split rules allow (_conv_plan). By block, the
+batch is split into the fewest balanced blocks of whole images that fit,
+and a block of one image that still exceeds the budget is split into the
+fewest balanced chunks of output rows that fit. By image, each image whose
+patches exceed the budget is split the same way: 4.72 MB for VGG-16/CIFAR's
+conv1_2, 14.8 MB for the ResNet-34/ImageNet stem and 231 MB for
+VGG-16/224's conv1_2. Every split stops where a block or chunk would fall
+below ``_BLOCK_MIN_MACS``, a by-image chunk keeps its positions a multiple
+of 8, and a conv with C_out = 1 is never split.
+
+Each finished chunk goes into the output block, and each finished block
+or image into the output or to consumer(lo, block). The batch-norm affine
+runs once per chunk, as the four IEEE operations of
+gamma * (y + shift) / denom + beta in that order (_affine_into): by image
+in place in the chunk's contiguous product, by block as the product is
+read into the output block. fully_connected runs the same operations in
+its product.
 
 Pooling order. avg_pool2d adds a 2 x 2 window from four strided slices as
 (x00 + x01) + (x10 + x11), or as ((x00 + x01) + x10) + x11 when the output
@@ -51,6 +65,7 @@ an input in any layout gets the bytes of its C-ordered copy. Other
 windows, and unscaled input other than float64, take numpy's mean.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -194,24 +209,53 @@ def _patch_index(c, h_p, w_p, kernel, stride, out_hw):
 # Most patch-matrix bytes conv2d holds at once, and fewest multiply-adds
 # (rows * C_out * taps) a block of a split product may have (docs/numerics.md,
 # "Patch blocks and the multiply-add floor").
-_PATCH_BLOCK_BYTES = 8 << 20
+_PATCH_BLOCK_BYTES = 4 << 20
 _BLOCK_MIN_MACS = 4_000_000
 
 
 def _block_count(n, patch_entries, c_out, itemsize):
-    """Balanced blocks of whole images for n images of patch_entries each:
-    the fewest whose largest block fits the byte budget, but no more than
-    keep the smallest block at or above the multiply-add floor. C_out = 1
-    is never split."""
+    """Balanced blocks for n units (images, or rows of one image) of
+    patch_entries each: the fewest whose largest block fits the byte budget,
+    but no more than keep the smallest block at or above the multiply-add
+    floor. C_out = 1 is never split."""
     if c_out == 1:
         return 1
-    # blocks of at most `fit` images; a balanced split into ceil(n / fit)
-    # blocks holds at most ceil(n / blocks) <= fit images in each
+    # blocks of at most `fit` units; a balanced split into ceil(n / fit)
+    # blocks holds at most ceil(n / blocks) <= fit units in each
     fit = max(1, _PATCH_BLOCK_BYTES // (patch_entries * itemsize))
     by_budget = -(-n // fit)
-    # a balanced block holds at least n // blocks images
+    # a balanced block holds at least n // blocks units
     by_floor = n // -(-_BLOCK_MIN_MACS // (patch_entries * c_out))
     return max(1, min(by_budget, by_floor))
+
+
+def _conv_plan(n, c_out, taps, out_hw, itemsize):
+    """How conv2d lowers n images: (by_image, image edges, row edges).
+
+    The image edges cut the batch into blocks, one image each by image. The
+    row edges cut each block's output rows into chunks, and each chunk is
+    one product through the reused patch buffer, which thus holds at most
+    (largest block) * (largest chunk) * W_o * taps entries. Rows are cut
+    only when a block holds one image whose patches exceed the budget; by
+    image, a chunk's positions stay a multiple of 8, so rows go in steps
+    of 8 / gcd(W_o, 8), which divides H_o because H_o*W_o is a multiple
+    of 8.
+    """
+    h_o, w_o = out_hw
+    positions = h_o * w_o
+    by_image = (positions >= c_out and positions % 8 == c_out % 8 == 0
+                and positions * taps * c_out >= _BLOCK_MIN_MACS)
+    if by_image:
+        images = list(range(n + 1))
+    else:
+        blocks = _block_count(n, positions * taps, c_out, itemsize)
+        images = [n * b // blocks for b in range(blocks + 1)]
+    rows = [0, h_o]
+    if len(images) > n and positions * taps * itemsize > _PATCH_BLOCK_BYTES:
+        step = 8 // math.gcd(w_o, 8) if by_image else 1
+        chunks = _block_count(h_o // step, step * w_o * taps, c_out, itemsize)
+        rows = [h_o // step * b // chunks * step for b in range(chunks + 1)]
+    return by_image, images, rows
 
 
 def conv2d(x, params, scale=None, affine=None, consumer=None):
@@ -220,12 +264,14 @@ def conv2d(x, params, scale=None, affine=None, consumer=None):
     The geometry picks the lowering (see "Lowerings" in the module): image by
     image as ``flat_w @ cols_t`` when H_o*W_o >= C_out, both are multiples
     of 8 and one image's product reaches ``_BLOCK_MIN_MACS``, otherwise in
-    blocks of images as ``cols @ flat_w.T``. Both give the same bytes.
+    blocks of images as ``cols @ flat_w.T``. Both give the same bytes, and
+    both run one product per chunk of output rows where one image's patch
+    matrix exceeds ``_PATCH_BLOCK_BYTES`` (_conv_plan).
 
     With scale given, x is a bool spike tensor and the input convolved is
     x * scale; the float64 input is only ever built one block (or image)
     at a time. With affine given, the result is the affine of the conv,
-    applied one block at a time in the output buffer (_affine_into).
+    applied one chunk at a time (_affine_into).
 
     With consumer given, no output is built: each finished block of rows
     lo..lo + m, affine applied and checked finite, goes to consumer(lo,
@@ -246,29 +292,32 @@ def conv2d(x, params, scale=None, affine=None, consumer=None):
     p_h, p_w = params.padding
     h_o, w_o = conv_output_hw(h, w, params.kernel, params.stride, params.padding)
     h_p, w_p = h + 2 * p_h, w + 2 * p_w
-    c_out, taps, positions = params.out_channels, c * k_h * k_w, h_o * w_o
+    c_out, taps = params.out_channels, c * k_h * k_w
     terms = () if affine is None else _affine_terms(affine, 4, c_out)
     flat_w = params.weights.reshape(c_out, taps)
     dtype = x.dtype if scale is None else np.dtype(np.float64)
-    by_image = (positions >= c_out and positions % 8 == c_out % 8 == 0
-                and positions * taps * c_out >= _BLOCK_MIN_MACS)
-    if by_image:
-        edges, size = range(n + 1), 1
-    else:
-        index = _patch_index(c, h_p, w_p, params.kernel, tuple(params.stride), (h_o, w_o))
-        # take copies a read-only index on every call, so it gets the writeable
-        # (patch, tap) grid the cached index is a flat view of; take never writes it
-        grid = index.base
-        blocks = _block_count(n, index.size, c_out, dtype.itemsize)
-        edges = [n * b // blocks for b in range(blocks + 1)]
-        size = -(-n // blocks)
-    cols = np.empty((taps, positions) if by_image else (size, positions * taps), dtype=dtype)
+    by_image, images, rows = _conv_plan(n, c_out, taps, (h_o, w_o), dtype.itemsize)
+    # a balanced split's last block and last chunk are its largest
+    size = images[-1] - images[-2] if n else 0
+    span = (rows[-1] - rows[-2]) * w_o
+    cols = np.empty(size * span * taps, dtype=dtype)
     # the border of the padded buffer is zeroed once; blocks only overwrite its interior
     xp = np.zeros((size, c, h_p, w_p), dtype=dtype)
     # the output, or with a consumer the block buffer
     out = np.empty((n if consumer is None else size, c_out, h_o, w_o),
                    dtype=np.result_type(dtype, flat_w, *terms))
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    if by_image:
+        # an image of several chunks takes each chunk's product here: the
+        # affine runs in place in it, and one copy writes the chunk's rows of
+        # the output, because in-place ops on those strided rows run slower
+        chunked = len(rows) > 2
+        product = np.empty(c_out * span, dtype=out.dtype) if chunked else None
+    else:
+        index = _patch_index(c, h_p, w_p, params.kernel, tuple(params.stride), (h_o, w_o))
+        # take copies a read-only index on every call, so it gets the writeable
+        # (patch, tap) grid the cached index is a flat view of; take never writes it
+        grid = index.base
+    for lo, hi in zip(images[:-1], images[1:]):
         m = hi - lo
         src = xp[:m]
         interior = src[:, :, p_h:p_h + h, p_w:p_w + w]
@@ -277,30 +326,41 @@ def conv2d(x, params, scale=None, affine=None, consumer=None):
         else:
             np.multiply(x[lo:hi], scale, out=interior)
         block = out[lo:hi] if consumer is None else out[:m]
-        if by_image:
-            # tap (c, i, j) of every position is one strided window of the image
-            windows = cols.reshape(c, k_h, k_w, h_o, w_o)
-            for i in range(k_h):
-                for j in range(k_w):
-                    windows[:, i, j] = src[0, :, i:i + s_h * h_o:s_h, j:j + s_w * w_o:s_w]
-            np.matmul(flat_w, cols, out=block.reshape(c_out, positions))
-            if affine is not None:
-                _affine_into(block, terms, block)
-        else:
-            # the index is in range by construction; "clip" lets take write
-            # straight into cols, where "raise" would buffer a copy
-            np.take(src.reshape(m, c * h_p * w_p), grid, axis=1,
-                    out=cols[:m].reshape(m, positions, taps), mode="clip")
-            part = cols[:m].reshape(m * positions, taps) @ flat_w.T
-            # the product's NCHW transposed view is read straight into the output
-            # block, by a copy or by the affine's first op
-            part = part.reshape(m, h_o, w_o, c_out).transpose(0, 3, 1, 2)
-            if affine is None:
-                block[...] = part
+        for top, bottom in zip(rows[:-1], rows[1:]):
+            r, positions = bottom - top, (bottom - top) * w_o
+            patches = cols[:m * positions * taps]
+            target = block[:, :, top:bottom]
+            if by_image:
+                # tap (c, i, j) of every position is one strided window of the image
+                windows = patches.reshape(c, k_h, k_w, r, w_o)
+                for i in range(k_h):
+                    for j in range(k_w):
+                        windows[:, i, j] = src[0, :, i + s_h * top:i + s_h * bottom:s_h,
+                                               j:j + s_w * w_o:s_w]
+                # an image of one chunk is its own product buffer
+                part = product[:c_out * positions].reshape(target.shape) if chunked else target
+                np.matmul(flat_w, patches.reshape(taps, positions),
+                          out=part.reshape(c_out, positions))
+                if affine is not None:
+                    _affine_into(part, terms, part)
+                _check_finite(part, "conv output")
+                if chunked:
+                    target[...] = part
             else:
-                _affine_into(part, terms, block)
-            del part        # freed before the next block's product is allocated
-        _check_finite(block, "conv output")
+                # the index is in range by construction; "clip" lets take write
+                # straight into cols, where "raise" would buffer a copy
+                np.take(src.reshape(m, c * h_p * w_p), grid[top * w_o:bottom * w_o], axis=1,
+                        out=patches.reshape(m, positions, taps), mode="clip")
+                part = patches.reshape(m * positions, taps) @ flat_w.T
+                # the product's NCHW transposed view is read straight into the
+                # output block, by a copy or by the affine's first op
+                part = part.reshape(m, r, w_o, c_out).transpose(0, 3, 1, 2)
+                if affine is None:
+                    target[...] = part
+                else:
+                    _affine_into(part, terms, target)
+                del part        # freed before the next block's product is allocated
+                _check_finite(target, "conv output")
         if consumer is not None:
             consumer(lo, block)
     if consumer is None:

@@ -69,9 +69,12 @@ def _levels(z, cfg):
     """clip(floor(z * L / theta + 1/2), 0, L), built in one float64 buffer
     and returned in np.min_scalar_type(L), the narrowest type that holds L.
     The clip runs before the floor: on [0, L] the integer cast truncates,
-    which is the floor, and clipping first gives the same level."""
-    levels = np.multiply(z, cfg.L, out=np.empty(np.shape(z)), dtype=np.float64)
-    np.divide(levels, cfg.theta, out=levels)
+    which is the floor, and clipping first gives the same level. z * L / theta
+    passes the largest float once |z| is large against theta / L; the
+    infinity then clips to L or 0, as the staircase saturates."""
+    with np.errstate(over="ignore"):
+        levels = np.multiply(z, cfg.L, out=np.empty(np.shape(z)), dtype=np.float64)
+        np.divide(levels, cfg.theta, out=levels)
     np.add(levels, 0.5, out=levels)
     levels.clip(0.0, float(cfg.L), out=levels)  # the method skips np.clip's wrapper
     return levels.astype(np.min_scalar_type(cfg.L))

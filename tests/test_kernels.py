@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from spikecast import kernels
+from spikecast.graph import parse_manifest
 from spikecast.kernels import (BnAffine, ConvParams, KernelError, avg_pool2d,
                                conv2d, fully_connected)
+from spikecast.zoo import resnet_manifest, vgg16_manifest
 
 from conftest import (affine_expression, mean_avg_pool2d, naive_conv2d,
                       sliding_window_conv2d, traced_peak_bytes)
@@ -77,7 +79,8 @@ def by_image_cases():
     """Geometries that conv2d lowers image by image, each with padding 0 and
     1: VGG-16's conv1_2 and conv2_1 on two images, and on one image a 3x3
     stride-2 conv, a 1x1 stride-2 projection and a 7x7 stride-2 stem. The
-    last case sits on the multiply-add floor with H_o*W_o = C_out."""
+    next case sits on the multiply-add floor with H_o*W_o = C_out, and the
+    chunked_cases follow."""
     rng = np.random.default_rng(61)
     cases = {}
     for pad in (0, 1):
@@ -88,7 +91,47 @@ def by_image_cases():
         cases[f"1x1-s2-p{pad}"] = one_conv(rng, 1, 256, 128, 29 + grow, 1, 2, pad)
         cases[f"7x7-s2-p{pad}"] = one_conv(rng, 1, 3, 64, 67 + grow, 7, 2, pad)
     cases["at-floor"] = one_conv(rng, 1, 109, 64, 8, 3, 1, 1)
+    cases.update(chunked_cases())
     return cases
+
+
+def chunked_cases():
+    """By-image geometries whose one image holds more than the patch budget,
+    so conv2d runs each image in chunks of output rows, as it does
+    VGG-16's conv1_2 above: a 3x3 stride-2 conv (2 chunks of 512
+    positions), a 28-wide conv whose chunks step by 2 rows (392 positions)
+    and ResNet-34's 7x7 stem at 112 x 112 (4 chunks of 3136 positions)."""
+    rng = np.random.default_rng(97)
+    return {
+        "chunked-s2": one_conv(rng, 1, 64, 64, 63, 3, 2, 1),
+        "chunked-w28": one_conv(rng, 1, 128, 128, 28, 3, 1, 1),
+        "chunked-stem": one_conv(rng, 1, 3, 64, 112, 7, 1, 3),
+    }
+
+
+def row_split_cases():
+    """By-block geometries whose one image holds more than the patch budget,
+    so conv2d splits that image's output rows: VGG-16/224's conv5 (14 x 14
+    positions, fewer than its 512 output channels; 7.2 MB of patches) on two
+    images, and a 17 x 17 conv whose positions are off the multiple of 8."""
+    rng = np.random.default_rng(101)
+    return {
+        "conv5-224": one_conv(rng, 2, 512, 512, 14, 3, 1, 1),
+        "positions-off-8": one_conv(rng, 1, 256, 64, 17, 3, 1, 1),
+    }
+
+
+def conv_plan(x, p):
+    """kernels._conv_plan for a float64 conv of x."""
+    out_hw = kernels.conv_output_hw(x.shape[2], x.shape[3], p.kernel, p.stride, p.padding)
+    return kernels._conv_plan(x.shape[0], p.out_channels, p.weights[0].size, out_hw, 8)
+
+
+def held_patch_bytes(plan, w_o, taps):
+    """The most float64 patch-matrix bytes a plan of _conv_plan holds at once."""
+    _, images, rows = plan
+    largest = [max(hi - lo for lo, hi in zip(edges[:-1], edges[1:])) for edges in (images, rows)]
+    return largest[0] * largest[1] * w_o * taps * 8
 
 
 def per_block_cases():
@@ -254,13 +297,13 @@ class TestConv2d:
         assert bound < n * per_image / 2
 
     def test_blocks_fit_the_patch_budget(self):
-        # VGG-16's conv1_2 on 4 rows: 4.72 MB of patches per image, so two
-        # images to a block would hold 9.44 MB against the 8 MiB budget
+        # VGG-16's conv1_2 on 4 rows: 4.72 MB of patches per image, so one
+        # image overruns the 4 MiB budget and its two halves fit it
         rng = np.random.default_rng(59)
         bits = rng.random((4, 64, 32, 32)) < 0.5
         p = ConvParams(weights=rng.uniform(-1, 1, size=(64, 64, 3, 3)), padding=(1, 1))
         per_image = patch_bytes_per_image(bits, p)
-        assert per_image <= kernels._PATCH_BLOCK_BYTES < 2 * per_image
+        assert per_image / 2 <= kernels._PATCH_BLOCK_BYTES < per_image
         out = conv2d(bits, p, scale=0.25)          # warms the index cache
         assert out.tobytes() == sliding_window_conv2d(bits * 0.25, p).tobytes()
         bound = (out.nbytes
@@ -297,17 +340,101 @@ class TestConv2d:
         assert kernels._patch_index.cache_info().currsize == 1
 
     def test_by_image_peak_holds_one_image(self):
-        # VGG-16's conv1_2 on 4 rows: one image's (taps, positions) patches,
-        # its padded input and, with a consumer, its block; no product buffer
+        # VGG-16's conv1_2 on 4 rows: one chunk's (taps, positions) patches
+        # and (C_out, positions) product, one image's padded input and, with
+        # a consumer, its block
         rng = np.random.default_rng(83)
         bits = rng.random((4, 64, 32, 32)) < 0.5
         p = ConvParams(weights=rng.uniform(-1, 1, size=(64, 64, 3, 3)), padding=(1, 1))
         a = random_affine(rng, 64)
+        _, _, rows = plan = conv_plan(bits, p)
+        assert len(rows) == 3
+        chunk = held_patch_bytes(plan, 32, 576)
+        assert chunk == patch_bytes_per_image(bits, p) // 2
         out = conv2d(bits, p, scale=0.25, affine=a)
-        bound = patch_bytes_per_image(bits, p) + 64 * 34 * 34 * 8 + out[0].nbytes + (1 << 20)
+        bound = chunk + out[0].nbytes // 2 + 64 * 34 * 34 * 8 + out[0].nbytes + (1 << 20)
         assert traced_peak_bytes(lambda: conv2d(bits, p, scale=0.25, affine=a)) < out.nbytes + bound
         assert traced_peak_bytes(lambda: conv2d(bits, p, scale=0.25, affine=a,
                                                 consumer=lambda lo, block: None)) < bound
+
+    @pytest.mark.parametrize("name", list(chunked_cases()) + list(row_split_cases()))
+    def test_row_chunks_are_bitwise_equal(self, name, monkeypatch):
+        # each image's patches overrun the budget, so its output rows run in
+        # chunks; every variant's bytes equal the unsplit product's and the
+        # sliding-window lowering's, and a consumer still gets whole images
+        x, p = {**chunked_cases(), **row_split_cases()}[name]
+        assert patch_bytes_per_image(x, p) > kernels._PATCH_BLOCK_BYTES
+        by_image, images, rows = conv_plan(x, p)
+        assert by_image == name.startswith("chunked")
+        assert images == list(range(len(x) + 1)) and len(rows) > 2
+        rng = np.random.default_rng(89)
+        variants = list(conv_variants(x, p, rng))
+
+        def run():
+            results = []
+            for inp, scale, affine, _ in variants:
+                blocks = []
+                conv2d(inp, p, scale=scale, affine=affine,
+                       consumer=lambda lo, block: blocks.append((lo, block.copy())))
+                results.append((conv2d(inp, p, scale=scale, affine=affine).tobytes(), blocks))
+            return results
+
+        chunked = run()
+        monkeypatch.setattr(kernels, "_PATCH_BLOCK_BYTES", 1 << 40)
+        assert len(conv_plan(x, p)[2]) == 2
+        unsplit = run()
+        for (*_, want), (got, blocks), (whole, _) in zip(variants, chunked, unsplit):
+            assert got == whole == want
+            assert [lo for lo, _ in blocks] == list(range(len(x)))
+            assert np.concatenate([block for _, block in blocks]).tobytes() == want
+
+    def test_row_split_peak_holds_one_chunk(self):
+        # VGG-16/224's conv5 on one image: 7.2 MB of patches, run as two
+        # chunks of 7 rows, each with its own product
+        rng = np.random.default_rng(103)
+        bits = rng.random((1, 512, 14, 14)) < 0.5
+        p = ConvParams(weights=rng.uniform(-1, 1, size=(512, 512, 3, 3)), padding=(1, 1))
+        plan = conv_plan(bits, p)
+        assert plan[2] == [0, 7, 14]
+        out = conv2d(bits, p, scale=0.25)          # warms the index cache
+        chunk = held_patch_bytes(plan, 14, 4608)
+        bound = (out.nbytes
+                 + chunk                      # one chunk's patches
+                 + 512 * 16 * 16 * 8          # the padded image
+                 + out.nbytes // 2            # one chunk's product
+                 + (1 << 20))
+        assert traced_peak_bytes(lambda: conv2d(bits, p, scale=0.25)) < bound
+        assert bound < out.nbytes + patch_bytes_per_image(bits, p)
+
+    def test_imagenet_conv1_2_peak_holds_the_budget(self):
+        # VGG-16/224's conv1_2 on one image would hold 231 MB of patches;
+        # its 56 chunks hold at most the 4 MiB budget, with their product
+        rng = np.random.default_rng(107)
+        x = rng.uniform(-1, 1, size=(1, 64, 224, 224))
+        p = ConvParams(weights=rng.uniform(-1, 1, size=(64, 64, 3, 3)), padding=(1, 1))
+        assert patch_bytes_per_image(x, p) > 231e6
+        assert len(conv_plan(x, p)[2]) == 57
+        output, padded = 64 * 224 * 224 * 8, 64 * 226 * 226 * 8
+        bound = output + padded + kernels._PATCH_BLOCK_BYTES + (1 << 20)
+        assert traced_peak_bytes(lambda: conv2d(x, p)) < bound
+
+    @pytest.mark.parametrize("text", [
+        vgg16_manifest(), vgg16_manifest(input_size=224), resnet_manifest(),
+        resnet_manifest(blocks=(3, 4, 6, 3), input_size=224, classes=1000, imagenet_stem=True)],
+        ids=["vgg16-32", "vgg16-224", "resnet18-cifar", "resnet34-imagenet"])
+    def test_every_zoo_plan_fits_the_patch_budget(self, text):
+        # the plan alone, for every conv of the net at batch 1, 8 and 32;
+        # no conv runs
+        convs = [layer for layer in parse_manifest(text).layers if layer.kind == "conv"]
+        split = 0
+        for layer in convs:
+            taps = layer.in_shape[0] * layer.kernel[0] * layer.kernel[1]
+            for n in (1, 8, 32):
+                plan = kernels._conv_plan(n, layer.out_channels, taps, layer.out_shape[1:], 8)
+                held = held_patch_bytes(plan, layer.out_shape[2], taps)
+                assert held <= kernels._PATCH_BLOCK_BYTES, (layer.id, n, plan)
+                split += len(plan[2]) > 2
+        assert split > 0
 
     @pytest.mark.parametrize("core", ["SkylakeX", "Haswell", "Sandybridge"])
     def test_by_image_lowering_on_each_blas_core(self, core):

@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -993,6 +994,20 @@ class TestTraceMaps:
 
 
 class TestCheckEquivalence:
+    @pytest.mark.parametrize("factor", [20.0, 1e6, -20.0])
+    def test_saturated_levels_at_the_smallest_step(self, factor):
+        # at theta / L = the smallest normal float, z * L / theta passes the
+        # largest float once |z| exceeds about 4; the staircase saturates
+        # at L (or 0), with no overflow warning
+        doc = json.loads(toy_manifest())
+        doc["layers"][2].update(L=4, theta=4 * sys.float_info.min)
+        graph = init_random(parse_manifest(json.dumps(doc)), 0)
+        x = np.random.default_rng(0).uniform(0.0, 1.0, size=(16, 2, 8, 8)) * factor
+        report = check_equivalence(graph, x)
+        assert report.max_rel_dev <= 1e-4 and report.argmax_agreement == 1.0
+        assert [d.level_mismatches for d in report.per_layer
+                if d.level_mismatches is not None] == [0, 0]
+
     def test_deviation_reads_chunks(self):
         # the largest difference sits in the last, partial chunk; the
         # chunked max is the whole-layer max, and no temporary spans the layer

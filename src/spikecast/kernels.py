@@ -16,8 +16,8 @@ read-only patch-gather indices, keyed by geometry.
 The rules below exist to keep bytes equal across layouts and block splits,
 to bound memory, or to save time; docs/numerics.md gives, per rule, the
 measurements behind it and the test that pins it. The byte-equality
-figures hold for OpenBLAS 0.3.31's SkylakeX kernel, and five of
-tests/test_kernels.py's by-block split tests fail on its Haswell kernel.
+figures hold for OpenBLAS 0.3.31's SkylakeX kernel, and three of
+tests/test_kernels.py's multi-block tests fail on its Haswell kernel.
 
 Lowerings. conv2d picks one of two layouts from the geometry alone. Write
 P = H_o*W_o for one image's output positions and taps = C*K_h*K_w. flat_w
@@ -38,20 +38,19 @@ is the C-contiguous (C_out, taps) weight matrix, and a patch's taps run in
   C-contiguous (m*P, taps) matrix, whose product is the block's
   (m*P, C_out) output in NHWC order.
 
-One patch budget. Neither lowering holds more than ``_PATCH_BLOCK_BYTES``
-of patch matrix where its split rules allow (_conv_plan). By block, the
-batch is split into the fewest balanced blocks of whole images that fit,
-and a block of one image that still exceeds the budget is split into the
-fewest balanced chunks of output rows that fit. By image, each image whose
-patches exceed the budget is split the same way: 4.72 MB for VGG-16/CIFAR's
+One patch budget. Both lowerings hold at most ``_PATCH_BLOCK_BYTES`` of
+patch matrix where their split rules allow (_conv_plan). By block, the
+batch is split into the fewest balanced blocks of whole images that fit.
+By image, each image whose patches exceed the budget is split into the
+fewest balanced chunks of output rows that fit: 4.72 MB for VGG-16/CIFAR's
 conv1_2, 14.8 MB for the ResNet-34/ImageNet stem and 231 MB for
-VGG-16/224's conv1_2. Every split stops where a block or chunk would fall
-below ``_BLOCK_MIN_MACS``, a by-image chunk keeps its positions a multiple
-of 8, and a conv with C_out = 1 is never split.
+VGG-16/224's conv1_2. No split goes below ``_BLOCK_MIN_MACS``, a by-image
+chunk keeps its positions a multiple of 8 and at or above C_out, and a
+conv with C_out = 1 is never split. An image is never split by block.
 
-Each finished chunk goes into the output block, and each finished block
+Each finished chunk goes into its image's rows, and each finished block
 or image into the output or to consumer(lo, block). The batch-norm affine
-runs once per chunk, as the four IEEE operations of
+runs once per block or chunk, as the four IEEE operations of
 gamma * (y + shift) / denom + beta in that order (_affine_into): by image
 in place in the chunk's contiguous product, by block as the product is
 read into the output block. fully_connected runs the same operations in
@@ -213,11 +212,11 @@ _PATCH_BLOCK_BYTES = 4 << 20
 _BLOCK_MIN_MACS = 4_000_000
 
 
-def _block_count(n, patch_entries, c_out, itemsize):
+def _block_count(n, patch_entries, c_out, itemsize, min_macs=_BLOCK_MIN_MACS):
     """Balanced blocks for n units (images, or rows of one image) of
     patch_entries each: the fewest whose largest block fits the byte budget,
-    but no more than keep the smallest block at or above the multiply-add
-    floor. C_out = 1 is never split."""
+    but no more than keep the smallest block at or above min_macs
+    multiply-adds. C_out = 1 is never split."""
     if c_out == 1:
         return 1
     # blocks of at most `fit` units; a balanced split into ceil(n / fit)
@@ -225,37 +224,35 @@ def _block_count(n, patch_entries, c_out, itemsize):
     fit = max(1, _PATCH_BLOCK_BYTES // (patch_entries * itemsize))
     by_budget = -(-n // fit)
     # a balanced block holds at least n // blocks units
-    by_floor = n // -(-_BLOCK_MIN_MACS // (patch_entries * c_out))
+    by_floor = n // -(-min_macs // (patch_entries * c_out))
     return max(1, min(by_budget, by_floor))
 
 
 def _conv_plan(n, c_out, taps, out_hw, itemsize):
     """How conv2d lowers n images: (by_image, image edges, row edges).
 
-    The image edges cut the batch into blocks, one image each by image. The
-    row edges cut each block's output rows into chunks, and each chunk is
-    one product through the reused patch buffer, which thus holds at most
-    (largest block) * (largest chunk) * W_o * taps entries. Rows are cut
-    only when a block holds one image whose patches exceed the budget; by
-    image, a chunk's positions stay a multiple of 8, so rows go in steps
-    of 8 / gcd(W_o, 8), which divides H_o because H_o*W_o is a multiple
-    of 8.
+    By block, the image edges cut the batch into balanced blocks of whole
+    images and the rows stay whole. By image, each image is a block, and
+    when its patches exceed the budget the row edges cut its output rows
+    into chunks, each one product through the reused patch and product
+    buffers. A chunk keeps the rules that chose the by-image lowering: its
+    positions stay a multiple of 8 (rows go in steps of 8 / gcd(W_o, 8),
+    which divides H_o because H_o*W_o is a multiple of 8), at or above
+    C_out, and its multiply-adds at or above the floor.
     """
     h_o, w_o = out_hw
     positions = h_o * w_o
-    by_image = (positions >= c_out and positions % 8 == c_out % 8 == 0
-                and positions * taps * c_out >= _BLOCK_MIN_MACS)
-    if by_image:
-        images = list(range(n + 1))
-    else:
+    if not (positions >= c_out and positions % 8 == c_out % 8 == 0
+            and positions * taps * c_out >= _BLOCK_MIN_MACS):
         blocks = _block_count(n, positions * taps, c_out, itemsize)
-        images = [n * b // blocks for b in range(blocks + 1)]
+        return False, [n * b // blocks for b in range(blocks + 1)], [0, h_o]
     rows = [0, h_o]
-    if len(images) > n and positions * taps * itemsize > _PATCH_BLOCK_BYTES:
-        step = 8 // math.gcd(w_o, 8) if by_image else 1
-        chunks = _block_count(h_o // step, step * w_o * taps, c_out, itemsize)
+    if positions * taps * itemsize > _PATCH_BLOCK_BYTES:
+        step = 8 // math.gcd(w_o, 8)
+        chunks = _block_count(h_o // step, step * w_o * taps, c_out, itemsize,
+                              max(_BLOCK_MIN_MACS, c_out * taps * c_out))
         rows = [h_o // step * b // chunks * step for b in range(chunks + 1)]
-    return by_image, images, rows
+    return True, list(range(n + 1)), rows
 
 
 def conv2d(x, params, scale=None, affine=None, consumer=None):
@@ -264,14 +261,14 @@ def conv2d(x, params, scale=None, affine=None, consumer=None):
     The geometry picks the lowering (see "Lowerings" in the module): image by
     image as ``flat_w @ cols_t`` when H_o*W_o >= C_out, both are multiples
     of 8 and one image's product reaches ``_BLOCK_MIN_MACS``, otherwise in
-    blocks of images as ``cols @ flat_w.T``. Both give the same bytes, and
-    both run one product per chunk of output rows where one image's patch
-    matrix exceeds ``_PATCH_BLOCK_BYTES`` (_conv_plan).
+    blocks of images as ``cols @ flat_w.T``. Both give the same bytes. By
+    image, an image whose patch matrix exceeds ``_PATCH_BLOCK_BYTES`` runs
+    one product per chunk of output rows (_conv_plan).
 
     With scale given, x is a bool spike tensor and the input convolved is
     x * scale; the float64 input is only ever built one block (or image)
     at a time. With affine given, the result is the affine of the conv,
-    applied one chunk at a time (_affine_into).
+    applied one block or chunk at a time (_affine_into).
 
     With consumer given, no output is built: each finished block of rows
     lo..lo + m, affine applied and checked finite, goes to consumer(lo,
@@ -292,7 +289,7 @@ def conv2d(x, params, scale=None, affine=None, consumer=None):
     p_h, p_w = params.padding
     h_o, w_o = conv_output_hw(h, w, params.kernel, params.stride, params.padding)
     h_p, w_p = h + 2 * p_h, w + 2 * p_w
-    c_out, taps = params.out_channels, c * k_h * k_w
+    c_out, taps, positions = params.out_channels, c * k_h * k_w, h_o * w_o
     terms = () if affine is None else _affine_terms(affine, 4, c_out)
     flat_w = params.weights.reshape(c_out, taps)
     dtype = x.dtype if scale is None else np.dtype(np.float64)
@@ -326,11 +323,10 @@ def conv2d(x, params, scale=None, affine=None, consumer=None):
         else:
             np.multiply(x[lo:hi], scale, out=interior)
         block = out[lo:hi] if consumer is None else out[:m]
-        for top, bottom in zip(rows[:-1], rows[1:]):
-            r, positions = bottom - top, (bottom - top) * w_o
-            patches = cols[:m * positions * taps]
-            target = block[:, :, top:bottom]
-            if by_image:
+        if by_image:
+            for top, bottom in zip(rows[:-1], rows[1:]):
+                r = bottom - top
+                patches = cols[:r * w_o * taps]
                 # tap (c, i, j) of every position is one strided window of the image
                 windows = patches.reshape(c, k_h, k_w, r, w_o)
                 for i in range(k_h):
@@ -338,29 +334,31 @@ def conv2d(x, params, scale=None, affine=None, consumer=None):
                         windows[:, i, j] = src[0, :, i + s_h * top:i + s_h * bottom:s_h,
                                                j:j + s_w * w_o:s_w]
                 # an image of one chunk is its own product buffer
-                part = product[:c_out * positions].reshape(target.shape) if chunked else target
-                np.matmul(flat_w, patches.reshape(taps, positions),
-                          out=part.reshape(c_out, positions))
+                target = block[:, :, top:bottom]
+                part = product[:c_out * r * w_o].reshape(target.shape) if chunked else target
+                np.matmul(flat_w, patches.reshape(taps, r * w_o),
+                          out=part.reshape(c_out, r * w_o))
                 if affine is not None:
                     _affine_into(part, terms, part)
                 _check_finite(part, "conv output")
                 if chunked:
                     target[...] = part
+        else:
+            patches = cols[:m * positions * taps]
+            # the index is in range by construction; "clip" lets take write
+            # straight into cols, where "raise" would buffer a copy
+            np.take(src.reshape(m, c * h_p * w_p), grid, axis=1,
+                    out=patches.reshape(m, positions, taps), mode="clip")
+            part = patches.reshape(m * positions, taps) @ flat_w.T
+            # the product's NCHW transposed view is read straight into the output
+            # block, by a copy or by the affine's first op
+            part = part.reshape(m, h_o, w_o, c_out).transpose(0, 3, 1, 2)
+            if affine is None:
+                block[...] = part
             else:
-                # the index is in range by construction; "clip" lets take write
-                # straight into cols, where "raise" would buffer a copy
-                np.take(src.reshape(m, c * h_p * w_p), grid[top * w_o:bottom * w_o], axis=1,
-                        out=patches.reshape(m, positions, taps), mode="clip")
-                part = patches.reshape(m * positions, taps) @ flat_w.T
-                # the product's NCHW transposed view is read straight into the
-                # output block, by a copy or by the affine's first op
-                part = part.reshape(m, r, w_o, c_out).transpose(0, 3, 1, 2)
-                if affine is None:
-                    target[...] = part
-                else:
-                    _affine_into(part, terms, target)
-                del part        # freed before the next block's product is allocated
-                _check_finite(target, "conv output")
+                _affine_into(part, terms, block)
+            del part        # freed before the next block's product is allocated
+            _check_finite(block, "conv output")
         if consumer is not None:
             consumer(lo, block)
     if consumer is None:

@@ -109,18 +109,6 @@ def chunked_cases():
     }
 
 
-def row_split_cases():
-    """By-block geometries whose one image holds more than the patch budget,
-    so conv2d splits that image's output rows: VGG-16/224's conv5 (14 x 14
-    positions, fewer than its 512 output channels; 7.2 MB of patches) on two
-    images, and a 17 x 17 conv whose positions are off the multiple of 8."""
-    rng = np.random.default_rng(101)
-    return {
-        "conv5-224": one_conv(rng, 2, 512, 512, 14, 3, 1, 1),
-        "positions-off-8": one_conv(rng, 1, 256, 64, 17, 3, 1, 1),
-    }
-
-
 def conv_plan(x, p):
     """kernels._conv_plan for a float64 conv of x."""
     out_hw = kernels.conv_output_hw(x.shape[2], x.shape[3], p.kernel, p.stride, p.padding)
@@ -357,15 +345,15 @@ class TestConv2d:
         assert traced_peak_bytes(lambda: conv2d(bits, p, scale=0.25, affine=a,
                                                 consumer=lambda lo, block: None)) < bound
 
-    @pytest.mark.parametrize("name", list(chunked_cases()) + list(row_split_cases()))
+    @pytest.mark.parametrize("name", list(chunked_cases()))
     def test_row_chunks_are_bitwise_equal(self, name, monkeypatch):
         # each image's patches overrun the budget, so its output rows run in
         # chunks; every variant's bytes equal the unsplit product's and the
         # sliding-window lowering's, and a consumer still gets whole images
-        x, p = {**chunked_cases(), **row_split_cases()}[name]
+        x, p = chunked_cases()[name]
         assert patch_bytes_per_image(x, p) > kernels._PATCH_BLOCK_BYTES
         by_image, images, rows = conv_plan(x, p)
-        assert by_image == name.startswith("chunked")
+        assert by_image
         assert images == list(range(len(x) + 1)) and len(rows) > 2
         rng = np.random.default_rng(89)
         variants = list(conv_variants(x, p, rng))
@@ -388,24 +376,6 @@ class TestConv2d:
             assert [lo for lo, _ in blocks] == list(range(len(x)))
             assert np.concatenate([block for _, block in blocks]).tobytes() == want
 
-    def test_row_split_peak_holds_one_chunk(self):
-        # VGG-16/224's conv5 on one image: 7.2 MB of patches, run as two
-        # chunks of 7 rows, each with its own product
-        rng = np.random.default_rng(103)
-        bits = rng.random((1, 512, 14, 14)) < 0.5
-        p = ConvParams(weights=rng.uniform(-1, 1, size=(512, 512, 3, 3)), padding=(1, 1))
-        plan = conv_plan(bits, p)
-        assert plan[2] == [0, 7, 14]
-        out = conv2d(bits, p, scale=0.25)          # warms the index cache
-        chunk = held_patch_bytes(plan, 14, 4608)
-        bound = (out.nbytes
-                 + chunk                      # one chunk's patches
-                 + 512 * 16 * 16 * 8          # the padded image
-                 + out.nbytes // 2            # one chunk's product
-                 + (1 << 20))
-        assert traced_peak_bytes(lambda: conv2d(bits, p, scale=0.25)) < bound
-        assert bound < out.nbytes + patch_bytes_per_image(bits, p)
-
     def test_imagenet_conv1_2_peak_holds_the_budget(self):
         # VGG-16/224's conv1_2 on one image would hold 231 MB of patches;
         # its 56 chunks hold at most the 4 MiB budget, with their product
@@ -418,22 +388,40 @@ class TestConv2d:
         bound = output + padded + kernels._PATCH_BLOCK_BYTES + (1 << 20)
         assert traced_peak_bytes(lambda: conv2d(x, p)) < bound
 
+    def test_by_image_chunks_keep_c_out_positions(self):
+        # VGG-16/224's conv3_2: 57.8 MB of patches per image; the budget
+        # alone would cut 14 chunks of 4 rows, 224 positions against
+        # C_out = 256, so the plan takes 11 chunks of 5 or 6 rows and
+        # overruns the budget rather than run a product below P >= C_out
+        by_image, _, rows = kernels._conv_plan(1, 256, 2304, (56, 56), 8)
+        assert by_image and len(rows) == 12
+        assert min(b - a for a, b in zip(rows[:-1], rows[1:])) * 56 >= 256
+        assert held_patch_bytes((by_image, [0, 1], rows), 56, 2304) > kernels._PATCH_BLOCK_BYTES
+
     @pytest.mark.parametrize("text", [
-        vgg16_manifest(), vgg16_manifest(input_size=224), resnet_manifest(),
+        vgg16_manifest(), resnet_manifest(),
         resnet_manifest(blocks=(3, 4, 6, 3), input_size=224, classes=1000, imagenet_stem=True)],
-        ids=["vgg16-32", "vgg16-224", "resnet18-cifar", "resnet34-imagenet"])
+        ids=["vgg16-32", "resnet18-cifar", "resnet34-imagenet"])
     def test_every_zoo_plan_fits_the_patch_budget(self, text):
         # the plan alone, for every conv of the net at batch 1, 8 and 32;
-        # no conv runs
+        # no conv runs. Each by-image chunk keeps its positions a multiple of
+        # 8 and at or above C_out. VGG-16/224 is left out: its conv3 to conv5
+        # images overrun the budget, by the chunk rule above and because the
+        # by-block lowering never splits an image
         convs = [layer for layer in parse_manifest(text).layers if layer.kind == "conv"]
         split = 0
         for layer in convs:
             taps = layer.in_shape[0] * layer.kernel[0] * layer.kernel[1]
+            w_o = layer.out_shape[2]
             for n in (1, 8, 32):
                 plan = kernels._conv_plan(n, layer.out_channels, taps, layer.out_shape[1:], 8)
-                held = held_patch_bytes(plan, layer.out_shape[2], taps)
+                held = held_patch_bytes(plan, w_o, taps)
                 assert held <= kernels._PATCH_BLOCK_BYTES, (layer.id, n, plan)
-                split += len(plan[2]) > 2
+                by_image, _, rows = plan
+                chunks = [(bottom - top) * w_o for top, bottom in zip(rows[:-1], rows[1:])]
+                assert not by_image or all(
+                    p % 8 == 0 and p >= layer.out_channels for p in chunks), (layer.id, n, plan)
+                split += len(chunks) > 1
         assert split > 0
 
     @pytest.mark.parametrize("core", ["SkylakeX", "Haswell", "Sandybridge"])
